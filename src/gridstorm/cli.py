@@ -266,6 +266,9 @@ def cmd_falsify(args):
         budget=int(cfg["budget"]), restarts=int(cfg["restarts"]),
         noise_check_seeds=int(cfg["noise_check_seeds"]))
     result = outcome.result
+    manifest.data["counts"] = {"evaluations": result.evaluations,
+                               "simulations": result.simulations}
+    manifest.data["wall_s"] = outcome.wall_s
 
     report_path = manifest.add(os.path.join(out_dir, "falsify_report.txt"))
     with open(report_path, "w", encoding="utf-8") as fh:

@@ -5,10 +5,17 @@ d-step injection sequence whose combined trace is unsafe before first
 detection (robustness < 0).  The search is Monte-Carlo sampling plus
 simulated-annealing acceptance over a zero-order-hold control-point
 parameterization; restarts are independent and may run in parallel.
+
+With the breaker schedule fixed and noise off, the trace signals that
+robustness reads are affine in the knots.  So the search scores candidates
+with an AffineModel built from 1 + q_att * P simulations, not with one
+simulation each.  The zero screen and every reported rho come from
+simulation: each restart's best candidate is re-scored with objective().
 """
 
 import json
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -17,8 +24,9 @@ import numpy as np
 
 from .model import GridModel
 from .numerics import RngStream
-from .sim import (AttackVector, BreakerSchedule, FalseDataSchedule, SuccessReport,
-                  check_success, robustness, simulate)
+from .sim import (AttackVector, BreakerSchedule, FalseDataSchedule, SimTrace,
+                  SuccessReport, check_success, robustness, robustness_terms,
+                  simulate)
 
 N_OUTPUTS = 2
 
@@ -112,17 +120,83 @@ def decode_control_points(candidate: Candidate, d: int) -> FalseDataSchedule:
     return FalseDataSchedule(values=values, mask=candidate.mask.copy())
 
 
+def _trace(problem: FalsificationProblem, candidate: Candidate,
+           backend=None) -> SimTrace:
+    schedule = decode_control_points(candidate, problem.d)
+    attack = AttackVector(breakers=problem.laa, false_data=schedule)
+    return simulate(problem.grid, attack, horizon=problem.d,
+                    init=problem.init, noise=False, backend=backend)
+
+
 def objective(problem: FalsificationProblem, candidate: Candidate,
               backend=None) -> float:
     """Robustness of the combined trace for this candidate; +inf on blow-up."""
-    schedule = decode_control_points(candidate, problem.d)
-    attack = AttackVector(breakers=problem.laa, false_data=schedule)
-    trace = simulate(problem.grid, attack, horizon=problem.d,
-                     init=problem.init, noise=False, backend=backend)
+    trace = _trace(problem, candidate, backend)
     if trace.truncated:
         return float("inf")
     return robustness(trace, problem.grid.envelope, problem.grid.thresholds,
                       problem.signal_basis, problem.stealth_mode)
+
+
+def _signals(problem: FalsificationProblem, trace: SimTrace) -> np.ndarray:
+    """n x steps x 3: the frequency on the problem's basis and both residues."""
+    f = trace.frequency(problem.signal_basis)
+    return np.concatenate([f[:, :, None], trace.residue], axis=2)
+
+
+@dataclass(frozen=True)
+class AffineModel:
+    """The noise-free trace of one problem as an affine map of its knots.
+
+    With the breaker schedule fixed and noise off, false data enters the
+    measured outputs and, through the residue, the estimator, both linearly;
+    it never reaches the plant.  So the frequency and the residue are the
+    trace at all-zero knots plus each knot's value times its unit response.
+    """
+
+    problem: FalsificationProblem
+    base: np.ndarray        # n x steps x 3, from _signals at all-zero knots
+    responses: np.ndarray   # n x (q_att * P) x (steps * 3), one row per knot
+
+    def signals(self, candidate: Candidate) -> np.ndarray:
+        """The candidate's _signals, from the model."""
+        n, k, _ = self.responses.shape
+        delta = np.einsum("nk,nkm->nm", candidate.knots.reshape(n, k), self.responses)
+        return self.base + delta.reshape(self.base.shape)
+
+    def score(self, candidate: Candidate) -> float:
+        """objective() of the candidate from the model; +inf when non-finite."""
+        sig = self.signals(candidate)
+        if not np.all(np.isfinite(sig)):
+            return float("inf")
+        p = self.problem
+        return robustness_terms(sig[:, :, 0], np.max(np.abs(sig[:, :, 1:]), axis=2),
+                                p.grid.envelope, p.grid.thresholds, p.stealth_mode)
+
+
+def affine_model(problem: FalsificationProblem, backend=None):
+    """Build the AffineModel of a problem from 1 + q_att * P simulations.
+
+    False data does not couple generators (each generator's plant and
+    estimator step on their own), so one run with a knot set to 1 on every
+    generator gives that knot's response on all of them.  Returns (model,
+    simulations run); the model is None when a run truncates, because the
+    trace is then not affine.
+    """
+    n, q_att, p = problem.grid.n_generators, problem.n_attacked, problem.control_points
+    runs = []
+    for unit in range(-1, q_att * p):       # -1: the all-zero base run
+        knots = np.zeros((n, q_att * p))
+        if unit >= 0:
+            knots[:, unit] = 1.0
+        trace = _trace(problem, Candidate(knots=knots.reshape(n, q_att, p),
+                                          mask=problem.mask), backend)
+        if trace.truncated:
+            return None, len(runs) + 1
+        runs.append(_signals(problem, trace))
+    sig = np.stack(runs, axis=1)            # n x (1 + q_att * P) x steps x 3
+    responses = (sig[:, 1:] - sig[:, :1]).reshape(n, q_att * p, -1)
+    return AffineModel(problem=problem, base=sig[:, 0], responses=responses), len(runs)
 
 
 def sample_candidate(problem: FalsificationProblem, rng: RngStream) -> Candidate:
@@ -153,18 +227,19 @@ class FalsifyResult:
     evaluations: int
     success: bool
     history: list = field(default_factory=list)
+    simulations: int = 0     # zero screen + model build + restart re-scores
 
     def __post_init__(self):
         assert self.success == (self.best_rho < 0.0)
 
 
-def _anneal_restart(problem, budget, rng, backend):
+def _anneal_restart(problem, budget, rng, score):
     """One simulated-annealing restart; returns (best_rho, best_candidate, evals)."""
     width = problem.range_hi - problem.range_lo
     evals = 0
 
     current = sample_candidate(problem, rng)
-    rho_cur = objective(problem, current, backend)
+    rho_cur = score(current)
     evals += 1
     best, rho_best = current, rho_cur
     if rho_best < 0.0 or width <= 0.0:
@@ -179,7 +254,7 @@ def _anneal_restart(problem, budget, rng, backend):
         proposal = Candidate(
             knots=np.clip(current.knots + step, problem.range_lo, problem.range_hi),
             mask=current.mask)
-        rho_new = objective(problem, proposal, backend)
+        rho_new = score(proposal)
         evals += 1
         if rho_new < rho_best:
             best, rho_best = proposal, rho_new
@@ -209,9 +284,14 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
 
     The zero injection (the search's natural starting assignment) is screened
     first; each restart then anneals from an independent uniform sample with
-    its own split rng stream.  Sequential execution stops launching restarts
-    once a counter-example is found; with threads > 1 all restarts run and
-    the reduction stays deterministic (lowest rho, earliest restart wins).
+    its own split rng stream.  The annealing scores candidates with the
+    problem's AffineModel (objective() when a build run truncates); each
+    restart's best candidate is then re-scored with objective(), and only
+    those simulated values are reported and compared.  A budget below the
+    restart count runs one restart per evaluation.  Sequential execution
+    stops launching restarts once a counter-example is found; with
+    threads > 1 all restarts run and the reduction stays deterministic
+    (lowest rho, earliest restart wins).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -222,17 +302,27 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
 
     z = zero_candidate(problem)
     rho_zero = objective(problem, z, backend)
-    evaluations = 1
+    evaluations = simulations = 1
     best_rho, best_cand = rho_zero, z
     history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
                               success=rho_zero < 0.0)]
 
     if rho_zero >= 0.0:
-        share = max(1, budget // restarts)
-        budgets = [share + (1 if i < budget % restarts else 0) for i in range(restarts)]
+        model, built = affine_model(problem, backend)
+        simulations += built
+        if model is not None:
+            score = model.score
+        else:
+            def score(cand):
+                return objective(problem, cand, backend)
+
+        restarts = min(restarts, budget)
+        budgets = [budget // restarts + (1 if i < budget % restarts else 0)
+                   for i in range(restarts)]
 
         def run(i):
-            return _anneal_restart(problem, budgets[i], rng.split(i), backend)
+            _, cand, evals = _anneal_restart(problem, budgets[i], rng.split(i), score)
+            return objective(problem, cand, backend), cand, evals
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -246,6 +336,7 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
 
         for i, (rho_i, cand_i, evals_i) in enumerate(outcomes):
             evaluations += evals_i
+            simulations += 1
             history.append(RestartHistory(restart=i, evaluations=evals_i,
                                           best_rho=rho_i, success=rho_i < 0.0))
             if rho_i < best_rho:   # ties keep the earliest restart
@@ -258,6 +349,7 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
         evaluations=evaluations,
         success=best_rho < 0.0,
         history=history,
+        simulations=simulations,
     )
 
 
@@ -267,6 +359,7 @@ class SynthesisOutcome:
     result: FalsifyResult
     validation: Optional[SuccessReport]
     noise_success_fraction: Optional[float]
+    wall_s: dict            # seconds spent in "search" and "validation"
 
 
 def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStream,
@@ -286,11 +379,14 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
         range_lo=range_lo, range_hi=range_hi, mask=np.asarray(mask),
         init=init, control_points=control_points,
         signal_basis=signal_basis, stealth_mode=stealth_mode)
+    t0 = time.perf_counter()
     result = falsify_sa(problem, budget=budget, restarts=restarts,
                         rng=rng.split(0xFA15), threads=threads, backend=backend)
+    t_search = time.perf_counter()
     if not result.success:
         return SynthesisOutcome(attack=None, result=result, validation=None,
-                                noise_success_fraction=None)
+                                noise_success_fraction=None,
+                                wall_s={"search": t_search - t0, "validation": 0.0})
 
     attack = AttackVector(breakers=laa, false_data=result.best_schedule)
     rho_check = objective(problem, result.best_candidate, backend)
@@ -315,7 +411,9 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
         frac = wins / noise_check_seeds
 
     return SynthesisOutcome(attack=attack, result=result, validation=report,
-                            noise_success_fraction=frac)
+                            noise_success_fraction=frac,
+                            wall_s={"search": t_search - t0,
+                                    "validation": time.perf_counter() - t_search})
 
 
 # ---------------------------------------------------------------------------

@@ -369,11 +369,18 @@ def robustness(trace: SimTrace, envelope, thresholds, signal_basis="measured",
     k'=0 is floored at -min(Th)).  stealth_mode="all_steps" instead requires
     stealth over the whole trace.
     """
+    return robustness_terms(trace.frequency(signal_basis), trace.r_inf, envelope,
+                            thresholds, stealth_mode)
+
+
+def robustness_terms(f, r_inf, envelope, thresholds,
+                     stealth_mode="until_unsafe") -> float:
+    """robustness() from its two signals, each generators x steps: the
+    frequency on the chosen basis and the residue inf-norm."""
     th = np.asarray(thresholds, dtype=float)
-    f = trace.frequency(signal_basis)
     margin = np.minimum(envelope.f_hi - f, f - envelope.f_lo)  # per gen, per step
     s = np.min(margin, axis=0)
-    excess = trace.r_inf - th[:, None]
+    excess = r_inf - th[:, None]
     worst_excess = np.max(excess, axis=0)
 
     if stealth_mode == "all_steps":
