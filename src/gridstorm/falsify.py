@@ -4,7 +4,7 @@ Given a fixed breaker schedule, searches the bounded false-data box for a
 d-step injection sequence whose combined trace is unsafe before first
 detection (robustness < 0).  The search is Monte-Carlo sampling plus
 simulated-annealing acceptance over a zero-order-hold control-point
-parameterization; restarts are independent and may run in parallel.
+parameterization, with independent restarts.
 
 With the breaker schedule fixed and noise off, the trace signals that
 robustness reads are affine in the knots.  So the search scores candidates
@@ -14,9 +14,7 @@ simulation: each restart's best candidate is re-scored with objective().
 """
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -120,18 +118,16 @@ def decode_control_points(candidate: Candidate, d: int) -> FalseDataSchedule:
     return FalseDataSchedule(values=values, mask=candidate.mask.copy())
 
 
-def _trace(problem: FalsificationProblem, candidate: Candidate,
-           backend=None) -> SimTrace:
+def _trace(problem: FalsificationProblem, candidate: Candidate) -> SimTrace:
     schedule = decode_control_points(candidate, problem.d)
     attack = AttackVector(breakers=problem.laa, false_data=schedule)
     return simulate(problem.grid, attack, horizon=problem.d,
-                    init=problem.init, noise=False, backend=backend)
+                    init=problem.init, noise=False)
 
 
-def objective(problem: FalsificationProblem, candidate: Candidate,
-              backend=None) -> float:
+def objective(problem: FalsificationProblem, candidate: Candidate) -> float:
     """Robustness of the combined trace for this candidate; +inf on blow-up."""
-    trace = _trace(problem, candidate, backend)
+    trace = _trace(problem, candidate)
     if trace.truncated:
         return float("inf")
     return robustness(trace, problem.grid.envelope, problem.grid.thresholds,
@@ -174,7 +170,7 @@ class AffineModel:
                                 p.grid.envelope, p.grid.thresholds, p.stealth_mode)
 
 
-def affine_model(problem: FalsificationProblem, backend=None):
+def affine_model(problem: FalsificationProblem):
     """Build the AffineModel of a problem from 1 + q_att * P simulations.
 
     False data does not couple generators (each generator's plant and
@@ -190,7 +186,7 @@ def affine_model(problem: FalsificationProblem, backend=None):
         if unit >= 0:
             knots[:, unit] = 1.0
         trace = _trace(problem, Candidate(knots=knots.reshape(n, q_att, p),
-                                          mask=problem.mask), backend)
+                                          mask=problem.mask))
         if trace.truncated:
             return None, len(runs) + 1
         runs.append(_signals(problem, trace))
@@ -227,7 +223,7 @@ class FalsifyResult:
     evaluations: int
     success: bool
     history: list = field(default_factory=list)
-    simulations: int = 0     # zero screen + model build + restart re-scores
+    simulations: int = 0     # every simulate() run of the search
 
     def __post_init__(self):
         assert self.success == (self.best_rho < 0.0)
@@ -278,69 +274,61 @@ def _anneal_restart(problem, budget, rng, score):
 
 
 def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
-               rng: RngStream, threads: Optional[int] = None,
-               backend=None) -> FalsifyResult:
+               rng: RngStream) -> FalsifyResult:
     """Monte-Carlo sampled, simulated-annealing driven robustness minimization.
 
     The zero injection (the search's natural starting assignment) is screened
     first; each restart then anneals from an independent uniform sample with
-    its own split rng stream.  The annealing scores candidates with the
-    problem's AffineModel (objective() when a build run truncates); each
-    restart's best candidate is then re-scored with objective(), and only
-    those simulated values are reported and compared.  A budget below the
-    restart count runs one restart per evaluation.  Sequential execution
-    stops launching restarts once a counter-example is found; with
-    threads > 1 all restarts run and the reduction stays deterministic
-    (lowest rho, earliest restart wins).
+    its own split rng stream, and no restart starts once one has found a
+    counter-example.  The annealing scores candidates with the problem's
+    AffineModel when the search can make more scores than the model's
+    1 + q_att * P build runs cost, and with objective() otherwise or when a
+    build run truncates.  Each restart's best candidate is then re-scored
+    with objective(), and only those simulated values are reported and
+    compared (lowest rho, earliest restart wins).  A budget below the
+    restart count runs one restart per evaluation.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if threads is None:
-        threads = int(os.environ.get("GRIDSTORM_THREADS", "1") or "1")
 
     z = zero_candidate(problem)
-    rho_zero = objective(problem, z, backend)
+    rho_zero = objective(problem, z)
     evaluations = simulations = 1
     best_rho, best_cand = rho_zero, z
     history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
                               success=rho_zero < 0.0)]
 
     if rho_zero >= 0.0:
-        model, built = affine_model(problem, backend)
-        simulations += built
+        restarts = min(restarts, budget)
+        budgets = [budget // restarts + (1 if i < budget % restarts else 0)
+                   for i in range(restarts)]
+        # A zero-width box stops each restart after its first score.
+        max_scores = budget if problem.range_hi > problem.range_lo else restarts
+        model = None
+        if max_scores > 1 + problem.n_attacked * problem.control_points:
+            model, built = affine_model(problem)
+            simulations += built
         if model is not None:
             score = model.score
         else:
             def score(cand):
-                return objective(problem, cand, backend)
+                nonlocal simulations
+                simulations += 1
+                return objective(problem, cand)
 
-        restarts = min(restarts, budget)
-        budgets = [budget // restarts + (1 if i < budget % restarts else 0)
-                   for i in range(restarts)]
-
-        def run(i):
-            _, cand, evals = _anneal_restart(problem, budgets[i], rng.split(i), score)
-            return objective(problem, cand, backend), cand, evals
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(run, range(restarts)))
-        else:
-            outcomes = []
-            for i in range(restarts):
-                outcomes.append(run(i))
-                if outcomes[-1][0] < 0.0:
-                    break
-
-        for i, (rho_i, cand_i, evals_i) in enumerate(outcomes):
+        for i in range(restarts):
+            _, cand_i, evals_i = _anneal_restart(problem, budgets[i], rng.split(i), score)
+            rho_i = objective(problem, cand_i)
             evaluations += evals_i
             simulations += 1
             history.append(RestartHistory(restart=i, evaluations=evals_i,
                                           best_rho=rho_i, success=rho_i < 0.0))
             if rho_i < best_rho:   # ties keep the earliest restart
                 best_rho, best_cand = rho_i, cand_i
+            if rho_i < 0.0:
+                break
 
     return FalsifyResult(
         best_candidate=best_cand,
@@ -366,8 +354,8 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
                             d=None, range_lo=-0.05, range_hi=0.05,
                             mask=(0, 1), init=None, control_points=10,
                             signal_basis="measured", stealth_mode="until_unsafe",
-                            budget=2000, restarts=10, threads=None,
-                            noise_check_seeds=20, backend=None) -> SynthesisOutcome:
+                            budget=2000, restarts=10,
+                            noise_check_seeds=20) -> SynthesisOutcome:
     """Run the search, then re-simulate the winner and assert it still wins.
 
     Returns the verified attack vector (None when no counter-example exists
@@ -381,7 +369,7 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
         signal_basis=signal_basis, stealth_mode=stealth_mode)
     t0 = time.perf_counter()
     result = falsify_sa(problem, budget=budget, restarts=restarts,
-                        rng=rng.split(0xFA15), threads=threads, backend=backend)
+                        rng=rng.split(0xFA15))
     t_search = time.perf_counter()
     if not result.success:
         return SynthesisOutcome(attack=None, result=result, validation=None,
@@ -389,12 +377,12 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
                                 wall_s={"search": t_search - t0, "validation": 0.0})
 
     attack = AttackVector(breakers=laa, false_data=result.best_schedule)
-    rho_check = objective(problem, result.best_candidate, backend)
+    rho_check = objective(problem, result.best_candidate)
     if rho_check != result.best_rho:
         raise ValidationMismatch(
             f"re-simulated rho {rho_check!r} != search rho {result.best_rho!r}")
     trace = simulate(grid, attack, horizon=problem.d, init=problem.init,
-                     noise=False, backend=backend)
+                     noise=False)
     report = check_success(trace, grid.envelope, grid.thresholds, signal_basis)
     if not report.success:
         raise ValidationMismatch("validation re-run does not satisfy the "
@@ -405,7 +393,7 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
         wins = 0
         for s in range(noise_check_seeds):
             noisy = simulate(grid, attack, horizon=problem.d, init=problem.init,
-                             noise=True, rng=rng.split(0xBEEF + s), backend=backend)
+                             noise=True, rng=rng.split(0xBEEF + s))
             rep = check_success(noisy, grid.envelope, grid.thresholds, signal_basis)
             wins += int(rep.success)
         frac = wins / noise_check_seeds

@@ -1,146 +1,67 @@
-"""Closed-loop stepping kernels.
+"""The closed-loop plant/estimator recurrence, written once in numpy.
 
-The d-step plant/estimator recursion is the hot path: the falsification
-search and RL training both run it thousands of times.  Two implementations
-share one contract:
-
-  * a numba @njit kernel with explicit loops, default when importable, and
-  * a pure-numpy fallback, selected with GRIDSTORM_BACKEND=numpy.
-
-Both fill caller-allocated output arrays and return the number of valid
-records (< horizon+1 means the state went non-finite and the run was
-truncated at that step).
+closed_loop_step() advances every generator loop by one step; simulate()
+runs it for a whole horizon through step_loop(), and the RL environment
+runs it once per sub-step.  All arrays are stacked over generators on the
+leading axis.
 """
-
-import os
 
 import numpy as np
 
-_ENV_FLAG = "GRIDSTORM_BACKEND"
+
+def believed_input(k, use_k, u_sched, xhat):
+    """The estimator's input: the schedule, plus K x_hat when a gain is set."""
+    if use_k:
+        return u_sched + np.einsum("ns,ns->n", k, xhat)
+    return u_sched
 
 
-def _loop_python(a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, v,
-                 x, xhat, y, ym, r, ub, ua):
-    n = a.shape[0]
-    n_steps = x.shape[1]          # horizon + 1
-    ns = a.shape[1]
-    no = c.shape[1]
-
-    for i in range(n):
-        for s in range(ns):
-            x[i, 0, s] = x0[i, s]
-            xhat[i, 0, s] = xhat0[i, s]
-        for o in range(no):
-            acc = 0.0
-            for s in range(ns):
-                acc += c[i, o, s] * x[i, 0, s]
-            y[i, 0, o] = acc
-            ym[i, 0, o] = acc + a_y[i, 0, o] + v[i, 0, o]
-            acc_hat = 0.0
-            for s in range(ns):
-                acc_hat += c[i, o, s] * xhat[i, 0, s]
-            r[i, 0, o] = ym[i, 0, o] - acc_hat
-
-    for t in range(n_steps):
-        for i in range(n):
-            ua[i, t] = u_sched[i, t] + u_laa[i, t]
-            if use_k:
-                acc = 0.0
-                for s in range(ns):
-                    acc += k[i, s] * xhat[i, t, s]
-                ub[i, t] = u_sched[i, t] + acc
-            else:
-                ub[i, t] = u_sched[i, t]
-
-        if t == n_steps - 1:
-            break
-        ok = True
-        for i in range(n):
-            for s in range(ns):
-                acc = 0.0
-                acc_hat = 0.0
-                for j in range(ns):
-                    acc += a[i, s, j] * x[i, t, j]
-                    acc_hat += a[i, s, j] * xhat[i, t, j]
-                acc += b[i, s] * ua[i, t] + w[i, t, s]
-                acc_hat += b[i, s] * ub[i, t]
-                for o in range(no):
-                    acc_hat += l[i, s, o] * r[i, t, o]
-                x[i, t + 1, s] = acc
-                xhat[i, t + 1, s] = acc_hat
-                if not (np.isfinite(acc) and np.isfinite(acc_hat)):
-                    ok = False
-            for o in range(no):
-                acc = 0.0
-                acc_hat = 0.0
-                for s in range(ns):
-                    acc += c[i, o, s] * x[i, t + 1, s]
-                    acc_hat += c[i, o, s] * xhat[i, t + 1, s]
-                y[i, t + 1, o] = acc
-                ym[i, t + 1, o] = acc + a_y[i, t + 1, o] + v[i, t + 1, o]
-                r[i, t + 1, o] = ym[i, t + 1, o] - acc_hat
-                if not np.isfinite(r[i, t + 1, o]):
-                    ok = False
-        if not ok:
-            return t + 1
-    return n_steps
+def outputs(c, x, xhat, a_y, v):
+    """y = C x, y_meas = y + false data + noise, and the residue r = y_meas - C x_hat."""
+    y = np.einsum("nos,ns->no", c, x)
+    ym = y + a_y + v
+    return y, ym, ym - np.einsum("nos,ns->no", c, xhat)
 
 
-def _loop_numpy(a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, v,
-                x, xhat, y, ym, r, ub, ua):
+def closed_loop_step(a, b, c, l, x, xhat, r, u_act, u_bel, w, a_y, v):
+    """One step of every loop: returns x, x_hat, y, y_meas and r at t+1.
+
+    The plant consumes the actual input u_act and process noise w; the
+    estimator consumes the believed input u_bel and L times the residue r.
+    a_y and v are the false data and measurement noise of step t+1; w, a_y
+    and v may be 0.0.
+    """
+    x1 = np.einsum("nsj,nj->ns", a, x) + b * u_act[:, None] + w
+    xhat1 = (np.einsum("nsj,nj->ns", a, xhat) + b * u_bel[:, None]
+             + np.einsum("nso,no->ns", l, r))
+    return (x1, xhat1) + outputs(c, x1, xhat1, a_y, v)
+
+
+# The unused leading slot stays because perfbench/tracer.py reads this
+# function's arguments by position (args[1], args[3], args[6], args[14]).
+def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, v,
+              x, xhat, y, ym, r, ub, ua):
+    """Fill the caller-allocated records 0..horizon; return how many are valid.
+
+    A return below horizon + 1 means the state went non-finite and the run
+    was truncated at that step.
+    """
     n_steps = x.shape[1]
     x[:, 0] = x0
     xhat[:, 0] = xhat0
-    y[:, 0] = np.einsum("nos,ns->no", c, x[:, 0])
-    ym[:, 0] = y[:, 0] + a_y[:, 0] + v[:, 0]
-    r[:, 0] = ym[:, 0] - np.einsum("nos,ns->no", c, xhat[:, 0])
+    y[:, 0], ym[:, 0], r[:, 0] = outputs(c, x[:, 0], xhat[:, 0], a_y[:, 0], v[:, 0])
     np.add(u_sched, u_laa, out=ua)
 
     for t in range(n_steps):
-        if use_k:
-            ub[:, t] = u_sched[:, t] + np.einsum("ns,ns->n", k, xhat[:, t])
-        else:
-            ub[:, t] = u_sched[:, t]
+        ub[:, t] = believed_input(k, use_k, u_sched[:, t], xhat[:, t])
         if t == n_steps - 1:
             break
-        x[:, t + 1] = (np.einsum("nsj,nj->ns", a, x[:, t])
-                       + b * ua[:, t][:, None] + w[:, t])
-        xhat[:, t + 1] = (np.einsum("nsj,nj->ns", a, xhat[:, t])
-                          + b * ub[:, t][:, None]
-                          + np.einsum("nso,no->ns", l, r[:, t]))
-        y[:, t + 1] = np.einsum("nos,ns->no", c, x[:, t + 1])
-        ym[:, t + 1] = y[:, t + 1] + a_y[:, t + 1] + v[:, t + 1]
-        r[:, t + 1] = ym[:, t + 1] - np.einsum("nos,ns->no", c, xhat[:, t + 1])
+        (x[:, t + 1], xhat[:, t + 1], y[:, t + 1], ym[:, t + 1],
+         r[:, t + 1]) = closed_loop_step(a, b, c, l, x[:, t], xhat[:, t], r[:, t],
+                                         ua[:, t], ub[:, t], w[:, t],
+                                         a_y[:, t + 1], v[:, t + 1])
         if not (np.all(np.isfinite(x[:, t + 1]))
                 and np.all(np.isfinite(xhat[:, t + 1]))
                 and np.all(np.isfinite(r[:, t + 1]))):
             return t + 1
     return n_steps
-
-
-try:
-    import numba
-
-    _loop_numba = numba.njit(cache=True, nogil=True)(_loop_python)
-    HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra
-    _loop_numba = None
-    HAVE_NUMBA = False
-
-
-def resolve_backend(name=None):
-    """Pick the kernel backend: explicit arg > env flag > numba if available."""
-    choice = name or os.environ.get(_ENV_FLAG, "").strip() or None
-    if choice is None:
-        choice = "numba" if HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}; use 'numba' or 'numpy'")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
-
-
-def step_loop(backend, *args):
-    if resolve_backend(backend) == "numba":
-        return _loop_numba(*args)
-    return _loop_numpy(*args)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately dependency-light: a scaling-and-squaring
 matrix exponential, a fixed-point discrete Riccati solver, and counter-based
-random streams (Philox) that can be split deterministically for parallel
-search restarts.
+random streams (Philox) that can be split deterministically, one per
+search restart.
 """
 
 import math
@@ -105,8 +105,8 @@ class RngStream:
     """Deterministic, splittable random stream (Philox counter-based).
 
     Identical (seed, stream_id) pairs reproduce identical draw sequences on
-    every platform; distinct stream ids are statistically independent, which
-    keeps parallel falsification restarts reproducible.
+    every platform; distinct stream ids are statistically independent, so
+    each falsification restart draws the same numbers whatever ran before it.
     """
 
     def __init__(self, seed, stream_id=0):
@@ -132,8 +132,3 @@ class RngStream:
 
     def choice(self, n, size, replace=False):
         return self._gen.choice(n, size=size, replace=replace)
-
-
-def rng_stream(seed, stream_id=0):
-    """Construct an RngStream (see class docstring)."""
-    return RngStream(seed, stream_id)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import believed_input, closed_loop_step
 from .model import GridModel
 from .sim import TWO_PI, BreakerSchedule
 
@@ -297,19 +298,11 @@ class GridEnv:
         offset = self.grid.load_map.matrix @ (breakers - self.grid.load_map.b_nom.astype(float))
 
         for _ in range(self.cfg.action_repeat):
-            k = self._k_step
-            u_act = self._sched(k) + offset
-            u_bel = self._sched(k).copy()
-            if self._use_k:
-                u_bel += np.einsum("ns,ns->n", self._k, self._xhat)
-            x_next = (np.einsum("nsj,nj->ns", self._a, self._x)
-                      + self._b * u_act[:, None])
-            xhat_next = (np.einsum("nsj,nj->ns", self._a, self._xhat)
-                         + self._b * u_bel[:, None]
-                         + np.einsum("nso,no->ns", self._l, self._r))
-            y = np.einsum("nos,ns->no", self._c, x_next)
-            self._r = y - np.einsum("nos,ns->no", self._c, xhat_next)
-            self._x, self._xhat = x_next, xhat_next
+            sched = self._sched(self._k_step)
+            u_bel = believed_input(self._k, self._use_k, sched, self._xhat)
+            self._x, self._xhat, _, _, self._r = closed_loop_step(
+                self._a, self._b, self._c, self._l, self._x, self._xhat, self._r,
+                sched + offset, u_bel, 0.0, 0.0, 0.0)
             self._k_step += 1
             self._executed.append(breakers.copy())
 

@@ -238,7 +238,7 @@ def _laa_offsets(load_map, breakers, n, length):
 
 
 def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
-             init=None, noise=False, rng=None, backend=None) -> SimTrace:
+             init=None, noise=False, rng=None) -> SimTrace:
     """Run the closed loop for `horizon` steps (records 0..horizon).
 
     The plant consumes the schedule plus any breaker-induced load alteration;
@@ -291,7 +291,7 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
     ub = np.zeros((n, n_steps))
     ua = np.zeros((n, n_steps))
 
-    steps = step_loop(backend, a, b, c, l, k, use_k, x0, xhat0,
+    steps = step_loop(None, a, b, c, l, k, use_k, x0, xhat0,
                       u_sched, u_laa, a_y, w, v, x, xhat, y, ym, r, ub, ua)
     truncated = steps < n_steps
 

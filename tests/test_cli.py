@@ -120,8 +120,9 @@ def test_falsify_no_counterexample_exit_code(fast_toy_config, tmp_path):
     assert not (out / "attack.json").exists()
     manifest = json.loads(read(out / "manifest.json"))
     # a zero-width box ends each restart after its first sample: 1 + 2
-    # evaluations; simulations are the screen, 1 + 10 model runs, 2 re-scores
-    assert manifest["counts"] == {"evaluations": 3, "simulations": 14}
+    # evaluations.  Two scores cost less than the 1 + 10 model runs, so
+    # simulations are the screen, 2 objective() scores and 2 re-scores.
+    assert manifest["counts"] == {"evaluations": 3, "simulations": 5}
     assert set(manifest["wall_s"]) == {"search", "validation"}
     assert manifest["wall_s"]["search"] > 0.0
     assert manifest["wall_s"]["validation"] == 0.0

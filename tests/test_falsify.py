@@ -175,6 +175,8 @@ def test_falsify_blowup_reports_inf_without_success():
     assert not res.success
     assert res.best_rho == np.inf
     assert res.evaluations == 31
+    # screen + the one truncated build run + 30 objective() scores + 3 re-scores
+    assert res.simulations == 35
 
 
 @pytest.mark.parametrize("mask", [(0, 1), (1, 0), (1, 1)])
@@ -386,12 +388,3 @@ def test_schedule_rejects_corrupt():
         load_schedule(json.dumps({"d": 2, "m": 1, "signals": [[1]]}))
     with pytest.raises(ValueError):
         load_schedule(json.dumps({"signals": [[2, 0]]}))
-
-
-def test_falsify_threaded_result_matches_sequential_best():
-    prob = make_problem(d=30, p=4)
-    seq = falsify_sa(prob, budget=120, restarts=3, rng=RngStream(20, 0), threads=1)
-    par = falsify_sa(prob, budget=120, restarts=3, rng=RngStream(20, 0), threads=3)
-    # restart streams are independent of scheduling, so the reduced best agrees
-    assert par.best_rho == seq.best_rho
-    assert np.array_equal(par.best_schedule.values, seq.best_schedule.values)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from gridstorm.model import SafetyEnvelope
+from gridstorm.model import SafetyEnvelope, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.rl import (MLP, Adam, EpisodeConfig, GridEnv, ReplayBuffer,
                           RewardWeights, TrainConfig, ddpg_train, load_weights,
                           replay_schedule, reward, rollout_policy, save_weights,
                           soft_update)
+from gridstorm.sim import AttackVector, FalseDataSchedule, simulate
 
-from conftest import make_plain_grid
+from conftest import load_config_doc, make_plain_grid
 
 ENV_BOUNDS = SafetyEnvelope(f_lo=59.5, f_hi=60.5, pe_lo=-0.1, pe_hi=0.1)
 
@@ -264,6 +265,41 @@ def test_env_action_repeat():
     sched = env.executed_schedule()
     assert sched.d == 15
     assert np.array_equal(sched.signals[0], sched.signals[1])
+
+
+@pytest.mark.parametrize("case", ["zero_init", "uniform_init", "feedback_gain"])
+def test_env_matches_simulate_over_executed_schedule(case):
+    doc = load_config_doc("default_grid.json")
+    init = {"type": "zero"}
+    if case == "uniform_init":
+        init = {"type": "uniform", "low": [-0.02, -0.01, -0.01, -0.01],
+                "high": [0.02, 0.01, 0.01, 0.01]}
+    if case == "feedback_gain":
+        for gen in doc["generators"]:
+            gen["gains"] = {"k": [[0.0, 0.0, 0.0, 0.1]]}
+    grid = load_grid_config(doc)
+    repeat, steps = 3, 12
+    env = GridEnv(grid, EpisodeConfig(steps_per_episode=steps, episodes=1,
+                                      init=init, action_repeat=repeat))
+    env.reset(RngStream(4, 0))
+    x0 = env._x.copy()
+    states = [(env._x, env._xhat, env._r)]
+    actions = RngStream(5, 0).uniform(-1.0, 1.0, size=(steps, grid.n_breakers))
+    for act in actions:
+        env.step(act)
+        states.append((env._x, env._xhat, env._r))
+
+    schedule = env.executed_schedule()
+    attack = AttackVector(schedule, FalseDataSchedule(
+        np.zeros((grid.n_generators, schedule.d, 2)), np.array([0, 1])))
+    tr = simulate(grid, attack, horizon=schedule.d, init=x0)
+    assert not tr.truncated
+    for j, (x, xhat, r) in enumerate(states):
+        assert np.array_equal(x, tr.x[:, j * repeat]), j
+        assert np.array_equal(xhat, tr.xhat[:, j * repeat]), j
+        assert np.array_equal(r, tr.residue[:, j * repeat]), j
+    if case == "feedback_gain":
+        assert np.any(tr.u_believed != 0.0)   # K x_hat reached the estimator
 
 
 # ---------------------------------------------------------------------------

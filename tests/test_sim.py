@@ -3,8 +3,6 @@ import io
 import numpy as np
 import pytest
 
-import gridstorm.sim
-from gridstorm import kernels
 from gridstorm.model import LoadMap
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (AttackVector, BreakerSchedule, FalseDataSchedule,
@@ -14,19 +12,6 @@ from gridstorm.sim import (AttackVector, BreakerSchedule, FalseDataSchedule,
 from conftest import make_plain_grid
 
 TWO_PI = 2.0 * np.pi
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                 reason="numba not importable")
-
-
-def simulate_python_kernel(*args, **kwargs):
-    """``simulate`` stepped by the uncompiled ``_loop_python``, the source
-    that numba compiles, so that transcription is checked without numba."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridstorm.sim, "step_loop",
-                   lambda backend, *loop_args: kernels._loop_python(*loop_args))
-        return simulate(*args, **kwargs)
-
 
 def zero_attack(n, d, m, mask=(0, 1)):
     return AttackVector(
@@ -151,14 +136,7 @@ def assert_matches_reference(tr, ref):
 
 def test_simulate_matches_reference_loop():
     grid, attack, ref = reference_case()
-    assert_matches_reference(simulate(grid, attack, horizon=60, backend="numpy"), ref)
-    assert_matches_reference(simulate_python_kernel(grid, attack, horizon=60), ref)
-
-
-@needs_numba
-def test_simulate_matches_reference_loop_numba():
-    grid, attack, ref = reference_case()
-    assert_matches_reference(simulate(grid, attack, horizon=60, backend="numba"), ref)
+    assert_matches_reference(simulate(grid, attack, horizon=60), ref)
 
 
 def test_equilibrium_stays_exactly_zero():
@@ -207,24 +185,12 @@ def long_horizon_case():
     return grid, attack
 
 
-def assert_traces_agree(a, b):
-    assert np.allclose(a.x, b.x, atol=1e-9, rtol=1e-9)
-    assert np.allclose(a.residue, b.residue, atol=1e-9, rtol=1e-9)
-
-
 def test_backend_agreement_long_horizon():
     grid, attack = long_horizon_case()
-    a = simulate(grid, attack, horizon=800, backend="numpy")
-    b = simulate_python_kernel(grid, attack, horizon=800)
-    assert_traces_agree(a, b)
-
-
-@needs_numba
-def test_backend_agreement_long_horizon_numba():
-    grid, attack = long_horizon_case()
-    a = simulate(grid, attack, horizon=800, backend="numpy")
-    b = simulate(grid, attack, horizon=800, backend="numba")
-    assert_traces_agree(a, b)
+    tr = simulate(grid, attack, horizon=800)
+    ref = reference_simulate(grid, attack, 800)
+    assert np.allclose(tr.x, ref["x"], atol=1e-9, rtol=1e-9)
+    assert np.allclose(tr.residue, ref["r"], atol=1e-9, rtol=1e-9)
 
 
 def test_step_record_identity_and_fields():
@@ -232,7 +198,7 @@ def test_step_record_identity_and_fields():
     sig = np.zeros((20, 2), dtype=int)
     attack = AttackVector(BreakerSchedule(sig),
                           FalseDataSchedule(np.zeros((2, 20, 2)), np.array([0, 1])))
-    tr = simulate(grid, attack, horizon=40, backend="numpy")
+    tr = simulate(grid, attack, horizon=40)
     for k in (0, 1, 17, 40):
         rec = tr.record(k)
         assert rec.k == k
@@ -244,27 +210,13 @@ def test_step_record_identity_and_fields():
                               np.max(np.abs(rec.residue), axis=1) <= grid.thresholds)
 
 
-def blowup_grid():
+def test_simulate_truncates_on_blowup():
     # linear dynamics cannot overflow from bounded inputs in a few steps, so
     # drive the loop with an already-infinite schedule
-    return make_plain_grid(n=1, thresholds=[0.1], sched=np.array([[np.inf]]))
-
-
-def assert_truncated(tr):
+    grid = make_plain_grid(n=1, thresholds=[0.1], sched=np.array([[np.inf]]))
+    tr = simulate(grid, None, horizon=50)
     assert tr.truncated
     assert tr.n_steps < 51
-
-
-def test_simulate_truncates_on_blowup():
-    grid = blowup_grid()
-    assert_truncated(simulate(grid, None, horizon=50, backend="numpy"))
-    with np.errstate(invalid="ignore"):  # the scalar loop forms 0 * inf
-        assert_truncated(simulate_python_kernel(grid, None, horizon=50))
-
-
-@needs_numba
-def test_simulate_truncates_on_blowup_numba():
-    assert_truncated(simulate(blowup_grid(), None, horizon=50, backend="numba"))
 
 
 def test_attack_longer_than_horizon_rejected():
@@ -521,23 +473,3 @@ def test_trace_csv_shape_and_format():
     assert row0[0] == "0" and row0[2] == "0"
     assert row0[11] == "0.123456789"  # 9 significant digits
     assert row0[-1] in ("0", "1")
-
-
-def test_backend_env_flag(monkeypatch):
-    # HAVE_NUMBA is patched for resolve_backend only; nothing here simulates
-    for have_numba in (True, False):
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", have_numba)
-        monkeypatch.setenv("GRIDSTORM_BACKEND", "numpy")
-        assert kernels.resolve_backend() == "numpy"
-        monkeypatch.setenv("GRIDSTORM_BACKEND", "numba")
-        if have_numba:
-            assert kernels.resolve_backend() == "numba"
-        else:
-            with pytest.raises(RuntimeError, match="numba"):
-                kernels.resolve_backend()
-        assert kernels.resolve_backend("numpy") == "numpy"  # explicit arg wins
-        monkeypatch.delenv("GRIDSTORM_BACKEND")
-        assert kernels.resolve_backend() == ("numba" if have_numba else "numpy")
-        monkeypatch.setenv("GRIDSTORM_BACKEND", "cuda")
-        with pytest.raises(ValueError):
-            kernels.resolve_backend()
