@@ -7,12 +7,14 @@ manifest next to its outputs.  Exit codes: 0 success, 1 predicate false,
 """
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -50,6 +52,14 @@ class _Manifest:
     def stage_seed(self, name, stream_id):
         self.data["seeds"][name] = {"seed": self.data["seeds"]["master"],
                                     "stream_id": stream_id}
+
+    @contextlib.contextmanager
+    def timed(self, stage):
+        """Add the wall seconds of the with-block to wall_s[stage]."""
+        t0 = time.perf_counter()
+        yield
+        wall_s = self.data.setdefault("wall_s", {})
+        wall_s[stage] = wall_s.get(stage, 0.0) + time.perf_counter() - t0
 
     def add(self, path):
         self.data["outputs"].append(os.path.basename(path))
@@ -132,20 +142,22 @@ def cmd_simulate(args):
     manifest.stage_seed("simulate", 1)
     rng = RngStream(args.seed, 1)
 
-    trace = simulate(grid, attack, horizon=args.horizon,
-                     noise=grid.noise_enabled, rng=rng)
+    with manifest.timed("simulate"):
+        trace = simulate(grid, attack, horizon=args.horizon,
+                         noise=grid.noise_enabled, rng=rng)
     first_alarm = detect(trace, grid.thresholds)
-    with open(manifest.add(os.path.join(out_dir, "trace.csv")), "w",
-              encoding="utf-8") as fh:
+    with manifest.timed("csv"), open(manifest.add(os.path.join(out_dir, "trace.csv")),
+                                     "w", encoding="utf-8") as fh:
         write_trace_csv(trace, fh)
-    _plot_frequency(trace, grid.envelope,
-                    manifest.add(os.path.join(out_dir, "frequency.svg")),
-                    basis=args.signal_basis, detection=first_alarm)
-    _plot_residue(trace, grid.thresholds,
-                  manifest.add(os.path.join(out_dir, "residue.svg")),
-                  detection=first_alarm)
-    _plot_power(trace, grid.envelope,
-                manifest.add(os.path.join(out_dir, "power.svg")))
+    with manifest.timed("svg"):
+        _plot_frequency(trace, grid.envelope,
+                        manifest.add(os.path.join(out_dir, "frequency.svg")),
+                        basis=args.signal_basis, detection=first_alarm)
+        _plot_residue(trace, grid.thresholds,
+                      manifest.add(os.path.join(out_dir, "residue.svg")),
+                      detection=first_alarm)
+        _plot_power(trace, grid.envelope,
+                    manifest.add(os.path.join(out_dir, "power.svg")))
 
     report = check_success(trace, grid.envelope, grid.thresholds, args.signal_basis)
     _write_json(manifest.add(os.path.join(out_dir, "success_report.json")),
@@ -370,7 +382,8 @@ def cmd_compare(args):
     for mode in modes:
         mode_atk = _mode_attack(mode, attack, grid.n_generators, grid.n_breakers,
                                 grid.load_map.b_nom)
-        trace = simulate(grid, mode_atk, horizon=args.horizon, noise=False)
+        with manifest.timed("simulate"):
+            trace = simulate(grid, mode_atk, horizon=args.horizon, noise=False)
         traces[mode] = trace
         rep = check_success(trace, grid.envelope, grid.thresholds,
                             args.signal_basis)
@@ -396,8 +409,9 @@ def cmd_compare(args):
         t = np.arange(tr.n_steps) * tr.ts
         fplot.add_series(mode, t, tr.frequency(args.signal_basis)[gen])
         rplot.add_series(mode, t, tr.r_inf[gen])
-    fplot.save(manifest.add(os.path.join(out_dir, "compare_frequency.svg")))
-    rplot.save(manifest.add(os.path.join(out_dir, "compare_residue.svg")))
+    with manifest.timed("svg"):
+        fplot.save(manifest.add(os.path.join(out_dir, "compare_frequency.svg")))
+        rplot.save(manifest.add(os.path.join(out_dir, "compare_residue.svg")))
     _write_json(manifest.add(os.path.join(out_dir, "compare_report.json")),
                 {"modes": summary, "plotted_generator": gen,
                  "signal_basis": args.signal_basis, "horizon": args.horizon})

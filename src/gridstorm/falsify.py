@@ -10,7 +10,8 @@ With the breaker schedule fixed and noise off, the trace signals that
 robustness reads are affine in the knots.  So the search scores candidates
 with an AffineModel built from 1 + q_att * P simulations, not with one
 simulation each.  The zero screen and every reported rho come from
-simulation: each restart's best candidate is re-scored with objective().
+simulation: each restart's best model-scored candidate is re-scored with
+objective().
 """
 
 import json
@@ -283,9 +284,9 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
     counter-example.  The annealing scores candidates with the problem's
     AffineModel when the search can make more scores than the model's
     1 + q_att * P build runs cost, and with objective() otherwise or when a
-    build run truncates.  Each restart's best candidate is then re-scored
-    with objective(), and only those simulated values are reported and
-    compared (lowest rho, earliest restart wins).  A budget below the
+    build run truncates.  Each restart's best model score is then replaced
+    by objective() of its candidate, so only simulated values are reported
+    and compared (lowest rho, earliest restart wins).  A budget below the
     restart count runs one restart per evaluation.
     """
     if budget < 1:
@@ -319,10 +320,12 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
                 return objective(problem, cand)
 
         for i in range(restarts):
-            _, cand_i, evals_i = _anneal_restart(problem, budgets[i], rng.split(i), score)
-            rho_i = objective(problem, cand_i)
+            rho_i, cand_i, evals_i = _anneal_restart(problem, budgets[i], rng.split(i),
+                                                     score)
+            if model is not None:   # objective() scores are already simulated
+                rho_i = objective(problem, cand_i)
+                simulations += 1
             evaluations += evals_i
-            simulations += 1
             history.append(RestartHistory(restart=i, evaluations=evals_i,
                                           best_rho=rho_i, success=rho_i < 0.0))
             if rho_i < best_rho:   # ties keep the earliest restart

@@ -1,9 +1,16 @@
 """The closed-loop plant/estimator recurrence, written once in numpy.
 
-closed_loop_step() advances every generator loop by one step; simulate()
-runs it for a whole horizon through step_loop(), and the RL environment
-runs it once per sub-step.  All arrays are stacked over generators on the
-leading axis.
+Every generator's plant state x and estimate x_hat advance together as one
+block z = [x; x_hat] of shape (2, n, 4), so a step costs three einsums
+(A z, L r, C z) whatever the number of generators.  closed_loop_step()
+advances the block by one step into caller-provided arrays; simulate() runs
+it over a whole horizon through step_loop(), which writes straight into the
+trace records, and the RL environment runs it once per sub-step.  Within a
+step the [x; x_hat] (or [y; r]) stacking axis comes first, so each half is
+one contiguous (n, ...) array; the records are indexed [generator, step, ...].
+
+Bit-identity rests on the operation order, which stays (A x + b u_act) + w,
+(A x_hat + b u_bel) + L r, (y + a_y) + v and y_meas - C x_hat.
 """
 
 import numpy as np
@@ -16,52 +23,76 @@ def believed_input(k, use_k, u_sched, xhat):
     return u_sched
 
 
-def outputs(c, x, xhat, a_y, v):
-    """y = C x, y_meas = y + false data + noise, and the residue r = y_meas - C x_hat."""
-    y = np.einsum("nos,ns->no", c, x)
-    ym = y + a_y + v
-    return y, ym, ym - np.einsum("nos,ns->no", c, xhat)
+def input_block(b, u):
+    """[b u_act; b u_bel] of shape (..., 2, n, 4) from u = [u_act; u_bel] of
+    shape (..., 2, n)."""
+    return b * u[..., None]
 
 
-def closed_loop_step(a, b, c, l, x, xhat, r, u_act, u_bel, w, a_y, v):
-    """One step of every loop: returns x, x_hat, y, y_meas and r at t+1.
+def outputs(c, z, a_y, v, yr, ym):
+    """The measurement half of a step, written into yr = [y; r] and ym.
 
-    The plant consumes the actual input u_act and process noise w; the
-    estimator consumes the believed input u_bel and L times the residue r.
-    a_y and v are the false data and measurement noise of step t+1; w, a_y
-    and v may be 0.0.
+    C z gives [y; C x_hat] in one einsum; y_meas = (y + a_y) + v, and the
+    residue r = y_meas - C x_hat then overwrites C x_hat.
     """
-    x1 = np.einsum("nsj,nj->ns", a, x) + b * u_act[:, None] + w
-    xhat1 = (np.einsum("nsj,nj->ns", a, xhat) + b * u_bel[:, None]
-             + np.einsum("nso,no->ns", l, r))
-    return (x1, xhat1) + outputs(c, x1, xhat1, a_y, v)
+    np.einsum("nos,kns->kno", c, z, out=yr)
+    np.add(yr[0], a_y, out=ym)
+    np.add(ym, v, out=ym)
+    np.subtract(ym, yr[1], out=yr[1])
+
+
+def closed_loop_step(a, c, l, z, r, bu, w, a_y, v, z1, yr1, ym1):
+    """One step of every loop: writes z = [x; x_hat] (2, n, 4), [y; r]
+    (2, n, 2) and y_meas (n, 2) at t+1 into z1, yr1 and ym1, which must not
+    overlap the inputs.
+
+    bu = input_block(b, [u_act; u_bel]): the plant consumes the actual input
+    and process noise w, the estimator the believed input and L times the
+    residue r.  a_y and v are the false data and measurement noise of step
+    t+1; w, a_y and v may be 0.0.
+    """
+    np.einsum("nsj,knj->kns", a, z, out=z1)
+    np.add(z1, bu, out=z1)
+    np.add(z1[0], w, out=z1[0])
+    np.add(z1[1], np.einsum("nso,no->ns", l, r), out=z1[1])
+    outputs(c, z1, a_y, v, yr1, ym1)
 
 
 # The unused leading slot stays because perfbench/tracer.py reads this
 # function's arguments by position (args[1], args[3], args[6], args[14]).
 def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, v,
-              x, xhat, y, ym, r, ub, ua):
+              z, yr, ym, u):
     """Fill the caller-allocated records 0..horizon; return how many are valid.
 
-    A return below horizon + 1 means the state went non-finite and the run
-    was truncated at that step.
+    Every array is indexed [generator, step, ...]: the records are
+    z = [x; x_hat] (n, steps, 2, 4), yr = [y; r] (n, steps, 2, 2),
+    ym (n, steps, 2) and u = [u_act, u_bel] (n, steps, 2).  The loop works
+    on step-major views of them, which are fastest when the caller stores
+    each step's block contiguously.  A return below horizon + 1 means the
+    state went non-finite and the run was truncated at that step.
     """
-    n_steps = x.shape[1]
-    x[:, 0] = x0
-    xhat[:, 0] = xhat0
-    y[:, 0], ym[:, 0], r[:, 0] = outputs(c, x[:, 0], xhat[:, 0], a_y[:, 0], v[:, 0])
-    np.add(u_sched, u_laa, out=ua)
+    n_steps = z.shape[1]
+    zs, yrs, us = z.transpose(1, 2, 0, 3), yr.transpose(1, 2, 0, 3), u.transpose(1, 2, 0)
+    yms, ws, ays, vs = (np.moveaxis(arr, 1, 0) for arr in (ym, w, a_y, v))
 
-    for t in range(n_steps):
-        ub[:, t] = believed_input(k, use_k, u_sched[:, t], xhat[:, t])
-        if t == n_steps - 1:
-            break
-        (x[:, t + 1], xhat[:, t + 1], y[:, t + 1], ym[:, t + 1],
-         r[:, t + 1]) = closed_loop_step(a, b, c, l, x[:, t], xhat[:, t], r[:, t],
-                                         ua[:, t], ub[:, t], w[:, t],
-                                         a_y[:, t + 1], v[:, t + 1])
-        if not (np.all(np.isfinite(x[:, t + 1]))
-                and np.all(np.isfinite(xhat[:, t + 1]))
-                and np.all(np.isfinite(r[:, t + 1]))):
+    zs[0, 0] = x0
+    zs[0, 1] = xhat0
+    outputs(c, zs[0], ays[0], vs[0], yrs[0], yms[0])
+    np.add(u_sched, u_laa, out=u[:, :, 0])
+    if not use_k:
+        u[:, :, 1] = u_sched
+        bu_all = input_block(b, us)
+    for t in range(n_steps - 1):
+        z0, z1 = zs[t], zs[t + 1]
+        if use_k:
+            us[t, 1] = believed_input(k, use_k, u_sched[:, t], z0[1])
+            bu = input_block(b, us[t])
+        else:
+            bu = bu_all[t]
+        closed_loop_step(a, c, l, z0, yrs[t, 1], bu, ws[t], ays[t + 1], vs[t + 1],
+                         z1, yrs[t + 1], yms[t + 1])
+        if not (np.isfinite(z1).all() and np.isfinite(yrs[t + 1, 1]).all()):
             return t + 1
+    if use_k:
+        us[-1, 1] = believed_input(k, use_k, u_sched[:, -1], zs[-1, 1])
     return n_steps

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import believed_input, closed_loop_step
+from .kernels import believed_input, closed_loop_step, input_block
 from .model import GridModel
 from .sim import TWO_PI, BreakerSchedule
 
@@ -246,6 +246,20 @@ class GridEnv:
                                 np.ones(self.m)])
         self._center, self._scale = center, scale
 
+    # The loop state is z = [x; x_hat] and yr = [y; r]; each step makes new
+    # arrays, so a caller may keep the views below across steps.
+    @property
+    def _x(self):
+        return self._z[0]
+
+    @property
+    def _xhat(self):
+        return self._z[1]
+
+    @property
+    def _r(self):
+        return self._yr[1]
+
     def normalize(self, obs):
         return (obs - self._center) / self._scale
 
@@ -256,17 +270,17 @@ class GridEnv:
     def reset(self, rng=None):
         init = self.cfg.init
         if init.get("type", "zero") == "zero":
-            self._x = np.zeros((self.n, 4))
+            x0 = np.zeros((self.n, 4))
         elif init["type"] == "uniform":
             if rng is None:
                 raise ValueError("uniform init requires an rng")
             lo = np.asarray(init["low"], dtype=float)
             hi = np.asarray(init["high"], dtype=float)
-            self._x = rng.uniform(size=(self.n, 4)) * (hi - lo) + lo
+            x0 = rng.uniform(size=(self.n, 4)) * (hi - lo) + lo
         else:
             raise ValueError(f"unknown init type {init!r}")
-        self._xhat = self._x.copy()
-        self._r = np.zeros((self.n, 2))
+        self._z = np.stack([x0, x0])
+        self._yr = np.zeros((2, self.n, 2))
         self._k_step = 0
         self._env_step = 0
         self._prev_action = np.zeros(self.m)
@@ -299,10 +313,13 @@ class GridEnv:
 
         for _ in range(self.cfg.action_repeat):
             sched = self._sched(self._k_step)
-            u_bel = believed_input(self._k, self._use_k, sched, self._xhat)
-            self._x, self._xhat, _, _, self._r = closed_loop_step(
-                self._a, self._b, self._c, self._l, self._x, self._xhat, self._r,
-                sched + offset, u_bel, 0.0, 0.0, 0.0)
+            u = np.array([sched + offset,
+                          believed_input(self._k, self._use_k, sched, self._xhat)])
+            z1, yr1 = np.empty_like(self._z), np.empty_like(self._yr)
+            closed_loop_step(self._a, self._c, self._l, self._z, self._r,
+                             input_block(self._b, u), 0.0, 0.0, 0.0,
+                             z1, yr1, np.empty((self.n, 2)))
+            self._z, self._yr = z1, yr1
             self._k_step += 1
             self._executed.append(breakers.copy())
 

@@ -237,6 +237,13 @@ def _laa_offsets(load_map, breakers, n, length):
     return out
 
 
+def _step_major(n_steps, block, gen_axis=0):
+    """Zeros stored step-major, as (n_steps,) + block, so that each step's
+    block is contiguous for the kernel; viewed with the generator axis
+    (block[gen_axis]) first and the step axis second, as traces index them."""
+    return np.moveaxis(np.zeros((n_steps,) + block), (1 + gen_axis, 0), (0, 1))
+
+
 def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
              init=None, noise=False, rng=None) -> SimTrace:
     """Run the closed loop for `horizon` steps (records 0..horizon).
@@ -269,12 +276,12 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
     u_sched = _pad_schedule(grid.scheduled_load, n, n_steps)
     u_laa = _laa_offsets(grid.load_map, attack.breakers if attack else None, n, n_steps)
 
-    a_y = np.zeros((n, n_steps, 2))
+    a_y = _step_major(n_steps, (n, 2))
     if attack is not None:
         a_y[:, :attack.d] = attack.false_data.values
 
-    w = np.zeros((n, max(horizon, 1), 4))
-    v = np.zeros((n, n_steps, 2))
+    w = _step_major(horizon, (n, 4))
+    v = _step_major(n_steps, (n, 2))
     if noise:
         for i, (_, loop) in enumerate(grid.generators):
             chol_q = np.linalg.cholesky(loop.q_noise + 1e-300 * np.eye(4))
@@ -283,17 +290,15 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
             chol_r = np.linalg.cholesky(loop.r_noise)
             v[i] = rng.normal(size=(n_steps, 2)) @ chol_r.T
 
-    x = np.zeros((n, n_steps, 4))
-    xhat = np.zeros((n, n_steps, 4))
-    y = np.zeros((n, n_steps, 2))
-    ym = np.zeros((n, n_steps, 2))
-    r = np.zeros((n, n_steps, 2))
-    ub = np.zeros((n, n_steps))
-    ua = np.zeros((n, n_steps))
+    z = _step_major(n_steps, (2, n, 4), gen_axis=1)    # [x; x_hat]
+    yr = _step_major(n_steps, (2, n, 2), gen_axis=1)   # [y; r]
+    ym = _step_major(n_steps, (n, 2))
+    u = _step_major(n_steps, (2, n), gen_axis=1)       # [u_act, u_bel]
 
     steps = step_loop(None, a, b, c, l, k, use_k, x0, xhat0,
-                      u_sched, u_laa, a_y, w, v, x, xhat, y, ym, r, ub, ua)
+                      u_sched, u_laa, a_y, w, v, z, yr, ym, u)
     truncated = steps < n_steps
+    z, yr, ym, u = z[:, :steps], yr[:, :steps], ym[:, :steps], u[:, :steps]
 
     params = [p for p, _ in grid.generators]
     return SimTrace(
@@ -301,8 +306,8 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
         nominal_hz=np.array([p.nominal_frequency_hz for p in params]),
         droop=np.array([p.droop for p in params]),
         thresholds=grid.thresholds.copy(),
-        x=x[:, :steps], xhat=xhat[:, :steps], y=y[:, :steps], y_meas=ym[:, :steps],
-        residue=r[:, :steps], u_believed=ub[:, :steps], u_actual=ua[:, :steps],
+        x=z[:, :, 0], xhat=z[:, :, 1], y=yr[:, :, 0], y_meas=ym,
+        residue=yr[:, :, 1], u_believed=u[:, :, 1], u_actual=u[:, :, 0],
         seed=None if rng is None else (rng.seed, rng.stream_id),
         grid_digest=grid_digest(grid),
         attack_digest=None if attack is None else attack.digest(),
@@ -402,25 +407,36 @@ CSV_COLUMNS = ("k", "t_s", "gen", "x1", "x2", "x3", "x4",
                "r1", "r2", "rinf", "f_hz", "pe_pu", "stealthy")
 
 
-def _fmt(value):
-    return format(float(value), ".9g")
+CSV_CHUNK_STEPS = 256   # steps formatted per write; bounds the writer's memory
+_CSV_ROW = "%d,%.9g,%d," + "%.9g," * (len(CSV_COLUMNS) - 4) + "%d\n"
 
 
 def write_trace_csv(trace: SimTrace, fh):
-    """One row per (step, generator); numbers carry 9 significant digits."""
+    """One row per (step, generator); numbers carry 9 significant digits.
+
+    Rows are written CSV_CHUNK_STEPS steps at a time: numpy lays out the
+    chunk's cells and one row template formats them.  '%.9g' % v gives the
+    same text as format(v, '.9g') for every double, inf, nan and -0.0
+    included.
+    """
     fh.write(",".join(CSV_COLUMNS) + "\n")
-    for t in range(trace.n_steps):
-        for i in range(trace.n_generators):
-            row = [str(t), _fmt(t * trace.ts), str(i)]
-            row += [_fmt(val) for val in trace.x[i, t]]
-            row += [_fmt(val) for val in trace.xhat[i, t]]
-            row += [_fmt(trace.u_believed[i, t]), _fmt(trace.u_actual[i, t])]
-            row += [_fmt(val) for val in trace.y[i, t]]
-            row += [_fmt(val) for val in trace.y_meas[i, t]]
-            row += [_fmt(val) for val in trace.residue[i, t]]
-            row += [_fmt(trace.r_inf[i, t]), _fmt(trace.f_hz[i, t]),
-                    _fmt(trace.p_e[i, t]), str(int(trace.stealthy[i, t]))]
-            fh.write(",".join(row) + "\n")
+    n = trace.n_generators
+    fields = [trace.x, trace.xhat, trace.u_believed[:, :, None],
+              trace.u_actual[:, :, None], trace.y, trace.y_meas, trace.residue,
+              trace.r_inf[:, :, None], trace.f_hz[:, :, None], trace.p_e[:, :, None],
+              trace.stealthy[:, :, None]]
+    for t0 in range(0, trace.n_steps, CSV_CHUNK_STEPS):
+        steps = np.arange(t0, min(t0 + CSV_CHUNK_STEPS, trace.n_steps))
+        cells = np.empty((steps.size, n, len(CSV_COLUMNS)))
+        cells[:, :, 0] = steps[:, None]
+        cells[:, :, 1] = (steps * trace.ts)[:, None]
+        cells[:, :, 2] = np.arange(n)
+        col = 3
+        for field in fields:
+            width = field.shape[2]
+            cells[:, :, col:col + width] = field[:, t0:t0 + steps.size].swapaxes(0, 1)
+            col += width
+        fh.write((_CSV_ROW * (steps.size * n)) % tuple(cells.ravel().tolist()))
 
 
 def trace_csv_text(trace: SimTrace) -> str:

@@ -40,6 +40,8 @@ def test_simulate_writes_artifacts_and_manifest(fast_toy_config, tmp_path):
     assert set(manifest["outputs"]) == names - {"manifest.json"}
     # manifest vs filesystem diff: everything listed exists, nothing unlisted
     assert set(os.listdir(out)) == set(manifest["outputs"]) | {"manifest.json"}
+    assert set(manifest["wall_s"]) == {"simulate", "csv", "svg"}
+    assert all(sec > 0.0 for sec in manifest["wall_s"].values())
     # nominal run stays inside the band
     rows = read(out / "trace.csv").decode().strip().split("\n")[1:]
     f = np.array([float(r.split(",")[20]) for r in rows])
@@ -121,8 +123,9 @@ def test_falsify_no_counterexample_exit_code(fast_toy_config, tmp_path):
     manifest = json.loads(read(out / "manifest.json"))
     # a zero-width box ends each restart after its first sample: 1 + 2
     # evaluations.  Two scores cost less than the 1 + 10 model runs, so
-    # simulations are the screen, 2 objective() scores and 2 re-scores.
-    assert manifest["counts"] == {"evaluations": 3, "simulations": 5}
+    # simulations are the screen and 2 objective() scores, whose values the
+    # restarts report without simulating again.
+    assert manifest["counts"] == {"evaluations": 3, "simulations": 3}
     assert set(manifest["wall_s"]) == {"search", "validation"}
     assert manifest["wall_s"]["search"] > 0.0
     assert manifest["wall_s"]["validation"] == 0.0
@@ -187,6 +190,9 @@ def test_compare_three_modes_three_curves(fast_toy_config, tmp_path):
     assert svg.count("<polyline") == 3
     report = json.loads(read(out / "compare_report.json"))
     assert set(report["modes"]) == {"laa-only", "fdia-only", "combined"}
+    manifest = json.loads(read(out / "manifest.json"))
+    assert set(manifest["wall_s"]) == {"simulate", "svg"}
+    assert all(sec > 0.0 for sec in manifest["wall_s"].values())
 
 
 def test_cli_usage_error_exit_code():

@@ -1,13 +1,15 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 from gridstorm.model import LoadMap
 from gridstorm.numerics import RngStream
-from gridstorm.sim import (AttackVector, BreakerSchedule, FalseDataSchedule,
-                           SimTrace, apply_load_map, check_success, detect,
-                           robustness, simulate, trace_csv_text)
+from gridstorm.sim import (CSV_CHUNK_STEPS, CSV_COLUMNS, AttackVector,
+                           BreakerSchedule, FalseDataSchedule, SimTrace,
+                           apply_load_map, check_success, detect, robustness,
+                           simulate, trace_csv_text)
 
 from conftest import make_plain_grid
 
@@ -59,8 +61,10 @@ def test_load_map_rejects_bad_state():
 # reference step loop: an independent transcription of the closed-loop update
 
 
-def reference_simulate(grid, attack, horizon, init=None):
-    """Plain dict-of-lists reimplementation of the attacked recursion."""
+def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
+    """Plain dict-of-lists reimplementation of the attacked recursion; w and
+    v are optional process (n x horizon x 4) and measurement
+    (n x horizon+1 x 2) noise."""
     n = grid.n_generators
     lm = grid.load_map
     out = {"x": [], "xhat": [], "y": [], "ym": [], "r": []}
@@ -86,7 +90,7 @@ def reference_simulate(grid, attack, horizon, init=None):
     for i in range(n):
         _, loop = grid.generators[i]
         y = loop.c @ xs[i]
-        ym = y + ay_at(i, 0)
+        ym = y + ay_at(i, 0) + (0.0 if v is None else v[i, 0])
         rs.append(ym - loop.c @ xhats[i])
         out["x"].append([xs[i].copy()])
         out["xhat"].append([xhats[i].copy()])
@@ -101,10 +105,10 @@ def reference_simulate(grid, attack, horizon, init=None):
             a, b, c, l = loop.a, loop.b[:, 0], loop.c, loop.l_gain
             u_act = sched_at(i, k - 1) + offs[i]
             u_bel = sched_at(i, k - 1)
-            x = a @ xs[i] + b * u_act
+            x = a @ xs[i] + b * u_act + (0.0 if w is None else w[i, k - 1])
             xhat = a @ xhats[i] + b * u_bel + l @ rs[i]
             y = c @ x
-            ym = y + ay_at(i, k)
+            ym = y + ay_at(i, k) + (0.0 if v is None else v[i, k])
             r = ym - c @ xhat
             xs[i], xhats[i], rs[i] = x, xhat, r
             out["x"][i].append(x.copy())
@@ -137,6 +141,23 @@ def assert_matches_reference(tr, ref):
 def test_simulate_matches_reference_loop():
     grid, attack, ref = reference_case()
     assert_matches_reference(simulate(grid, attack, horizon=60), ref)
+
+
+def test_noisy_simulate_matches_reference_loop():
+    grid, attack, _ = reference_case()
+    horizon, n = 60, grid.n_generators
+    # simulate's draw order: every generator's process noise, then every
+    # generator's measurement noise, each shaped by its Cholesky factor
+    rng = RngStream(17, 1)
+    w = np.array([rng.normal(size=(horizon, 4))
+                  @ np.linalg.cholesky(loop.q_noise + 1e-300 * np.eye(4)).T
+                  for _, loop in grid.generators])
+    v = np.array([rng.normal(size=(horizon + 1, 2))
+                  @ np.linalg.cholesky(loop.r_noise).T for _, loop in grid.generators])
+    assert w.shape == (n, horizon, 4) and np.all(w != 0.0) and np.all(v != 0.0)
+    ref = reference_simulate(grid, attack, horizon, w=w, v=v)
+    tr = simulate(grid, attack, horizon=horizon, noise=True, rng=RngStream(17, 1))
+    assert_matches_reference(tr, ref)
 
 
 def test_equilibrium_stays_exactly_zero():
@@ -216,7 +237,25 @@ def test_simulate_truncates_on_blowup():
     grid = make_plain_grid(n=1, thresholds=[0.1], sched=np.array([[np.inf]]))
     tr = simulate(grid, None, horizon=50)
     assert tr.truncated
-    assert tr.n_steps < 51
+    assert tr.n_steps == 1
+
+
+def truncated_trace():
+    """10 finite schedule steps, then an infinite one, over horizon 50."""
+    sched = np.concatenate([0.1 * np.ones((2, 10)), np.full((2, 1), np.inf)], axis=1)
+    return simulate(make_plain_grid(n=2, thresholds=[0.1, 0.1], sched=sched),
+                    None, horizon=50)
+
+
+def test_simulate_truncates_mid_horizon_keeping_finite_records():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tr = truncated_trace()
+    # step 10 consumes the infinite input, so record 11 is the first non-finite
+    assert tr.truncated
+    assert tr.n_steps == 11
+    for arr in (tr.x, tr.xhat, tr.y, tr.y_meas, tr.residue):
+        assert np.all(np.isfinite(arr))
 
 
 def test_attack_longer_than_horizon_rejected():
@@ -473,3 +512,71 @@ def test_trace_csv_shape_and_format():
     assert row0[0] == "0" and row0[2] == "0"
     assert row0[11] == "0.123456789"  # 9 significant digits
     assert row0[-1] in ("0", "1")
+
+
+def reference_trace_csv(trace):
+    """The trace CSV written one cell at a time with format(v, ".9g")."""
+    def fmt(value):
+        return format(float(value), ".9g")
+
+    lines = [",".join(CSV_COLUMNS)]
+    for t in range(trace.n_steps):
+        for i in range(trace.n_generators):
+            row = [str(t), fmt(t * trace.ts), str(i)]
+            row += [fmt(val) for val in trace.x[i, t]]
+            row += [fmt(val) for val in trace.xhat[i, t]]
+            row += [fmt(trace.u_believed[i, t]), fmt(trace.u_actual[i, t])]
+            row += [fmt(val) for val in trace.y[i, t]]
+            row += [fmt(val) for val in trace.y_meas[i, t]]
+            row += [fmt(val) for val in trace.residue[i, t]]
+            row += [fmt(trace.r_inf[i, t]), fmt(trace.f_hz[i, t]),
+                    fmt(trace.p_e[i, t]), str(int(trace.stealthy[i, t]))]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def special_values_trace():
+    """Two generators, five steps, every field drawn from awkward doubles."""
+    specials = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324,
+                         1e300, -1e300, 0.1, 1.0 / 3.0, 123456789.123456789])
+    rng = np.random.default_rng(8)
+
+    def draw(*shape):
+        return rng.choice(specials, size=shape)
+
+    n, steps = 2, 5
+    with np.errstate(invalid="ignore", over="ignore"):
+        return SimTrace(ts=0.01, nominal_hz=np.array([60.0, 50.0]),
+                        droop=np.array([1.0, 20.0]), thresholds=np.array([0.1, 1e300]),
+                        x=draw(n, steps, 4), xhat=draw(n, steps, 4), y=draw(n, steps, 2),
+                        y_meas=draw(n, steps, 2), residue=draw(n, steps, 2),
+                        u_believed=draw(n, steps), u_actual=draw(n, steps),
+                        seed=None, grid_digest="special", attack_digest=None,
+                        truncated=False)
+
+
+def one_record_trace():
+    grid = make_plain_grid(n=2, thresholds=[0.1, 0.1], sched=np.full((2, 1), np.inf))
+    return simulate(grid, None, horizon=5)
+
+
+def noisy_trace(horizon):
+    grid = make_plain_grid(n=3, thresholds=[0.1] * 3, mcol=0.2, noise_enabled=True,
+                           sched=0.05 * np.ones((3, 1)))
+    return simulate(grid, None, horizon=horizon, noise=True, rng=RngStream(13, 1))
+
+
+@pytest.mark.parametrize("make_trace, n_records", [
+    (lambda: noisy_trace(2 * CSV_CHUNK_STEPS + 6), 2 * CSV_CHUNK_STEPS + 7),
+    (lambda: noisy_trace(CSV_CHUNK_STEPS), CSV_CHUNK_STEPS + 1),
+    (one_record_trace, 1),
+    (truncated_trace, 11),
+    (special_values_trace, 5),
+], ids=["noisy_multi_chunk", "chunk_plus_one", "one_record", "truncated",
+        "special_values"])
+def test_trace_csv_matches_per_cell_oracle(make_trace, n_records):
+    tr = make_trace()
+    assert tr.n_steps == n_records
+    text = trace_csv_text(tr)
+    assert text == reference_trace_csv(tr)
+    assert text.count("\n") == 1 + n_records * tr.n_generators
