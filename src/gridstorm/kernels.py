@@ -23,12 +23,6 @@ def believed_input(k, use_k, u_sched, xhat):
     return u_sched
 
 
-def input_block(b, u):
-    """[b u_act; b u_bel] of shape (..., 2, n, 4) from u = [u_act; u_bel] of
-    shape (..., 2, n)."""
-    return b * u[..., None]
-
-
 def outputs(c, z, a_y, v, yr, ym):
     """The measurement half of a step, written into yr = [y; r] and ym.
 
@@ -46,8 +40,9 @@ def closed_loop_step(a, c, l, z, r, bu, w, a_y, v, z1, yr1, ym1):
     (2, n, 2) and y_meas (n, 2) at t+1 into z1, yr1 and ym1, which must not
     overlap the inputs.
 
-    bu = input_block(b, [u_act; u_bel]): the plant consumes the actual input
-    and process noise w, the estimator the believed input and L times the
+    bu = [b u_act; b u_bel] (2, n, 4), that is b * u[..., None] for
+    u = [u_act; u_bel] (2, n): the plant consumes the actual input and
+    process noise w, the estimator the believed input and L times the
     residue r.  a_y and v are the false data and measurement noise of step
     t+1; w, a_y and v may be 0.0.
     """
@@ -58,18 +53,32 @@ def closed_loop_step(a, c, l, z, r, bu, w, a_y, v, z1, yr1, ym1):
     outputs(c, z1, a_y, v, yr1, ym1)
 
 
+def buffers(n, n_steps):
+    """Zeroed inputs a_y, w, v and records z, yr, ym, u for step_loop.
+
+    They have the [generator, step, ...] shapes step_loop lists but are
+    stored step-major, so that each step's block is one contiguous array and
+    the in-place ufuncs take numpy's contiguous fast path.
+    """
+    def alloc(steps, *block, gen_axis=0):
+        return np.moveaxis(np.zeros((steps,) + block), (1 + gen_axis, 0), (0, 1))
+    return (alloc(n_steps, n, 2), alloc(n_steps - 1, n, 4), alloc(n_steps, n, 2),
+            alloc(n_steps, 2, n, 4, gen_axis=1), alloc(n_steps, 2, n, 2, gen_axis=1),
+            alloc(n_steps, n, 2), alloc(n_steps, 2, n, gen_axis=1))
+
+
 # The unused leading slot stays because perfbench/tracer.py reads this
 # function's arguments by position (args[1], args[3], args[6], args[14]).
 def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, v,
               z, yr, ym, u):
-    """Fill the caller-allocated records 0..horizon; return how many are valid.
+    """Fill the records 0..horizon; return how many are valid.
 
-    Every array is indexed [generator, step, ...]: the records are
-    z = [x; x_hat] (n, steps, 2, 4), yr = [y; r] (n, steps, 2, 2),
-    ym (n, steps, 2) and u = [u_act, u_bel] (n, steps, 2).  The loop works
-    on step-major views of them, which are fastest when the caller stores
-    each step's block contiguously.  A return below horizon + 1 means the
-    state went non-finite and the run was truncated at that step.
+    Every array is indexed [generator, step, ...]: the inputs are a_y and v
+    (n, steps, 2) and w (n, steps - 1, 4); the records are z = [x; x_hat]
+    (n, steps, 2, 4), yr = [y; r] (n, steps, 2, 2), ym (n, steps, 2) and
+    u = [u_act, u_bel] (n, steps, 2); buffers() allocates them all.  A
+    return below horizon + 1 means the state went non-finite and the run was
+    truncated at that step.
     """
     n_steps = z.shape[1]
     zs, yrs, us = z.transpose(1, 2, 0, 3), yr.transpose(1, 2, 0, 3), u.transpose(1, 2, 0)
@@ -79,20 +88,12 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
     zs[0, 1] = xhat0
     outputs(c, zs[0], ays[0], vs[0], yrs[0], yms[0])
     np.add(u_sched, u_laa, out=u[:, :, 0])
-    if not use_k:
-        u[:, :, 1] = u_sched
-        bu_all = input_block(b, us)
     for t in range(n_steps - 1):
         z0, z1 = zs[t], zs[t + 1]
-        if use_k:
-            us[t, 1] = believed_input(k, use_k, u_sched[:, t], z0[1])
-            bu = input_block(b, us[t])
-        else:
-            bu = bu_all[t]
-        closed_loop_step(a, c, l, z0, yrs[t, 1], bu, ws[t], ays[t + 1], vs[t + 1],
-                         z1, yrs[t + 1], yms[t + 1])
+        us[t, 1] = believed_input(k, use_k, u_sched[:, t], z0[1])
+        closed_loop_step(a, c, l, z0, yrs[t, 1], b * us[t][..., None], ws[t],
+                         ays[t + 1], vs[t + 1], z1, yrs[t + 1], yms[t + 1])
         if not (np.isfinite(z1).all() and np.isfinite(yrs[t + 1, 1]).all()):
             return t + 1
-    if use_k:
-        us[-1, 1] = believed_input(k, use_k, u_sched[:, -1], zs[-1, 1])
+    us[-1, 1] = believed_input(k, use_k, u_sched[:, -1], zs[-1, 1])
     return n_steps

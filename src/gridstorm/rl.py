@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import believed_input, closed_loop_step, input_block
+from .kernels import believed_input, closed_loop_step
 from .model import GridModel
 from .sim import TWO_PI, BreakerSchedule
 
@@ -317,7 +317,7 @@ class GridEnv:
                           believed_input(self._k, self._use_k, sched, self._xhat)])
             z1, yr1 = np.empty_like(self._z), np.empty_like(self._yr)
             closed_loop_step(self._a, self._c, self._l, self._z, self._r,
-                             input_block(self._b, u), 0.0, 0.0, 0.0,
+                             self._b * u[..., None], 0.0, 0.0, 0.0,
                              z1, yr1, np.empty((self.n, 2)))
             self._z, self._yr = z1, yr1
             self._k_step += 1

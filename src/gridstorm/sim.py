@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import step_loop
+from .kernels import buffers, step_loop
 from .model import GridModel, LoadMap
 
 TWO_PI = 2.0 * math.pi
@@ -237,13 +237,6 @@ def _laa_offsets(load_map, breakers, n, length):
     return out
 
 
-def _step_major(n_steps, block, gen_axis=0):
-    """Zeros stored step-major, as (n_steps,) + block, so that each step's
-    block is contiguous for the kernel; viewed with the generator axis
-    (block[gen_axis]) first and the step axis second, as traces index them."""
-    return np.moveaxis(np.zeros((n_steps,) + block), (1 + gen_axis, 0), (0, 1))
-
-
 def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
              init=None, noise=False, rng=None) -> SimTrace:
     """Run the closed loop for `horizon` steps (records 0..horizon).
@@ -276,12 +269,10 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
     u_sched = _pad_schedule(grid.scheduled_load, n, n_steps)
     u_laa = _laa_offsets(grid.load_map, attack.breakers if attack else None, n, n_steps)
 
-    a_y = _step_major(n_steps, (n, 2))
+    a_y, w, v, z, yr, ym, u = buffers(n, n_steps)
     if attack is not None:
         a_y[:, :attack.d] = attack.false_data.values
 
-    w = _step_major(horizon, (n, 4))
-    v = _step_major(n_steps, (n, 2))
     if noise:
         for i, (_, loop) in enumerate(grid.generators):
             chol_q = np.linalg.cholesky(loop.q_noise + 1e-300 * np.eye(4))
@@ -289,11 +280,6 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
         for i, (_, loop) in enumerate(grid.generators):
             chol_r = np.linalg.cholesky(loop.r_noise)
             v[i] = rng.normal(size=(n_steps, 2)) @ chol_r.T
-
-    z = _step_major(n_steps, (2, n, 4), gen_axis=1)    # [x; x_hat]
-    yr = _step_major(n_steps, (2, n, 2), gen_axis=1)   # [y; r]
-    ym = _step_major(n_steps, (n, 2))
-    u = _step_major(n_steps, (2, n), gen_axis=1)       # [u_act, u_bel]
 
     steps = step_loop(None, a, b, c, l, k, use_k, x0, xhat0,
                       u_sched, u_laa, a_y, w, v, z, yr, ym, u)

@@ -116,6 +116,9 @@ def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
             out["y"][i].append(y)
             out["ym"][i].append(ym)
             out["r"][i].append(r.copy())
+    steps = range(horizon + 1)
+    out["ub"] = [[sched_at(i, k) for k in steps] for i in range(n)]
+    out["ua"] = [[sched_at(i, k) + laa_at(k)[i] for k in steps] for i in range(n)]
     return {key: np.array(val) for key, val in out.items()}
 
 
@@ -136,6 +139,8 @@ def assert_matches_reference(tr, ref):
     assert np.allclose(tr.xhat, ref["xhat"], atol=1e-12)
     assert np.allclose(tr.residue, ref["r"], atol=1e-12)
     assert np.allclose(tr.y_meas, ref["ym"], atol=1e-12)
+    assert np.allclose(tr.u_believed, ref["ub"], atol=1e-12)
+    assert np.allclose(tr.u_actual, ref["ua"], atol=1e-12)
 
 
 def test_simulate_matches_reference_loop():
