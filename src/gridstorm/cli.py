@@ -8,6 +8,7 @@ manifest next to its outputs.  Exit codes: 0 success, 1 predicate false,
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -21,12 +22,12 @@ import numpy as np
 from . import __version__
 from .falsify import (ValidationMismatch, load_attack_file, load_schedule_file,
                       save_attack, save_schedule, synthesize_and_validate)
-from .model import ConfigError, load_grid_config_file
+from .model import ConfigError, _require, load_grid_config_file
 from .numerics import RngStream
-from .rl import (EpisodeConfig, GridEnv, RewardWeights, TrainConfig, TrainingDiverged,
-                 ddpg_train, save_weights)
-from .sim import (AttackVector, BreakerSchedule, FalseDataSchedule, check_success,
-                  detect, simulate, write_trace_csv)
+from .rl import (REWARD_VARIANTS, EpisodeConfig, GridEnv, RewardWeights, TrainConfig,
+                 TrainingDiverged, ddpg_train, save_weights)
+from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
+                  FalseDataSchedule, check_success, detect, simulate, write_trace_csv)
 from .svgplot import LinePlot
 
 EXIT_OK = 0
@@ -99,7 +100,7 @@ def _plot_frequency(trace, envelope, path, basis="true", detection=None):
     plot = LinePlot("Generator frequency", "time [s]", "f [Hz]")
     plot.set_band(envelope.f_lo, envelope.f_hi)
     t = np.arange(trace.n_steps) * trace.ts
-    f = trace.frequency("true" if basis == "true" else "measured")
+    f = trace.frequency(basis)
     for i in range(trace.n_generators):
         plot.add_series(f"gen {i + 1}", t, f[i])
     if detection is not None:
@@ -169,39 +170,77 @@ def cmd_simulate(args):
 
 
 # ---------------------------------------------------------------------------
-# train-laa
+# train-laa and falsify configs: strict JSON objects, nested ones included
+
+
+def _read_config(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+               tuple: "an array of integers"}
+
+
+def _choice(value, choices, path):
+    if value not in tuple(choices):
+        raise ConfigError(path, f"expected one of {list(choices)}, got {value!r}")
+    return value
+
+
+def _typed(value, kind, path):
+    """A config value of a _KIND_NAMES type; an integer is taken as a float."""
+    def is_a(v, k):
+        return isinstance(v, k) and not isinstance(v, bool)
+    if kind is tuple:
+        if isinstance(value, list) and all(is_a(v, int) for v in value):
+            return tuple(value)
+    elif is_a(value, kind):
+        return value
+    elif kind is float and is_a(value, int):
+        return float(value)
+    raise ConfigError(path, f"expected {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _config_object(cls, doc, path):
+    """Dataclass cls from the entries of doc named after its fields; absent
+    fields keep their defaults."""
+    kwargs = {f.name: _typed(doc[f.name], f.type, f"{path}.{f.name}")
+              for f in dataclasses.fields(cls) if f.name in doc}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+# Keys each episode init type takes besides "type".
+_INIT_KEYS = {"zero": (), "uniform": ("low", "high")}
+
+
+def _check_init(init):
+    kind = _choice(init.get("type", "zero"), _INIT_KEYS, "$.init.type")
+    _require(init, "$.init", _INIT_KEYS[kind], ["type"])
+    for key in _INIT_KEYS[kind]:
+        try:
+            finite = np.all(np.isfinite(np.asarray(init[key], dtype=float)))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"$.init.{key}", f"expected finite numbers, got {init[key]!r}")
 
 
 def _load_train_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    known = {"episodes", "steps_per_episode", "action_repeat", "init", "weights",
-             "reward_variant", "hidden", "gamma", "tau", "actor_lr", "critic_lr",
-             "batch_size", "buffer_capacity", "noise_sigma", "noise_decay"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError("$", f"unknown train-config keys: {sorted(unknown)}")
-    episode = EpisodeConfig(
-        steps_per_episode=int(doc.get("steps_per_episode", 100)),
-        episodes=int(doc.get("episodes", 50)),
-        init=doc.get("init", {"type": "zero"}),
-        action_repeat=int(doc.get("action_repeat", 1)),
-    )
-    w = doc.get("weights", {})
-    weights = RewardWeights(w1=float(w.get("w1", 1.0)), w2=float(w.get("w2", 1.0)),
-                            w3=float(w.get("w3", 0.25)))
-    train = TrainConfig(
-        hidden=tuple(doc.get("hidden", (64, 64))),
-        gamma=float(doc.get("gamma", 0.99)),
-        tau=float(doc.get("tau", 0.005)),
-        actor_lr=float(doc.get("actor_lr", 1e-4)),
-        critic_lr=float(doc.get("critic_lr", 1e-3)),
-        batch_size=int(doc.get("batch_size", 64)),
-        buffer_capacity=int(doc.get("buffer_capacity", 100_000)),
-        noise_sigma=float(doc.get("noise_sigma", 0.2)),
-        noise_decay=float(doc.get("noise_decay", 0.995)),
-    )
-    return episode, weights, doc.get("reward_variant", "paired"), train
+    doc = _read_config(path)
+    sections = (EpisodeConfig, TrainConfig)
+    _require(doc, "$", [], ["weights", "reward_variant"]
+             + [f.name for cls in sections for f in dataclasses.fields(cls)])
+    episode, train = (_config_object(cls, doc, "$") for cls in sections)
+    _check_init(episode.init)
+    weights = doc.get("weights", {})
+    _require(weights, "$.weights", [], [f.name for f in dataclasses.fields(RewardWeights)])
+    variant = _choice(doc.get("reward_variant", REWARD_VARIANTS[0]), REWARD_VARIANTS,
+                      "$.reward_variant")
+    return episode, _config_object(RewardWeights, weights, "$.weights"), variant, train
 
 
 def cmd_train_laa(args):
@@ -245,18 +284,27 @@ def cmd_train_laa(args):
 
 
 def _load_falsify_config(path):
-    defaults = {"range": [-0.05, 0.05], "mask": [0, 1], "control_points": 10,
-                "budget": 2000, "restarts": 10, "signal_basis": "measured",
-                "stealth_mode": "until_unsafe", "noise_check_seeds": 20}
+    """The falsify config over its defaults; each value has its default's type."""
+    cfg = {"range": [-0.05, 0.05], "mask": [0, 1], "control_points": 10,
+           "budget": 2000, "restarts": 10, "signal_basis": "measured",
+           "stealth_mode": "until_unsafe", "noise_check_seeds": 20}
     if path is None:
-        return defaults
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    unknown = set(doc) - set(defaults)
-    if unknown:
-        raise ConfigError("$", f"unknown falsify-config keys: {sorted(unknown)}")
-    defaults.update(doc)
-    return defaults
+        return cfg
+    doc = _read_config(path)
+    _require(doc, "$", [], cfg)
+    for key, value in doc.items():
+        default = cfg[key]
+        if not isinstance(default, list):
+            cfg[key] = _typed(value, type(default), f"$.{key}")
+        elif isinstance(value, list) and len(value) == len(default):
+            cfg[key] = [_typed(v, type(default[0]), f"$.{key}[{i}]")
+                        for i, v in enumerate(value)]
+        else:
+            raise ConfigError(f"$.{key}", f"expected an array of {len(default)}, "
+                                          f"got {value!r}")
+    _choice(cfg["signal_basis"], SIGNAL_BASES, "$.signal_basis")
+    _choice(cfg["stealth_mode"], STEALTH_MODES, "$.stealth_mode")
+    return cfg
 
 
 def cmd_falsify(args):
@@ -335,12 +383,12 @@ def cmd_validate(args):
     trace = simulate(grid, attack, horizon=horizon, noise=False)
     reports = {
         basis: check_success(trace, grid.envelope, grid.thresholds, basis).to_dict()
-        for basis in ("measured", "true")
+        for basis in SIGNAL_BASES
     }
     payload = {"reports": reports, "basis": args.signal_basis,
                "horizon": horizon}
     print(json.dumps(payload, indent=1, sort_keys=True))
-    ok = reports["measured" if args.signal_basis == "measured" else "true"]["success"]
+    ok = reports[args.signal_basis]["success"]
     return EXIT_OK if ok else EXIT_PREDICATE_FALSE
 
 
@@ -348,7 +396,7 @@ def cmd_validate(args):
 # compare
 
 
-def _mode_attack(mode, attack, n, m, b_nom):
+def _mode_attack(mode, attack, n, b_nom):
     d = attack.d
     if mode == "combined":
         return attack
@@ -380,8 +428,7 @@ def cmd_compare(args):
     traces = {}
     summary = {}
     for mode in modes:
-        mode_atk = _mode_attack(mode, attack, grid.n_generators, grid.n_breakers,
-                                grid.load_map.b_nom)
+        mode_atk = _mode_attack(mode, attack, grid.n_generators, grid.load_map.b_nom)
         with manifest.timed("simulate"):
             trace = simulate(grid, mode_atk, horizon=args.horizon, noise=False)
         traces[mode] = trace
@@ -448,7 +495,7 @@ def build_parser():
     common(p, "out/simulate")
     p.add_argument("--attack", help="attack vector JSON")
     p.add_argument("--horizon", type=int, default=800)
-    p.add_argument("--signal-basis", choices=("measured", "true"), default="measured")
+    p.add_argument("--signal-basis", choices=SIGNAL_BASES, default="measured")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train-laa", help="train the breaker-schedule agent")
@@ -469,7 +516,7 @@ def build_parser():
     p.add_argument("--attack", required=True, help="attack vector JSON")
     p.add_argument("--horizon", type=int, default=0,
                    help="simulation horizon (default: attack length)")
-    p.add_argument("--signal-basis", choices=("measured", "true"), default="measured")
+    p.add_argument("--signal-basis", choices=SIGNAL_BASES, default="measured")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("compare", help="overlay attack modes on one grid")
@@ -479,7 +526,7 @@ def build_parser():
     p.add_argument("--fdia-only", action="store_true")
     p.add_argument("--combined", action="store_true")
     p.add_argument("--horizon", type=int, default=800)
-    p.add_argument("--signal-basis", choices=("measured", "true"), default="measured")
+    p.add_argument("--signal-basis", choices=SIGNAL_BASES, default="measured")
     p.set_defaults(func=cmd_compare)
     return parser
 

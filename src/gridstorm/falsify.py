@@ -11,7 +11,8 @@ robustness reads are affine in the knots.  So the search scores candidates
 with an AffineModel built from 1 + q_att * P simulations, not with one
 simulation each.  The zero screen and every reported rho come from
 simulation: each restart's best model-scored candidate is re-scored with
-objective().
+objective().  The winner is then simulated once more, and that one trace
+must give the same rho and satisfy the success predicate.
 """
 
 import json
@@ -44,7 +45,6 @@ class ValidationMismatch(RuntimeError):
 class FalsificationProblem:
     grid: GridModel
     laa: BreakerSchedule
-    d: int
     range_lo: float
     range_hi: float
     mask: np.ndarray                  # q binary, at least one 1
@@ -64,16 +64,16 @@ class FalsificationProblem:
             raise ValueError("range_lo must be <= range_hi")
         if self.control_points < 1:
             raise ValueError("control_points must be >= 1")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.laa.d != self.d:
-            raise ValueError("breaker schedule length must equal d")
         if self.init is not None:
             init = np.asarray(self.init, dtype=float)
             if init.shape != (self.grid.n_generators, 4):
                 raise ValueError("init must be n x 4")
             object.__setattr__(self, "init", init)
         mask.setflags(write=False)
+
+    @property
+    def d(self):
+        return self.laa.d
 
     @property
     def n_attacked(self):
@@ -126,13 +126,16 @@ def _trace(problem: FalsificationProblem, candidate: Candidate) -> SimTrace:
                     init=problem.init, noise=False)
 
 
-def objective(problem: FalsificationProblem, candidate: Candidate) -> float:
-    """Robustness of the combined trace for this candidate; +inf on blow-up."""
-    trace = _trace(problem, candidate)
+def _rho(problem: FalsificationProblem, trace: SimTrace) -> float:
     if trace.truncated:
         return float("inf")
     return robustness(trace, problem.grid.envelope, problem.grid.thresholds,
                       problem.signal_basis, problem.stealth_mode)
+
+
+def objective(problem: FalsificationProblem, candidate: Candidate) -> float:
+    """Robustness of the combined trace for this candidate; +inf on blow-up."""
+    return _rho(problem, _trace(problem, candidate))
 
 
 def _signals(problem: FalsificationProblem, trace: SimTrace) -> np.ndarray:
@@ -354,21 +357,22 @@ class SynthesisOutcome:
 
 
 def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStream,
-                            d=None, range_lo=-0.05, range_hi=0.05,
+                            range_lo=-0.05, range_hi=0.05,
                             mask=(0, 1), init=None, control_points=10,
                             signal_basis="measured", stealth_mode="until_unsafe",
                             budget=2000, restarts=10,
                             noise_check_seeds=20) -> SynthesisOutcome:
     """Run the search, then re-simulate the winner and assert it still wins.
 
-    Returns the verified attack vector (None when no counter-example exists
-    within budget) plus a Monte-Carlo success fraction under the grid's
-    configured noise, as a robustness indicator for the deterministic result.
+    One noise-free re-simulation must reproduce the search's rho exactly and
+    satisfy the success predicate, or ValidationMismatch is raised.  Returns
+    the verified attack vector (None when no counter-example exists within
+    budget) plus a Monte-Carlo success fraction under the grid's configured
+    noise, as a robustness indicator for the deterministic result.
     """
     problem = FalsificationProblem(
-        grid=grid, laa=laa, d=laa.d if d is None else d,
-        range_lo=range_lo, range_hi=range_hi, mask=np.asarray(mask),
-        init=init, control_points=control_points,
+        grid=grid, laa=laa, range_lo=range_lo, range_hi=range_hi,
+        mask=np.asarray(mask), init=init, control_points=control_points,
         signal_basis=signal_basis, stealth_mode=stealth_mode)
     t0 = time.perf_counter()
     result = falsify_sa(problem, budget=budget, restarts=restarts,
@@ -380,12 +384,12 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
                                 wall_s={"search": t_search - t0, "validation": 0.0})
 
     attack = AttackVector(breakers=laa, false_data=result.best_schedule)
-    rho_check = objective(problem, result.best_candidate)
+    trace = simulate(grid, attack, horizon=problem.d, init=problem.init,
+                     noise=False)
+    rho_check = _rho(problem, trace)
     if rho_check != result.best_rho:
         raise ValidationMismatch(
             f"re-simulated rho {rho_check!r} != search rho {result.best_rho!r}")
-    trace = simulate(grid, attack, horizon=problem.d, init=problem.init,
-                     noise=False)
     report = check_success(trace, grid.envelope, grid.thresholds, signal_basis)
     if not report.success:
         raise ValidationMismatch("validation re-run does not satisfy the "

@@ -17,8 +17,6 @@ import numpy as np
 
 from .numerics import RngStream, mat_exp, solve_dare
 
-STATE_LABELS = ("d_omega", "d_p_mech", "d_p_valve", "d_p_ref")
-OUTPUT_LABELS = ("d_omega", "d_p_ref")
 N_STATES = 4
 N_OUTPUTS = 2
 
@@ -93,8 +91,7 @@ class DiscreteLoop:
 
     a: np.ndarray        # 4x4
     b: np.ndarray        # 4x1
-    c: np.ndarray        # 2x4
-    d_ff: np.ndarray     # 2x1, zero feedthrough
+    c: np.ndarray        # 2x4, zero feedthrough
     k_gain: np.ndarray   # 1x4 state-feedback gain (0 by default)
     l_gain: np.ndarray   # 4x2 estimator gain
     ts: float
@@ -103,7 +100,7 @@ class DiscreteLoop:
 
     def __post_init__(self):
         shapes = {"a": (self.a, (4, 4)), "b": (self.b, (4, 1)),
-                  "c": (self.c, (2, 4)), "d_ff": (self.d_ff, (2, 1)),
+                  "c": (self.c, (2, 4)),
                   "k_gain": (self.k_gain, (1, 4)), "l_gain": (self.l_gain, (4, 2)),
                   "q_noise": (self.q_noise, (4, 4)), "r_noise": (self.r_noise, (2, 2))}
         for name, (arr, shape) in shapes.items():
@@ -112,8 +109,6 @@ class DiscreteLoop:
             arr.setflags(write=False)
         if not self.ts > 0:
             raise ValueError("ts must be > 0")
-        if np.any(self.d_ff != 0.0):
-            raise ValueError("d_ff must be zero")
         rad = spectral_radius(self.a - self.l_gain @ self.c)
         if not rad < 1.0:
             raise ValueError(f"estimator loop unstable: rho(A - L C) = {rad}")
@@ -407,9 +402,8 @@ def _load_generator(doc, path, ts):
             raise ConfigError(f"{path}.gains.l", f"estimator design failed: {exc}") from None
 
     try:
-        loop = DiscreteLoop(a=a, b=b, c=css.c_c.copy(), d_ff=np.zeros((2, 1)),
-                            k_gain=k_gain, l_gain=l_gain, ts=ts,
-                            q_noise=q_n, r_noise=r_n)
+        loop = DiscreteLoop(a=a, b=b, c=css.c_c.copy(), k_gain=k_gain,
+                            l_gain=l_gain, ts=ts, q_noise=q_n, r_noise=r_n)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
     return params, loop

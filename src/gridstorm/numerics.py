@@ -64,13 +64,13 @@ def dare_map(p, a, g, q, r):
     return apa - (a.T @ pg) @ gain + q
 
 
-def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000, damping=1.0):
+def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
     """Fixed-point solution of the discrete algebraic Riccati equation.
 
-    Iterates P <- (1-damping)*P + damping*f(P) from P0 = Q and stops when the
-    fixed-point residual ||P - f(P)||_inf drops below `tol`.  With the default
-    damping of 1 this is the Riccati difference recursion, whose step size
-    equals the residual, so the stopping rule bounds the residual directly.
+    Iterates the Riccati difference recursion P <- f(P) from P0 = Q and stops
+    when the fixed-point residual ||P - f(P)||_inf drops below `tol`.  The
+    step size equals the residual, so the stopping rule bounds the residual
+    directly.
 
     Raises RiccatiDivergence when the cap is hit or iterates blow up, which
     signals a non-stabilizable / non-detectable configuration.
@@ -83,8 +83,6 @@ def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000, damping=1.0):
         raise ValueError(f"G must be {a.shape[0]}xk, got shape {g.shape}")
     if r.shape != (g.shape[1], g.shape[1]):
         raise ValueError(f"R must be {g.shape[1]}x{g.shape[1]}, got shape {r.shape}")
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must be in (0, 1]")
 
     p = q.copy()
     for _ in range(max_iter):
@@ -93,7 +91,7 @@ def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000, damping=1.0):
         if not np.all(np.isfinite(nxt)):
             raise RiccatiDivergence("Riccati iteration produced non-finite values")
         step = np.max(np.abs(nxt - p))
-        p = (1.0 - damping) * p + damping * nxt
+        p = nxt
         if step <= tol:
             return p
     raise RiccatiDivergence(

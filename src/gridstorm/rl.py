@@ -168,6 +168,9 @@ class RewardWeights:
             raise ValueError("at least one weight must be positive")
 
 
+REWARD_VARIANTS = ("paired", "product")   # the first is the default
+
+
 def reward(f_hz, r_inf, p_e, weights, envelope, thresholds, variant="paired"):
     """Stealth-and-damage reward for one step.
 
@@ -198,8 +201,8 @@ def reward(f_hz, r_inf, p_e, weights, envelope, thresholds, variant="paired"):
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    steps_per_episode: int
-    episodes: int
+    steps_per_episode: int = 100
+    episodes: int = 50
     init: dict = field(default_factory=lambda: {"type": "zero"})
     action_repeat: int = 1
 
@@ -214,11 +217,12 @@ class GridEnv:
     """One-step interface over the closed loop, false data held at zero.
 
     Observations are raw per the agent contract: [f_i..., r_inf_i..., pe_i...,
-    previous action...]; normalize() maps them to unit scale for the nets.
+    previous action...], with pe_i under the load offset of the last breaker
+    command; normalize() maps them to unit scale for the nets.
     """
 
     def __init__(self, grid: GridModel, episode_config: EpisodeConfig,
-                 weights: RewardWeights = None, reward_variant="paired"):
+                 weights: RewardWeights = None, reward_variant=REWARD_VARIANTS[0]):
         self.grid = grid
         self.cfg = episode_config
         self.weights = weights or RewardWeights()
@@ -284,6 +288,7 @@ class GridEnv:
         self._k_step = 0
         self._env_step = 0
         self._prev_action = np.zeros(self.m)
+        self._offset = np.zeros(self.n)   # load offset of the last breaker command
         self._done = False
         self._executed = []
         return self._observation()
@@ -291,15 +296,9 @@ class GridEnv:
     def _observation(self):
         f = self._nominal + self._x[:, 0] / TWO_PI
         r_inf = np.max(np.abs(self._r), axis=1)
-        u_act = self._sched(self._k_step) + self._last_offset()
-        pe = u_act + self._droop * self._x[:, 0] - self._sched(self._k_step)
+        sched = self._sched(self._k_step)
+        pe = sched + self._offset + self._droop * self._x[:, 0] - sched
         return np.concatenate([f, r_inf, pe, self._prev_action])
-
-    def _last_offset(self):
-        if not self._executed:
-            return np.zeros(self.n)
-        b = self._executed[-1]
-        return self.grid.load_map.matrix @ (b - self.grid.load_map.b_nom.astype(float))
 
     def step(self, action):
         """Threshold the action into breaker commands, advance, reward."""
@@ -309,11 +308,12 @@ class GridEnv:
         if action.shape != (self.m,):
             raise ValueError(f"action must have length {self.m}")
         breakers = (action > 0.0).astype(float)
-        offset = self.grid.load_map.matrix @ (breakers - self.grid.load_map.b_nom.astype(float))
+        self._offset = self.grid.load_map.matrix @ (
+            breakers - self.grid.load_map.b_nom.astype(float))
 
         for _ in range(self.cfg.action_repeat):
             sched = self._sched(self._k_step)
-            u = np.array([sched + offset,
+            u = np.array([sched + self._offset,
                           believed_input(self._k, self._use_k, sched, self._xhat)])
             z1, yr1 = np.empty_like(self._z), np.empty_like(self._yr)
             closed_loop_step(self._a, self._c, self._l, self._z, self._r,
@@ -328,14 +328,12 @@ class GridEnv:
         blown = not np.all(np.isfinite(self._x))
         self._done = blown or self._env_step >= self.cfg.steps_per_episode
 
-        f = self._nominal + self._x[:, 0] / TWO_PI
-        r_inf = np.max(np.abs(self._r), axis=1)
-        u_act = self._sched(self._k_step) + offset
-        pe_dev = u_act + self._droop * self._x[:, 0] - self._sched(self._k_step)
-        rew = 0.0 if blown else reward(f, r_inf, pe_dev, self.weights,
-                                       self.grid.envelope, self.grid.thresholds,
-                                       self.reward_variant)
-        return self._observation(), rew, self._done
+        obs = self._observation()
+        n = self.n
+        rew = 0.0 if blown else reward(obs[:n], obs[n:2 * n], obs[2 * n:3 * n],
+                                       self.weights, self.grid.envelope,
+                                       self.grid.thresholds, self.reward_variant)
+        return obs, rew, self._done
 
     def executed_schedule(self):
         return BreakerSchedule(signals=np.array(self._executed, dtype=int))

@@ -8,7 +8,6 @@ detect / check_success / robustness, which give the boolean and quantitative
 semantics of the "unsafe before first detection" attack goal.
 """
 
-import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -20,6 +19,8 @@ from .kernels import buffers, step_loop
 from .model import GridModel, LoadMap
 
 TWO_PI = 2.0 * math.pi
+SIGNAL_BASES = ("measured", "true")
+STEALTH_MODES = ("until_unsafe", "all_steps")
 
 
 @dataclass(frozen=True)
@@ -90,28 +91,6 @@ class AttackVector:
     def d(self):
         return self.breakers.d
 
-    def digest(self):
-        h = hashlib.sha256()
-        h.update(self.breakers.signals.tobytes())
-        h.update(self.false_data.values.tobytes())
-        h.update(self.false_data.mask.tobytes())
-        return h.hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    k: int
-    x: np.ndarray           # n x 4 true state
-    xhat: np.ndarray        # n x 4 estimate
-    u_believed: np.ndarray  # n
-    u_actual: np.ndarray    # n
-    y: np.ndarray           # n x 2 true output
-    y_meas: np.ndarray      # n x 2 measured (falsified) output
-    residue: np.ndarray     # n x 2
-    f_hz: np.ndarray        # n true frequency
-    p_e: np.ndarray         # n electrical power deviation
-    stealthy: np.ndarray    # n bool, ||r_i||_inf <= Th_i
-
 
 class SimTrace:
     """Immutable per-step record of a closed-loop run.
@@ -122,8 +101,7 @@ class SimTrace:
     """
 
     def __init__(self, ts, nominal_hz, droop, thresholds, x, xhat, y, y_meas,
-                 residue, u_believed, u_actual, seed, grid_digest, attack_digest,
-                 truncated):
+                 residue, u_believed, u_actual, truncated):
         self.ts = float(ts)
         self.nominal_hz = nominal_hz
         self.droop = droop
@@ -135,9 +113,6 @@ class SimTrace:
         self.residue = residue
         self.u_believed = u_believed
         self.u_actual = u_actual
-        self.seed = seed
-        self.grid_digest = grid_digest
-        self.attack_digest = attack_digest
         self.truncated = bool(truncated)
 
         self.f_hz = nominal_hz[:, None] + x[:, :, 0] / TWO_PI
@@ -163,20 +138,9 @@ class SimTrace:
     def frequency(self, basis="measured"):
         if basis == "measured":
             return self.f_meas_hz
-        if basis in ("true", "true_state"):
+        if basis == "true":
             return self.f_hz
         raise ValueError(f"unknown signal basis {basis!r}")
-
-    def record(self, k):
-        k = int(k)
-        if not 0 <= k < self.n_steps:
-            raise IndexError(f"step {k} outside trace of {self.n_steps} records")
-        return StepRecord(
-            k=k, x=self.x[:, k], xhat=self.xhat[:, k],
-            u_believed=self.u_believed[:, k], u_actual=self.u_actual[:, k],
-            y=self.y[:, k], y_meas=self.y_meas[:, k], residue=self.residue[:, k],
-            f_hz=self.f_hz[:, k], p_e=self.p_e[:, k], stealthy=self.stealthy[:, k],
-        )
 
 
 @dataclass(frozen=True)
@@ -294,25 +258,8 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
         thresholds=grid.thresholds.copy(),
         x=z[:, :, 0], xhat=z[:, :, 1], y=yr[:, :, 0], y_meas=ym,
         residue=yr[:, :, 1], u_believed=u[:, :, 1], u_actual=u[:, :, 0],
-        seed=None if rng is None else (rng.seed, rng.stream_id),
-        grid_digest=grid_digest(grid),
-        attack_digest=None if attack is None else attack.digest(),
         truncated=truncated,
     )
-
-
-def grid_digest(grid: GridModel):
-    h = hashlib.sha256()
-    for p, loop in grid.generators:
-        h.update(repr(p).encode())
-        for arr in (loop.a, loop.b, loop.c, loop.k_gain, loop.l_gain,
-                    loop.q_noise, loop.r_noise):
-            h.update(arr.tobytes())
-    h.update(grid.load_map.matrix.tobytes())
-    h.update(grid.load_map.b_nom.tobytes())
-    h.update(grid.thresholds.tobytes())
-    h.update(grid.scheduled_load.tobytes())
-    return h.hexdigest()[:16]
 
 
 def detect(trace: SimTrace, thresholds) -> Optional[int]:

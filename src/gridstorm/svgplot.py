@@ -39,29 +39,28 @@ class LinePlot:
     def __init__(self, title, xlabel, ylabel, width=880, height=360):
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
         self.width, self.height = width, height
-        self.series = []     # (label, xs, ys, color, dash)
-        self.hlines = []     # (y, label, color)
-        self.vlines = []     # (x, label, color)
+        self.series = []     # (label, xs, ys, color)
+        self.hlines = []     # (y, label)
+        self.vlines = []     # (x, label)
         self.band = None     # (lo, hi)
 
-    def add_series(self, label, xs, ys, color=None, dash=None):
-        color = color or PALETTE[len(self.series) % len(PALETTE)]
-        self.series.append((label, list(map(float, xs)), list(map(float, ys)),
-                            color, dash))
+    def add_series(self, label, xs, ys):
+        color = PALETTE[len(self.series) % len(PALETTE)]
+        self.series.append((label, list(map(float, xs)), list(map(float, ys)), color))
 
-    def add_hline(self, y, label, color="#d62728"):
-        self.hlines.append((float(y), label, color))
+    def add_hline(self, y, label):
+        self.hlines.append((float(y), label))
 
-    def add_vline(self, x, label, color="#555555"):
-        self.vlines.append((float(x), label, color))
+    def add_vline(self, x, label):
+        self.vlines.append((float(x), label))
 
     def set_band(self, lo, hi):
         self.band = (float(lo), float(hi))
 
     def _limits(self):
-        xs = [x for _, sx, _, _, _ in self.series for x in sx]
-        ys = [y for _, _, sy, _, _ in self.series for y in sy if math.isfinite(y)]
-        ys += [y for y, _, _ in self.hlines]
+        xs = [x for _, sx, _, _ in self.series for x in sx]
+        ys = [y for _, _, sy, _ in self.series for y in sy if math.isfinite(y)]
+        ys += [y for y, _ in self.hlines]
         if self.band:
             ys += list(self.band)
         if not xs:
@@ -115,31 +114,30 @@ class LinePlot:
         out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{pw}" height="{ph}" '
                    f'fill="none" stroke="#333333" stroke-width="1"/>')
 
-        for x, label, color in self.vlines:
+        for x, label in self.vlines:
             px = sx(min(max(x, x_lo), x_hi))
             out.append(f'<line x1="{_f(px)}" y1="{MARGIN_T}" x2="{_f(px)}" '
-                       f'y2="{MARGIN_T + ph}" stroke="{color}" stroke-width="1.2" '
+                       f'y2="{MARGIN_T + ph}" stroke="#555555" stroke-width="1.2" '
                        f'stroke-dasharray="3,3"/>')
             out.append(f'<text x="{_f(px + 4)}" y="{MARGIN_T + ph - 6}" '
-                       f'font-family="sans-serif" font-size="10" fill="{color}">'
+                       f'font-family="sans-serif" font-size="10" fill="#555555">'
                        f'{label}</text>')
 
-        for y, label, color in self.hlines:
+        for y, label in self.hlines:
             py = sy(y)
             out.append(f'<line x1="{MARGIN_L}" y1="{_f(py)}" x2="{MARGIN_L + pw}" '
-                       f'y2="{_f(py)}" stroke="{color}" stroke-width="1.2" '
+                       f'y2="{_f(py)}" stroke="#d62728" stroke-width="1.2" '
                        f'stroke-dasharray="6,4"/>')
             out.append(f'<text x="{MARGIN_L + pw - 4}" y="{_f(py - 4)}" text-anchor="end" '
-                       f'font-family="sans-serif" font-size="10" fill="{color}">{label}</text>')
+                       f'font-family="sans-serif" font-size="10" fill="#d62728">{label}</text>')
 
-        for label, xs, ys, color, dash in self.series:
+        for label, xs, ys, color in self.series:
             pts = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(xs, ys)
                            if math.isfinite(y))
-            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                       f'stroke-width="1.5"{dash_attr}/>')
+                       f'stroke-width="1.5"/>')
 
-        for i, (label, _, _, color, _) in enumerate(self.series):
+        for i, (label, _, _, color) in enumerate(self.series):
             lx = MARGIN_L + 8
             ly = MARGIN_T + 14 + 14 * i
             out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '

@@ -53,9 +53,8 @@ def make_plain_grid(n=1, thresholds=None, m=None, mcol=0.25, sched=None,
     q = np.diag(q_diag)
     r = np.diag(r_diag)
     l = design_kalman_gain(a, css.c_c, q, r)
-    loop = DiscreteLoop(a=a, b=b, c=css.c_c.copy(), d_ff=np.zeros((2, 1)),
-                        k_gain=np.zeros((1, 4)), l_gain=l, ts=0.01,
-                        q_noise=q, r_noise=r)
+    loop = DiscreteLoop(a=a, b=b, c=css.c_c.copy(), k_gain=np.zeros((1, 4)),
+                        l_gain=l, ts=0.01, q_noise=q, r_noise=r)
     matrix = np.full((n, m), 0.0)
     for i in range(n):
         matrix[i, i % m] = mcol

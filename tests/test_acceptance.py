@@ -202,7 +202,7 @@ def test_criterion_5_falsification():
     doc["thresholds"] = [1.25]
     grid = load_grid_config(doc)
     laa = BreakerSchedule(signals=np.zeros((60, 2), dtype=int))
-    problem = FalsificationProblem(grid=grid, laa=laa, d=60,
+    problem = FalsificationProblem(grid=grid, laa=laa,
                                    range_lo=-0.05, range_hi=0.05,
                                    mask=np.array([0, 1]), control_points=1)
 
@@ -221,7 +221,7 @@ def test_criterion_5_falsification():
     # so SA's best must coincide with the exhaustive grid minimum
     benign = FalsificationProblem(grid=grid,
                                   laa=BreakerSchedule(np.ones((60, 2), dtype=int)),
-                                  d=60, range_lo=-0.05, range_hi=0.05,
+                                  range_lo=-0.05, range_hi=0.05,
                                   mask=np.array([0, 1]), control_points=1)
     rhos_b = np.array([objective(benign, Candidate(knots=np.array([[[z]]]),
                                                    mask=benign.mask))

@@ -4,7 +4,12 @@ import os
 import numpy as np
 import pytest
 
+import gridstorm.rl
 from gridstorm.cli import main
+from gridstorm.falsify import load_attack_file
+from gridstorm.model import load_grid_config
+from gridstorm.sim import (AttackVector, BreakerSchedule, FalseDataSchedule,
+                           check_success, robustness, simulate)
 
 from conftest import config_path, load_config_doc
 
@@ -106,6 +111,140 @@ def test_train_laa_rejects_unknown_keys(fast_toy_config, tmp_path):
     rc = main(["train-laa", "--config", fast_toy_config, "--train-config",
                train_cfg, "--out", str(tmp_path / "t")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"init": {"type": "uniform"}}, "$.init"),
+    ({"init": {"type": "zero", "extra": 1}}, "$.init"),
+    ({"init": {"type": "gaussian"}}, "$.init.type"),
+    ({"init": {"type": "uniform", "low": "x", "high": 1.0}}, "$.init.low"),
+    ({"weights": [1, 2]}, "$.weights"),
+    ({"weights": {"w4": 1.0}}, "$.weights"),
+    ({"weights": {"w1": "heavy"}}, "$.weights.w1"),
+    ({"reward_variant": "sum"}, "$.reward_variant"),
+    ({"episodes": "4"}, "$.episodes"),
+    ({"hidden": [64, 6.5]}, "$.hidden"),
+    ({"action_repeat": 0}, "$"),
+    ([4], "$"),
+])
+def test_train_laa_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, doc,
+                                           field):
+    if isinstance(doc, dict):
+        doc = {"episodes": 2, "steps_per_episode": 5, **doc}
+    train_cfg = write_json(tmp_path / "train.json", doc)
+    out = tmp_path / "t"
+    rc = main(["train-laa", "--config", fast_toy_config, "--train-config",
+               train_cfg, "--out", str(out)])
+    assert rc == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def train_toy(config, tmp_path, name, options):
+    doc = {"episodes": 2, "steps_per_episode": 15, "batch_size": 8, **options}
+    out = tmp_path / name
+    rc = main(["train-laa", "--config", config, "--train-config",
+               write_json(tmp_path / f"{name}.json", doc), "--seed", "3",
+               "--out", str(out)])
+    return rc, out
+
+
+def test_train_laa_action_repeat_lengthens_schedule(fast_toy_config, tmp_path):
+    rc, out = train_toy(fast_toy_config, tmp_path, "repeat", {"action_repeat": 2})
+    assert rc == 0
+    schedule = json.loads(read(out / "best_schedule.json"))
+    assert schedule["d"] == 15 * 2 == len(schedule["signals"])
+
+
+def test_train_laa_uniform_init_moves_rewards(fast_toy_config, tmp_path):
+    # d_omega starts at 4..5 rad/s, 0.64..0.80 Hz above nominal: out of band
+    init = {"type": "uniform", "low": [4.0, 0.0, 0.0, 0.0], "high": [5.0, 0.0, 0.0, 0.0]}
+    rc, out = train_toy(fast_toy_config, tmp_path, "uniform", {"init": init})
+    assert rc == 0
+    rc_zero, out_zero = train_toy(fast_toy_config, tmp_path, "zero",
+                                  {"init": {"type": "zero"}})
+    assert rc_zero == 0
+    assert read(out / "reward_curve.csv") != read(out_zero / "reward_curve.csv")
+
+
+def test_train_laa_product_reward_variant_reaches_reward(fast_toy_config, tmp_path,
+                                                         monkeypatch):
+    variants = []
+    real_reward = gridstorm.rl.reward
+
+    def spy(*args, **kwargs):
+        variants.append(args[6])
+        return real_reward(*args, **kwargs)
+
+    monkeypatch.setattr(gridstorm.rl, "reward", spy)
+    rc, _ = train_toy(fast_toy_config, tmp_path, "product",
+                      {"reward_variant": "product"})
+    assert rc == 0
+    assert variants and set(variants) == {"product"}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"range": 0.05}, "$.range"),
+    ({"range": [-0.05, "x"]}, "$.range[1]"),
+    ({"mask": [0, 1, 1]}, "$.mask"),
+    ({"budget": "many"}, "$.budget"),
+    ({"restarts": 2.5}, "$.restarts"),
+    ({"signal_basis": "model"}, "$.signal_basis"),
+    ({"stealth_mode": "never"}, "$.stealth_mode"),
+    ({"seed": 1}, "$"),
+    ([0.05], "$"),
+])
+def test_falsify_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, doc, field):
+    laa = write_json(tmp_path / "laa.json",
+                     {"d": 20, "m": 2, "signals": [[1, 1]] * 20})
+    out = tmp_path / "f"
+    rc = main(["falsify", "--config", fast_toy_config, "--laa", laa,
+               "--falsify-config", write_json(tmp_path / "f.json", doc),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_falsify_all_steps_stealth_mode_scores_zero_screen(fast_toy_config, tmp_path):
+    d = 20
+    laa = write_json(tmp_path / "laa.json", {"d": d, "m": 2, "signals": [[0, 0]] * d})
+    fcfg = write_json(tmp_path / "f.json", {"stealth_mode": "all_steps", "budget": 50,
+                                            "restarts": 1, "noise_check_seeds": 0})
+    out = tmp_path / "f"
+    rc = main(["falsify", "--config", fast_toy_config, "--laa", laa,
+               "--falsify-config", fcfg, "--seed", "1", "--out", str(out)])
+    assert rc == 3
+    report = read(out / "falsify_report.txt").decode()
+    screen = [line for line in report.splitlines() if "zero-screen" in line][0]
+    rho_screen = float(screen.split("rho=")[1].split()[0])
+    grid = load_grid_config(json.loads(read(fast_toy_config)))
+    zero = AttackVector(BreakerSchedule(np.zeros((d, 2), dtype=int)),
+                        FalseDataSchedule(np.zeros((1, d, 2)), np.array([0, 1])))
+    trace = simulate(grid, zero, horizon=d)
+    want = {mode: robustness(trace, grid.envelope, grid.thresholds, "measured", mode)
+            for mode in ("all_steps", "until_unsafe")}
+    assert rho_screen == want["all_steps"] != want["until_unsafe"]
+
+
+def test_falsify_true_signal_basis_attack(tmp_path):
+    doc = load_config_doc("toy_grid.json")
+    doc["thresholds"] = [1.25]
+    config = write_json(tmp_path / "grid.json", doc)
+    d = 100
+    laa = write_json(tmp_path / "laa.json", {"d": d, "m": 2, "signals": [[0, 0]] * d})
+    fcfg = write_json(tmp_path / "f.json", {"signal_basis": "true", "budget": 300,
+                                            "restarts": 2, "noise_check_seeds": 0})
+    out = tmp_path / "f"
+    rc = main(["falsify", "--config", config, "--laa", laa, "--falsify-config", fcfg,
+               "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    provenance = json.loads(read(out / "attack.json"))["provenance"]
+    assert provenance["signal_basis"] == "true"
+    grid = load_grid_config(doc)
+    trace = simulate(grid, load_attack_file(out / "attack.json"), horizon=d)
+    assert robustness(trace, grid.envelope, grid.thresholds, "true") == provenance["rho"]
+    assert check_success(trace, grid.envelope, grid.thresholds, "true").success
 
 
 def test_falsify_no_counterexample_exit_code(fast_toy_config, tmp_path):

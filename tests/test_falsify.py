@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import gridstorm.falsify
+from gridstorm.cli import main
 from gridstorm.falsify import (AffineModel, Candidate, FalsificationProblem,
-                               FalsifyResult, affine_model, decode_control_points,
-                               falsify_sa, load_attack, load_schedule, objective,
-                               sample_candidate, save_attack, save_schedule,
-                               synthesize_and_validate, zero_candidate)
+                               FalsifyResult, ValidationMismatch, affine_model,
+                               decode_control_points, falsify_sa, load_attack,
+                               load_schedule, objective, sample_candidate, save_attack,
+                               save_schedule, synthesize_and_validate, zero_candidate)
 from gridstorm.model import load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.sim import AttackVector, BreakerSchedule, check_success, simulate
@@ -22,7 +24,7 @@ def make_problem(grid=None, d=40, p=10, lo=-0.05, hi=0.05, laa_open=False,
     m = grid.n_breakers
     fill = 0 if laa_open else 1
     laa = BreakerSchedule(signals=np.full((d, m), fill, dtype=int))
-    return FalsificationProblem(grid=grid, laa=laa, d=d, range_lo=lo,
+    return FalsificationProblem(grid=grid, laa=laa, range_lo=lo,
                                 range_hi=hi, mask=np.array([0, 1]),
                                 control_points=p, **kw)
 
@@ -190,7 +192,7 @@ def test_affine_model_agrees_with_objective(mask, basis, stealth):
     init = np.array([[0.02, -0.01, 0.005, 0.0], [-0.01, 0.005, 0.0, 0.002],
                      [0.04, -0.02, 0.01, 0.0]])
     laa = BreakerSchedule(signals=np.zeros((30, 2), dtype=int))
-    prob = FalsificationProblem(grid=grid, laa=laa, d=30, range_lo=-0.05,
+    prob = FalsificationProblem(grid=grid, laa=laa, range_lo=-0.05,
                                 range_hi=0.08, mask=np.array(mask), init=init,
                                 control_points=5, signal_basis=basis,
                                 stealth_mode=stealth)
@@ -217,7 +219,7 @@ def toy_problem(breakers):
     doc = load_config_doc("toy_grid.json")
     doc["thresholds"] = [1.25]
     laa = BreakerSchedule(signals=np.full((60, 2), breakers, dtype=int))
-    return FalsificationProblem(grid=load_grid_config(doc), laa=laa, d=60,
+    return FalsificationProblem(grid=load_grid_config(doc), laa=laa,
                                 range_lo=-0.05, range_hi=0.05,
                                 mask=np.array([0, 1]), control_points=4)
 
@@ -342,6 +344,76 @@ def test_synthesize_validates_and_is_repeatable():
     tr = simulate(prob_grid, out1.attack, horizon=laa.d)
     rep = check_success(tr, prob_grid.envelope, prob_grid.thresholds, "measured")
     assert rep.success
+
+
+def simulate_after_search(monkeypatch, replacement):
+    """From the end of the search on, falsify's simulate() is replacement(real)."""
+    real_search, real_simulate = gridstorm.falsify.falsify_sa, gridstorm.falsify.simulate
+
+    def search(*args, **kwargs):
+        result = real_search(*args, **kwargs)
+        monkeypatch.setattr(gridstorm.falsify, "simulate", replacement(real_simulate))
+        return result
+
+    monkeypatch.setattr(gridstorm.falsify, "falsify_sa", search)
+
+
+def nudged(real_simulate):
+    """simulate() with every generator's initial d_omega raised by 1e-6 rad/s."""
+    def run(grid, attack, horizon, init=None, noise=False, rng=None):
+        x0 = np.zeros((grid.n_generators, 4)) if init is None else np.array(init)
+        x0[:, 0] += 1e-6
+        return real_simulate(grid, attack, horizon, init=x0, noise=noise, rng=rng)
+    return run
+
+
+def validating_problem():
+    grid = make_plain_grid(n=1, thresholds=[100.0], m=2, mcol=0.45,
+                           inertia=0.02, regulation=20.0)
+    return grid, BreakerSchedule(signals=np.zeros((40, 2), dtype=int))
+
+
+def test_synthesize_raises_when_validation_rho_differs(monkeypatch):
+    simulate_after_search(monkeypatch, nudged)
+    grid, laa = validating_problem()
+    with pytest.raises(ValidationMismatch, match="re-simulated rho"):
+        synthesize_and_validate(grid, laa, RngStream(12, 0), budget=200, restarts=2,
+                                noise_check_seeds=0)
+
+
+def test_falsify_cli_exits_4_when_validation_rho_differs(monkeypatch, tmp_path):
+    simulate_after_search(monkeypatch, nudged)
+    doc = load_config_doc("toy_grid.json")
+    doc["thresholds"] = [1.25]
+    paths = {}
+    for name, content in (("grid", doc), ("laa", {"signals": [[0, 0]] * 100}),
+                          ("falsify", {"signal_basis": "true", "budget": 300,
+                                       "restarts": 2, "noise_check_seeds": 0})):
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(content, fh)
+    out = tmp_path / "f"
+    rc = main(["falsify", "--config", paths["grid"], "--laa", paths["laa"],
+               "--falsify-config", paths["falsify"], "--seed", "1", "--out", str(out)])
+    assert rc == 4
+    assert not (out / "attack.json").exists()
+
+
+def test_validation_simulates_winner_once_without_noise(monkeypatch):
+    noise_flags = []
+
+    def spy(real_simulate):
+        def run(*args, **kwargs):
+            noise_flags.append(kwargs.get("noise", False))
+            return real_simulate(*args, **kwargs)
+        return run
+
+    simulate_after_search(monkeypatch, spy)
+    grid, laa = validating_problem()
+    out = synthesize_and_validate(grid, laa, RngStream(12, 0), budget=200, restarts=2,
+                                  noise_check_seeds=3)
+    assert out.validation.success
+    assert noise_flags == [False, True, True, True]
 
 
 # ---------------------------------------------------------------------------

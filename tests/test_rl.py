@@ -284,9 +284,10 @@ def test_env_matches_simulate_over_executed_schedule(case):
     env.reset(RngStream(4, 0))
     x0 = env._x.copy()
     states = [(env._x, env._xhat, env._r)]
+    observations = []
     actions = RngStream(5, 0).uniform(-1.0, 1.0, size=(steps, grid.n_breakers))
     for act in actions:
-        env.step(act)
+        observations.append(env.step(act)[0])
         states.append((env._x, env._xhat, env._r))
 
     schedule = env.executed_schedule()
@@ -298,6 +299,13 @@ def test_env_matches_simulate_over_executed_schedule(case):
         assert np.array_equal(x, tr.x[:, j * repeat]), j
         assert np.array_equal(xhat, tr.xhat[:, j * repeat]), j
         assert np.array_equal(r, tr.residue[:, j * repeat]), j
+    # observed p_e: the last command's load offset plus droop times d_omega
+    n = grid.n_generators
+    droop = np.array([p.droop for p, _ in grid.generators])
+    offsets = grid.load_map.matrix @ (schedule.signals - grid.load_map.b_nom).T
+    for j, obs in enumerate(observations, 1):
+        want = offsets[:, j * repeat - 1] + droop * tr.x[:, j * repeat, 0]
+        assert np.allclose(obs[2 * n:3 * n], want, rtol=0.0, atol=1e-12), j
     if case == "feedback_gain":
         assert np.any(tr.u_believed != 0.0)   # K x_hat reached the estimator
 

@@ -219,21 +219,19 @@ def test_backend_agreement_long_horizon():
     assert np.allclose(tr.residue, ref["r"], atol=1e-9, rtol=1e-9)
 
 
-def test_step_record_identity_and_fields():
+def test_trace_step_identities():
     grid = make_plain_grid(n=2, thresholds=[0.05, 0.05], mcol=0.3)
     sig = np.zeros((20, 2), dtype=int)
     attack = AttackVector(BreakerSchedule(sig),
                           FalseDataSchedule(np.zeros((2, 20, 2)), np.array([0, 1])))
     tr = simulate(grid, attack, horizon=40)
+    c = grid.generators[0][1].c
     for k in (0, 1, 17, 40):
-        rec = tr.record(k)
-        assert rec.k == k
-        c = grid.generators[0][1].c
-        want = rec.y_meas - np.einsum("os,ns->no", c, rec.xhat)
-        assert np.allclose(rec.residue, want, atol=1e-15)
-        assert np.allclose(rec.f_hz, 60.0 + rec.x[:, 0] / TWO_PI)
-        assert np.array_equal(rec.stealthy,
-                              np.max(np.abs(rec.residue), axis=1) <= grid.thresholds)
+        want = tr.y_meas[:, k] - np.einsum("os,ns->no", c, tr.xhat[:, k])
+        assert np.allclose(tr.residue[:, k], want, atol=1e-15)
+        assert np.allclose(tr.f_hz[:, k], 60.0 + tr.x[:, k, 0] / TWO_PI)
+        assert np.array_equal(tr.stealthy[:, k],
+                              np.max(np.abs(tr.residue[:, k]), axis=1) <= grid.thresholds)
 
 
 def test_simulate_truncates_on_blowup():
@@ -298,7 +296,6 @@ def crafted_trace(r_inf_seq, f_seq, ts=0.01, nominal=60.0, th=1.0):
                     thresholds=np.array([th]), x=x, xhat=np.zeros((1, steps, 4)),
                     y=np.zeros((1, steps, 2)), y_meas=y_meas, residue=residue,
                     u_believed=np.zeros((1, steps)), u_actual=np.zeros((1, steps)),
-                    seed=None, grid_digest="crafted", attack_digest=None,
                     truncated=False)
 
 
@@ -434,7 +431,6 @@ def test_signal_basis_selects_frequency_source():
                   y=np.zeros((1, steps, 2)), y_meas=y_meas,
                   residue=np.zeros((1, steps, 2)),
                   u_believed=np.zeros((1, steps)), u_actual=np.zeros((1, steps)),
-                  seed=None, grid_digest="crafted", attack_digest=None,
                   truncated=False)
     assert check_success(tr, _env(), [10.0], "measured").success
     assert not check_success(tr, _env(), [10.0], "true").success
@@ -556,7 +552,6 @@ def special_values_trace():
                         x=draw(n, steps, 4), xhat=draw(n, steps, 4), y=draw(n, steps, 2),
                         y_meas=draw(n, steps, 2), residue=draw(n, steps, 2),
                         u_believed=draw(n, steps), u_actual=draw(n, steps),
-                        seed=None, grid_digest="special", attack_digest=None,
                         truncated=False)
 
 
