@@ -20,13 +20,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .falsify import (ValidationMismatch, load_attack_file, load_schedule_file,
-                      save_attack, save_schedule, synthesize_and_validate)
-from .model import ConfigError, _require, load_grid_config_file
+from .falsify import (FalsifyConfig, ValidationMismatch, load_attack_file,
+                      load_schedule_file, save_attack, save_schedule,
+                      synthesize_and_validate)
+from .model import (ConfigError, choice, config_object, load_grid_config_file,
+                    require_keys, write_json)
 from .numerics import RngStream
 from .rl import (REWARD_VARIANTS, EpisodeConfig, GridEnv, RewardWeights, TrainConfig,
                  TrainingDiverged, ddpg_train, save_weights)
-from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
+from .sim import (SIGNAL_BASES, AttackVector, BreakerSchedule,
                   FalseDataSchedule, check_success, detect, simulate, write_trace_csv)
 from .svgplot import LinePlot
 
@@ -73,9 +75,8 @@ class _Manifest:
                 raise RuntimeError(f"manifest lists missing output {name}")
         path = os.path.join(self.out_dir, "manifest.json")
         fd, tmp = tempfile.mkstemp(dir=self.out_dir, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        os.close(fd)
+        write_json(tmp, self.data)
         os.replace(tmp, path)
 
 
@@ -88,12 +89,6 @@ def _sha256_file(path):
     with open(path, "rb") as fh:
         h.update(fh.read())
     return h.hexdigest()
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _plot_frequency(trace, envelope, path, basis="true", detection=None):
@@ -161,8 +156,8 @@ def cmd_simulate(args):
                     manifest.add(os.path.join(out_dir, "power.svg")))
 
     report = check_success(trace, grid.envelope, grid.thresholds, args.signal_basis)
-    _write_json(manifest.add(os.path.join(out_dir, "success_report.json")),
-                report.to_dict())
+    write_json(manifest.add(os.path.join(out_dir, "success_report.json")),
+               report.to_dict())
     manifest.write()
     print(f"simulate: wrote {out_dir} (detection={report.first_detection}, "
           f"k_prime={report.k_prime}, truncated={trace.truncated})")
@@ -178,48 +173,13 @@ def _read_config(path):
         return json.load(fh)
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
-               tuple: "an array of integers"}
-
-
-def _choice(value, choices, path):
-    if value not in tuple(choices):
-        raise ConfigError(path, f"expected one of {list(choices)}, got {value!r}")
-    return value
-
-
-def _typed(value, kind, path):
-    """A config value of a _KIND_NAMES type; an integer is taken as a float."""
-    def is_a(v, k):
-        return isinstance(v, k) and not isinstance(v, bool)
-    if kind is tuple:
-        if isinstance(value, list) and all(is_a(v, int) for v in value):
-            return tuple(value)
-    elif is_a(value, kind):
-        return value
-    elif kind is float and is_a(value, int):
-        return float(value)
-    raise ConfigError(path, f"expected {_KIND_NAMES[kind]}, got {value!r}")
-
-
-def _config_object(cls, doc, path):
-    """Dataclass cls from the entries of doc named after its fields; absent
-    fields keep their defaults."""
-    kwargs = {f.name: _typed(doc[f.name], f.type, f"{path}.{f.name}")
-              for f in dataclasses.fields(cls) if f.name in doc}
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
 # Keys each episode init type takes besides "type".
 _INIT_KEYS = {"zero": (), "uniform": ("low", "high")}
 
 
 def _check_init(init):
-    kind = _choice(init.get("type", "zero"), _INIT_KEYS, "$.init.type")
-    _require(init, "$.init", _INIT_KEYS[kind], ["type"])
+    kind = choice(init.get("type", "zero"), _INIT_KEYS, "$.init.type")
+    require_keys(init, "$.init", _INIT_KEYS[kind], ["type"])
     for key in _INIT_KEYS[kind]:
         try:
             finite = np.all(np.isfinite(np.asarray(init[key], dtype=float)))
@@ -230,17 +190,19 @@ def _check_init(init):
 
 
 def _load_train_config(path):
+    """The episode and training sections share the top level of a train
+    config; the reward weights are its "weights" object."""
     doc = _read_config(path)
-    sections = (EpisodeConfig, TrainConfig)
-    _require(doc, "$", [], ["weights", "reward_variant"]
-             + [f.name for cls in sections for f in dataclasses.fields(cls)])
-    episode, train = (_config_object(cls, doc, "$") for cls in sections)
+    names = {cls: {f.name for f in dataclasses.fields(cls)}
+             for cls in (EpisodeConfig, TrainConfig)}
+    require_keys(doc, "$", [], {"weights", "reward_variant"}.union(*names.values()))
+    episode, train = (config_object(cls, {k: v for k, v in doc.items() if k in keys}, "$")
+                      for cls, keys in names.items())
     _check_init(episode.init)
-    weights = doc.get("weights", {})
-    _require(weights, "$.weights", [], [f.name for f in dataclasses.fields(RewardWeights)])
-    variant = _choice(doc.get("reward_variant", REWARD_VARIANTS[0]), REWARD_VARIANTS,
-                      "$.reward_variant")
-    return episode, _config_object(RewardWeights, weights, "$.weights"), variant, train
+    weights = config_object(RewardWeights, doc.get("weights", {}), "$.weights")
+    variant = choice(doc.get("reward_variant", REWARD_VARIANTS[0]), REWARD_VARIANTS,
+                     "$.reward_variant")
+    return episode, weights, variant, train
 
 
 def cmd_train_laa(args):
@@ -284,27 +246,8 @@ def cmd_train_laa(args):
 
 
 def _load_falsify_config(path):
-    """The falsify config over its defaults; each value has its default's type."""
-    cfg = {"range": [-0.05, 0.05], "mask": [0, 1], "control_points": 10,
-           "budget": 2000, "restarts": 10, "signal_basis": "measured",
-           "stealth_mode": "until_unsafe", "noise_check_seeds": 20}
-    if path is None:
-        return cfg
-    doc = _read_config(path)
-    _require(doc, "$", [], cfg)
-    for key, value in doc.items():
-        default = cfg[key]
-        if not isinstance(default, list):
-            cfg[key] = _typed(value, type(default), f"$.{key}")
-        elif isinstance(value, list) and len(value) == len(default):
-            cfg[key] = [_typed(v, type(default[0]), f"$.{key}[{i}]")
-                        for i, v in enumerate(value)]
-        else:
-            raise ConfigError(f"$.{key}", f"expected an array of {len(default)}, "
-                                          f"got {value!r}")
-    _choice(cfg["signal_basis"], SIGNAL_BASES, "$.signal_basis")
-    _choice(cfg["stealth_mode"], STEALTH_MODES, "$.stealth_mode")
-    return cfg
+    return FalsifyConfig() if path is None else config_object(
+        FalsifyConfig, _read_config(path), "$")
 
 
 def cmd_falsify(args):
@@ -313,18 +256,12 @@ def cmd_falsify(args):
         laa = load_schedule_file(args.laa)
     except ValueError as exc:
         raise ConfigError(args.laa, str(exc)) from None
-    cfg = _load_falsify_config(args.falsify_config)
+    config = _load_falsify_config(args.falsify_config)
     out_dir = _ensure_out(args.out)
     manifest = _Manifest(out_dir, args.config, args.seed)
     manifest.stage_seed("falsify", 3)
 
-    outcome = synthesize_and_validate(
-        grid, laa, RngStream(args.seed, 3),
-        range_lo=float(cfg["range"][0]), range_hi=float(cfg["range"][1]),
-        mask=cfg["mask"], control_points=int(cfg["control_points"]),
-        signal_basis=cfg["signal_basis"], stealth_mode=cfg["stealth_mode"],
-        budget=int(cfg["budget"]), restarts=int(cfg["restarts"]),
-        noise_check_seeds=int(cfg["noise_check_seeds"]))
+    outcome = synthesize_and_validate(grid, laa, RngStream(args.seed, 3), config)
     result = outcome.result
     manifest.data["counts"] = {"evaluations": result.evaluations,
                                "simulations": result.simulations}
@@ -352,16 +289,15 @@ def cmd_falsify(args):
         return EXIT_NO_COUNTEREXAMPLE
 
     provenance = {
-        "seed": args.seed, "stream_id": 3, "budget": int(cfg["budget"]),
-        "restarts": int(cfg["restarts"]), "rho": result.best_rho,
+        "seed": args.seed, "stream_id": 3, "budget": config.budget,
+        "restarts": config.restarts, "rho": result.best_rho,
         "evaluations": result.evaluations,
         "noise_success_fraction": outcome.noise_success_fraction,
-        "control_points": int(cfg["control_points"]),
-        "signal_basis": cfg["signal_basis"],
+        "control_points": config.control_points,
+        "signal_basis": config.signal_basis, "stealth_mode": config.stealth_mode,
     }
     save_attack(manifest.add(os.path.join(out_dir, "attack.json")),
-                outcome.attack, float(cfg["range"][0]), float(cfg["range"][1]),
-                provenance)
+                outcome.attack, *config.range, provenance)
     manifest.write()
     v = outcome.validation
     print(f"falsify: success rho={result.best_rho:.6g} k_prime={v.k_prime} "
@@ -459,9 +395,9 @@ def cmd_compare(args):
     with manifest.timed("svg"):
         fplot.save(manifest.add(os.path.join(out_dir, "compare_frequency.svg")))
         rplot.save(manifest.add(os.path.join(out_dir, "compare_residue.svg")))
-    _write_json(manifest.add(os.path.join(out_dir, "compare_report.json")),
-                {"modes": summary, "plotted_generator": gen,
-                 "signal_basis": args.signal_basis, "horizon": args.horizon})
+    write_json(manifest.add(os.path.join(out_dir, "compare_report.json")),
+               {"modes": summary, "plotted_generator": gen,
+                "signal_basis": args.signal_basis, "horizon": args.horizon})
     manifest.write()
     for mode in modes:
         s = summary[mode]

@@ -18,15 +18,15 @@ must give the same rho and satisfy the success predicate.
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
-from .model import GridModel
+from .model import GridModel, write_json
 from .numerics import RngStream
-from .sim import (AttackVector, BreakerSchedule, FalseDataSchedule, SimTrace,
-                  SuccessReport, check_success, robustness, robustness_terms,
-                  simulate)
+from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
+                  FalseDataSchedule, SimTrace, SuccessReport, check_success, robustness,
+                  robustness_terms, simulate)
 
 N_OUTPUTS = 2
 
@@ -42,34 +42,53 @@ class ValidationMismatch(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FalsificationProblem:
-    grid: GridModel
-    laa: BreakerSchedule
-    range_lo: float
-    range_hi: float
-    mask: np.ndarray                  # q binary, at least one 1
-    init: Optional[np.ndarray] = None  # n x 4 initial state
+class FalsifyConfig:
+    """The falsify config: the false-data box, the search and the checks of
+    its winner.  range bounds every injected value, mask picks the attacked
+    outputs, and noise_check_seeds noisy re-runs estimate how often the
+    verified attack also succeeds under the grid's noise."""
+
+    range: tuple[float, float] = (-0.05, 0.05)
+    mask: tuple[int, int] = (0, 1)
     control_points: int = 10
-    signal_basis: str = "measured"
-    stealth_mode: str = "until_unsafe"
+    budget: int = 2000
+    restarts: int = 10
+    signal_basis: Literal[SIGNAL_BASES] = "measured"
+    stealth_mode: Literal[STEALTH_MODES] = "until_unsafe"
+    noise_check_seeds: int = 20
 
     def __post_init__(self):
-        mask = np.asarray(self.mask).astype(np.int64)
-        object.__setattr__(self, "mask", mask)
-        if mask.shape != (N_OUTPUTS,) or not np.all((mask == 0) | (mask == 1)):
-            raise ValueError("mask must be q binary entries")
-        if mask.sum() < 1:
-            raise ValueError("mask must attack at least one output")
-        if not self.range_lo <= self.range_hi:
-            raise ValueError("range_lo must be <= range_hi")
-        if self.control_points < 1:
-            raise ValueError("control_points must be >= 1")
+        if not self.range[0] <= self.range[1]:
+            raise ValueError("range[0] must be <= range[1]")
+        if (len(self.mask) != N_OUTPUTS or not set(self.mask) <= {0, 1}
+                or 1 not in self.mask):
+            raise ValueError(f"mask must be {N_OUTPUTS} binary entries, at least one 1")
+        for name in ("control_points", "budget", "restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.noise_check_seeds < 0:
+            raise ValueError("noise_check_seeds must be >= 0")
+
+
+@dataclass(frozen=True)
+class FalsificationProblem:
+    """A falsify config applied to one grid and breaker schedule."""
+
+    grid: GridModel
+    laa: BreakerSchedule
+    config: FalsifyConfig
+    init: Optional[np.ndarray] = None  # n x 4 initial state
+
+    def __post_init__(self):
         if self.init is not None:
             init = np.asarray(self.init, dtype=float)
             if init.shape != (self.grid.n_generators, 4):
                 raise ValueError("init must be n x 4")
             object.__setattr__(self, "init", init)
-        mask.setflags(write=False)
+
+    @property
+    def mask(self):
+        return np.array(self.config.mask)
 
     @property
     def d(self):
@@ -77,11 +96,7 @@ class FalsificationProblem:
 
     @property
     def n_attacked(self):
-        return int(self.mask.sum())
-
-    @property
-    def dims(self):
-        return self.grid.n_generators * self.n_attacked * self.control_points
+        return sum(self.config.mask)
 
 
 @dataclass(frozen=True)
@@ -130,7 +145,7 @@ def _rho(problem: FalsificationProblem, trace: SimTrace) -> float:
     if trace.truncated:
         return float("inf")
     return robustness(trace, problem.grid.envelope, problem.grid.thresholds,
-                      problem.signal_basis, problem.stealth_mode)
+                      problem.config.signal_basis, problem.config.stealth_mode)
 
 
 def objective(problem: FalsificationProblem, candidate: Candidate) -> float:
@@ -140,7 +155,7 @@ def objective(problem: FalsificationProblem, candidate: Candidate) -> float:
 
 def _signals(problem: FalsificationProblem, trace: SimTrace) -> np.ndarray:
     """n x steps x 3: the frequency on the problem's basis and both residues."""
-    f = trace.frequency(problem.signal_basis)
+    f = trace.frequency(problem.config.signal_basis)
     return np.concatenate([f[:, :, None], trace.residue], axis=2)
 
 
@@ -171,7 +186,7 @@ class AffineModel:
             return float("inf")
         p = self.problem
         return robustness_terms(sig[:, :, 0], np.max(np.abs(sig[:, :, 1:]), axis=2),
-                                p.grid.envelope, p.grid.thresholds, p.stealth_mode)
+                                p.grid.envelope, p.grid.thresholds, p.config.stealth_mode)
 
 
 def affine_model(problem: FalsificationProblem):
@@ -183,7 +198,8 @@ def affine_model(problem: FalsificationProblem):
     simulations run); the model is None when a run truncates, because the
     trace is then not affine.
     """
-    n, q_att, p = problem.grid.n_generators, problem.n_attacked, problem.control_points
+    n, q_att = problem.grid.n_generators, problem.n_attacked
+    p = problem.config.control_points
     runs = []
     for unit in range(-1, q_att * p):       # -1: the all-zero base run
         knots = np.zeros((n, q_att * p))
@@ -200,15 +216,15 @@ def affine_model(problem: FalsificationProblem):
 
 
 def sample_candidate(problem: FalsificationProblem, rng: RngStream) -> Candidate:
-    shape = (problem.grid.n_generators, problem.n_attacked, problem.control_points)
-    knots = rng.uniform(problem.range_lo, problem.range_hi, size=shape)
-    return Candidate(knots=knots, mask=problem.mask.copy())
+    shape = (problem.grid.n_generators, problem.n_attacked, problem.config.control_points)
+    knots = rng.uniform(*problem.config.range, size=shape)
+    return Candidate(knots=knots, mask=problem.mask)
 
 
 def zero_candidate(problem: FalsificationProblem) -> Candidate:
-    shape = (problem.grid.n_generators, problem.n_attacked, problem.control_points)
-    zero = np.clip(np.zeros(shape), problem.range_lo, problem.range_hi)
-    return Candidate(knots=zero, mask=problem.mask.copy())
+    shape = (problem.grid.n_generators, problem.n_attacked, problem.config.control_points)
+    zero = np.clip(np.zeros(shape), *problem.config.range)
+    return Candidate(knots=zero, mask=problem.mask)
 
 
 @dataclass
@@ -235,7 +251,8 @@ class FalsifyResult:
 
 def _anneal_restart(problem, budget, rng, score):
     """One simulated-annealing restart; returns (best_rho, best_candidate, evals)."""
-    width = problem.range_hi - problem.range_lo
+    lo, hi = problem.config.range
+    width = hi - lo
     evals = 0
 
     current = sample_candidate(problem, rng)
@@ -252,7 +269,7 @@ def _anneal_restart(problem, budget, rng, score):
     while evals < budget:
         step = rng.normal(scale=sigma * width, size=current.knots.shape)
         proposal = Candidate(
-            knots=np.clip(current.knots + step, problem.range_lo, problem.range_hi),
+            knots=np.clip(current.knots + step, lo, hi),
             mask=current.mask)
         rho_new = score(proposal)
         evals += 1
@@ -290,13 +307,9 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
     build run truncates.  Each restart's best model score is then replaced
     by objective() of its candidate, so only simulated values are reported
     and compared (lowest rho, earliest restart wins).  A budget below the
-    restart count runs one restart per evaluation.
+    restart count runs one restart per evaluation.  budget and restarts
+    must be >= 1, as FalsifyConfig checks.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-
     z = zero_candidate(problem)
     rho_zero = objective(problem, z)
     evaluations = simulations = 1
@@ -309,9 +322,10 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
         budgets = [budget // restarts + (1 if i < budget % restarts else 0)
                    for i in range(restarts)]
         # A zero-width box stops each restart after its first score.
-        max_scores = budget if problem.range_hi > problem.range_lo else restarts
+        lo, hi = problem.config.range
+        max_scores = budget if hi > lo else restarts
         model = None
-        if max_scores > 1 + problem.n_attacked * problem.control_points:
+        if max_scores > 1 + problem.n_attacked * problem.config.control_points:
             model, built = affine_model(problem)
             simulations += built
         if model is not None:
@@ -357,11 +371,7 @@ class SynthesisOutcome:
 
 
 def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStream,
-                            range_lo=-0.05, range_hi=0.05,
-                            mask=(0, 1), init=None, control_points=10,
-                            signal_basis="measured", stealth_mode="until_unsafe",
-                            budget=2000, restarts=10,
-                            noise_check_seeds=20) -> SynthesisOutcome:
+                            config: FalsifyConfig, init=None) -> SynthesisOutcome:
     """Run the search, then re-simulate the winner and assert it still wins.
 
     One noise-free re-simulation must reproduce the search's rho exactly and
@@ -370,12 +380,9 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
     budget) plus a Monte-Carlo success fraction under the grid's configured
     noise, as a robustness indicator for the deterministic result.
     """
-    problem = FalsificationProblem(
-        grid=grid, laa=laa, range_lo=range_lo, range_hi=range_hi,
-        mask=np.asarray(mask), init=init, control_points=control_points,
-        signal_basis=signal_basis, stealth_mode=stealth_mode)
+    problem = FalsificationProblem(grid=grid, laa=laa, config=config, init=init)
     t0 = time.perf_counter()
-    result = falsify_sa(problem, budget=budget, restarts=restarts,
+    result = falsify_sa(problem, budget=config.budget, restarts=config.restarts,
                         rng=rng.split(0xFA15))
     t_search = time.perf_counter()
     if not result.success:
@@ -390,20 +397,21 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
     if rho_check != result.best_rho:
         raise ValidationMismatch(
             f"re-simulated rho {rho_check!r} != search rho {result.best_rho!r}")
-    report = check_success(trace, grid.envelope, grid.thresholds, signal_basis)
+    report = check_success(trace, grid.envelope, grid.thresholds, config.signal_basis)
     if not report.success:
         raise ValidationMismatch("validation re-run does not satisfy the "
                                  "success predicate despite rho < 0")
 
     frac = None
-    if noise_check_seeds:
+    if config.noise_check_seeds:
         wins = 0
-        for s in range(noise_check_seeds):
+        for s in range(config.noise_check_seeds):
             noisy = simulate(grid, attack, horizon=problem.d, init=problem.init,
                              noise=True, rng=rng.split(0xBEEF + s))
-            rep = check_success(noisy, grid.envelope, grid.thresholds, signal_basis)
+            rep = check_success(noisy, grid.envelope, grid.thresholds,
+                                config.signal_basis)
             wins += int(rep.success)
-        frac = wins / noise_check_seeds
+        frac = wins / config.noise_check_seeds
 
     return SynthesisOutcome(attack=attack, result=result, validation=report,
                             noise_success_fraction=frac,
@@ -427,10 +435,7 @@ def attack_to_document(attack: AttackVector, range_lo, range_hi, provenance=None
 
 
 def save_attack(path, attack: AttackVector, range_lo, range_hi, provenance=None):
-    doc = attack_to_document(attack, range_lo, range_hi, provenance)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, attack_to_document(attack, range_lo, range_hi, provenance))
 
 
 def load_attack(document) -> AttackVector:
@@ -468,10 +473,8 @@ def load_attack_file(path) -> AttackVector:
 
 
 def save_schedule(path, schedule: BreakerSchedule):
-    doc = {"d": schedule.d, "m": schedule.m, "signals": schedule.signals.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"d": schedule.d, "m": schedule.m,
+                      "signals": schedule.signals.tolist()})
 
 
 def load_schedule(document) -> BreakerSchedule:

@@ -9,18 +9,20 @@ trace records, and the RL environment runs it once per sub-step.  Within a
 step the [x; x_hat] (or [y; r]) stacking axis comes first, so each half is
 one contiguous (n, ...) array; the records are indexed [generator, step, ...].
 
-Bit-identity rests on the operation order, which stays (A x + b u_act) + w,
-(A x_hat + b u_bel) + L r, (y + a_y) + v and y_meas - C x_hat.
+The plant and the estimator apply the same control input u_sched + K x_hat;
+the plant's also carries the breaker load offset u_laa.  Bit-identity rests
+on the operation order, which stays u_act = (u_sched + u_laa) + K x_hat,
+u_bel = u_sched + K x_hat, (A x + b u_act) + w, (A x_hat + b u_bel) + L r,
+(y + a_y) + v and y_meas - C x_hat.  Without a gain (K = 0) the K x_hat
+terms are skipped.
 """
 
 import numpy as np
 
 
-def believed_input(k, use_k, u_sched, xhat):
-    """The estimator's input: the schedule, plus K x_hat when a gain is set."""
-    if use_k:
-        return u_sched + np.einsum("ns,ns->n", k, xhat)
-    return u_sched
+def add_feedback(k, xhat, u):
+    """Add the feedback K x_hat to both rows of u = [u_act; u_bel] (2, n)."""
+    np.add(u, np.einsum("ns,ns->n", k, xhat), out=u)
 
 
 def outputs(c, z, a_y, v, yr, ym):
@@ -88,12 +90,15 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
     zs[0, 1] = xhat0
     outputs(c, zs[0], ays[0], vs[0], yrs[0], yms[0])
     np.add(u_sched, u_laa, out=u[:, :, 0])
+    u[:, :, 1] = u_sched
     for t in range(n_steps - 1):
         z0, z1 = zs[t], zs[t + 1]
-        us[t, 1] = believed_input(k, use_k, u_sched[:, t], z0[1])
+        if use_k:
+            add_feedback(k, z0[1], us[t])
         closed_loop_step(a, c, l, z0, yrs[t, 1], b * us[t][..., None], ws[t],
                          ays[t + 1], vs[t + 1], z1, yrs[t + 1], yms[t + 1])
         if not (np.isfinite(z1).all() and np.isfinite(yrs[t + 1, 1]).all()):
             return t + 1
-    us[-1, 1] = believed_input(k, use_k, u_sched[:, -1], zs[-1, 1])
+    if use_k:
+        add_feedback(k, zs[-1, 1], us[-1])
     return n_steps

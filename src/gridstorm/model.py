@@ -10,7 +10,9 @@ rotor-speed deviation state is rad/s and is reported as
 f = nominal_hz + dw / (2*pi).
 """
 
+import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,85 @@ class ConfigError(ValueError):
     def __init__(self, path, message):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+# ---------------------------------------------------------------------------
+# The config reader.  Every config section is a dataclass whose fields name
+# the section's keys and declare their types and defaults; its __post_init__
+# holds the range checks.
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "a boolean", dict: "an object"}
+
+
+def require_keys(doc, path, keys_required, keys_optional=()):
+    """doc must be an object with every required key and no key outside
+    the required and optional ones."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
+    unknown = set(doc) - set(keys_required) - set(keys_optional)
+    if unknown:
+        raise ConfigError(path, f"unknown keys: {sorted(unknown)}")
+    missing = set(keys_required) - set(doc)
+    if missing:
+        raise ConfigError(path, f"missing keys: {sorted(missing)}")
+
+
+def choice(value, choices, path):
+    if value not in tuple(choices):
+        raise ConfigError(path, f"expected one of {list(choices)}, got {value!r}")
+    return value
+
+
+def config_value(value, kind, path):
+    """A config value read as a field of type kind.
+
+    kind is int, float (an integer is taken as a float), str, bool, dict,
+    Literal[...] of the allowed values, or tuple[...] of these for an array
+    of that length, whose entries are reported at path[i].
+    """
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is typing.Literal:
+        return choice(value, args, path)
+    if origin is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ConfigError(path, f"expected an array of {len(args)}, got {value!r}")
+        return tuple(config_value(v, k, f"{path}[{i}]")
+                     for i, (v, k) in enumerate(zip(value, args)))
+    is_bool = isinstance(value, bool)   # bool is an int subclass
+    if isinstance(value, kind) and (kind is bool or not is_bool):
+        return value
+    if kind is float and isinstance(value, int) and not is_bool:
+        return float(value)
+    raise ConfigError(path, f"expected {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def config_object(cls, doc, path):
+    """The dataclass cls read from the config object doc at path.
+
+    The keys are cls's field names: the fields without a default are
+    required, any other key is rejected, and each value is read by
+    config_value against its field's type.  A ValueError from cls's own
+    checks is reported at path.
+    """
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+    require_keys(doc, path, required, [f.name for f in fields])
+    kwargs = {f.name: config_value(doc[f.name], f.type, f"{path}.{f.name}")
+              for f in fields if f.name in doc}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def write_json(path, doc):
+    """doc as JSON with one-space indents and sorted keys, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -159,6 +240,23 @@ class SafetyEnvelope:
 
 
 @dataclass(frozen=True)
+class Calibration:
+    """Detector-threshold calibration: an unattacked noisy run of horizon
+    steps on RngStream(seed, 0); each threshold is margin times the peak
+    residue of its generator."""
+
+    horizon: int = 1000
+    margin: float = 1.1
+    seed: int = 2024
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if not self.margin >= 1.0:
+            raise ValueError("margin must be >= 1")
+
+
+@dataclass(frozen=True)
 class GridModel:
     generators: tuple                 # of (AgcParams, DiscreteLoop)
     load_map: LoadMap
@@ -277,52 +375,28 @@ def design_lqr_gain(a, b, q_c, r_c):
     return np.linalg.solve(r_c + b.T @ p @ b, b.T @ p @ a)
 
 
-def calibrate_threshold(grid: GridModel, nominal_horizon: int, margin: float,
-                        rng: RngStream):
+def calibrate_threshold(grid: GridModel, calibration: Calibration):
     """Per-generator detector thresholds from an unattacked noisy run.
 
-    Th_i = margin * max_k ||r_i_k||_inf over the nominal horizon, floored at
-    THRESHOLD_FLOOR so a noise-free grid still yields usable thresholds.
-    Raises if the nominal run itself leaves the frequency envelope.
+    Th_i = margin * max_k ||r_i_k||_inf over the calibration horizon,
+    floored at THRESHOLD_FLOOR so a noise-free grid still yields usable
+    thresholds.  Raises if the nominal run itself leaves the frequency
+    envelope.
     """
     from .sim import simulate  # local import to avoid a cycle
 
-    if margin < 1.0:
-        raise ValueError("margin must be >= 1")
-    trace = simulate(grid, attack=None, horizon=nominal_horizon,
-                     noise=grid.noise_enabled, rng=rng)
+    trace = simulate(grid, attack=None, horizon=calibration.horizon,
+                     noise=grid.noise_enabled, rng=RngStream(calibration.seed, 0))
     f = trace.f_hz
     if np.any(f < grid.envelope.f_lo) or np.any(f > grid.envelope.f_hi):
         raise ValueError("nominal run leaves the frequency envelope; "
                          "grid is mis-configured")
     peak = np.max(np.abs(trace.residue), axis=(1, 2))
-    return np.maximum(margin * peak, THRESHOLD_FLOOR)
+    return np.maximum(calibration.margin * peak, THRESHOLD_FLOOR)
 
 
 # ---------------------------------------------------------------------------
 # Grid-config loading
-
-
-def _require(doc, path, keys_required, keys_optional=()):
-    if not isinstance(doc, dict):
-        raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - set(keys_required) - set(keys_optional)
-    if unknown:
-        raise ConfigError(path, f"unknown keys: {sorted(unknown)}")
-    missing = set(keys_required) - set(doc)
-    if missing:
-        raise ConfigError(path, f"missing keys: {sorted(missing)}")
-
-
-def _number(doc, path, key, default=None):
-    if key not in doc:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}", "missing")
-    v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
 
 
 def _matrix(value, path, shape=None):
@@ -347,32 +421,11 @@ def _covariance(value, path, dim):
 
 
 def _load_generator(doc, path, ts):
-    _require(doc, path, ["params"], ["gains", "noise"])
-    p = doc["params"]
-    _require(p, f"{path}.params",
-             ["inertia", "droop", "regulation", "turbine_delay",
-              "governor_delay", "integrator_gain"],
-             ["nominal_frequency_hz", "rated_power_mw", "governor_sign"])
-    sign = p.get("governor_sign", -1)
-    if sign not in (-1, 1):
-        raise ConfigError(f"{path}.params.governor_sign", "must be -1 or +1")
-    try:
-        params = AgcParams(
-            inertia=_number(p, f"{path}.params", "inertia"),
-            droop=_number(p, f"{path}.params", "droop"),
-            regulation=_number(p, f"{path}.params", "regulation"),
-            turbine_delay=_number(p, f"{path}.params", "turbine_delay"),
-            governor_delay=_number(p, f"{path}.params", "governor_delay"),
-            integrator_gain=_number(p, f"{path}.params", "integrator_gain"),
-            nominal_frequency_hz=_number(p, f"{path}.params", "nominal_frequency_hz", 60.0),
-            rated_power_mw=_number(p, f"{path}.params", "rated_power_mw", 100.0),
-            governor_sign=int(sign),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}.params", str(exc)) from None
+    require_keys(doc, path, ["params"], ["gains", "noise"])
+    params = config_object(AgcParams, doc["params"], f"{path}.params")
 
     noise = doc.get("noise", {})
-    _require(noise, f"{path}.noise", [], ["process", "measurement"])
+    require_keys(noise, f"{path}.noise", [], ["process", "measurement"])
     q_n = _covariance(noise.get("process", 1e-6), f"{path}.noise.process", N_STATES)
     r_n = _covariance(noise.get("measurement", 1e-6), f"{path}.noise.measurement", N_OUTPUTS)
     if np.min(np.linalg.eigvalsh(0.5 * (r_n + r_n.T))) <= 0:
@@ -382,14 +435,15 @@ def _load_generator(doc, path, ts):
     a, b = discretize_zoh(css, ts)
 
     gains = doc.get("gains", {})
-    _require(gains, f"{path}.gains", [], ["k", "l", "lqr"])
+    require_keys(gains, f"{path}.gains", [], ["k", "l", "lqr"])
     if "k" in gains and "lqr" in gains:
         raise ConfigError(f"{path}.gains", "give either k or lqr, not both")
     if "lqr" in gains:
         lqr = gains["lqr"]
-        _require(lqr, f"{path}.gains.lqr", ["q", "r"])
-        k_gain = design_lqr_gain(a, b, _covariance(lqr["q"], f"{path}.gains.lqr.q", N_STATES),
-                                 _covariance(lqr["r"], f"{path}.gains.lqr.r", 1))
+        require_keys(lqr, f"{path}.gains.lqr", ["q", "r"])
+        # The loop applies u = u_sched + K x_hat; the LQR gain is for u = -K x.
+        k_gain = -design_lqr_gain(a, b, _covariance(lqr["q"], f"{path}.gains.lqr.q", N_STATES),
+                                  _covariance(lqr["r"], f"{path}.gains.lqr.r", 1))
     else:
         k_gain = _matrix(gains.get("k", np.zeros((1, N_STATES))),
                          f"{path}.gains.k", (1, N_STATES))
@@ -421,11 +475,11 @@ def load_grid_config(document) -> GridModel:
         except json.JSONDecodeError as exc:
             raise ConfigError("$", f"invalid JSON: {exc}") from None
 
-    _require(document, "$",
-             ["generators", "load_map", "envelope", "sampling_period_s"],
-             ["thresholds", "scheduled_load", "calibration", "noise_enabled"])
+    require_keys(document, "$",
+                 ["generators", "load_map", "envelope", "sampling_period_s"],
+                 ["thresholds", "scheduled_load", "calibration", "noise_enabled"])
 
-    ts = _number(document, "$", "sampling_period_s")
+    ts = config_value(document["sampling_period_s"], float, "$.sampling_period_s")
     if ts <= 0:
         raise ConfigError("$.sampling_period_s", "must be > 0")
 
@@ -438,7 +492,7 @@ def load_grid_config(document) -> GridModel:
     n = len(generators)
 
     lm_doc = document["load_map"]
-    _require(lm_doc, "$.load_map", ["matrix", "b_nom"])
+    require_keys(lm_doc, "$.load_map", ["matrix", "b_nom"])
     matrix = _matrix(lm_doc["matrix"], "$.load_map.matrix")
     b_nom = np.asarray(lm_doc["b_nom"])
     try:
@@ -449,48 +503,29 @@ def load_grid_config(document) -> GridModel:
         raise ConfigError("$.load_map.matrix",
                           f"expected {n} rows (one per generator), got {load_map.matrix.shape[0]}")
 
-    env_doc = document["envelope"]
-    _require(env_doc, "$.envelope", ["f_lo", "f_hi", "pe_lo", "pe_hi"])
-    try:
-        envelope = SafetyEnvelope(
-            f_lo=_number(env_doc, "$.envelope", "f_lo"),
-            f_hi=_number(env_doc, "$.envelope", "f_hi"),
-            pe_lo=_number(env_doc, "$.envelope", "pe_lo"),
-            pe_hi=_number(env_doc, "$.envelope", "pe_hi"),
-        )
-    except ValueError as exc:
-        raise ConfigError("$.envelope", str(exc)) from None
+    envelope = config_object(SafetyEnvelope, document["envelope"], "$.envelope")
 
     sched = document.get("scheduled_load", [[0.0]] * n)
     sched = _matrix(sched, "$.scheduled_load")
     if sched.ndim != 2 or sched.shape[0] != n:
         raise ConfigError("$.scheduled_load", f"must be {n} rows")
 
-    noise_enabled = document.get("noise_enabled", True)
-    if not isinstance(noise_enabled, bool):
-        raise ConfigError("$.noise_enabled", "must be a boolean")
-
-    cal = document.get("calibration", {})
-    _require(cal, "$.calibration", [], ["horizon", "margin", "seed"])
-    if "thresholds" in document:
+    noise_enabled = config_value(document.get("noise_enabled", True), bool,
+                                 "$.noise_enabled")
+    calibration = config_object(Calibration, document.get("calibration", {}),
+                                "$.calibration")
+    calibrate = "thresholds" not in document
+    if calibrate:
+        thresholds = np.ones(n)    # placeholders for the calibration run
+    else:
         thresholds = _matrix(document["thresholds"], "$.thresholds", (n,))
         if np.any(thresholds <= 0):
             raise ConfigError("$.thresholds", "must be positive")
-        grid = GridModel(generators=tuple(generators), load_map=load_map,
-                         envelope=envelope, thresholds=thresholds,
-                         scheduled_load=sched, noise_enabled=noise_enabled)
-    else:
-        horizon = int(_number(cal, "$.calibration", "horizon", 1000))
-        margin = _number(cal, "$.calibration", "margin", 1.1)
-        seed = int(_number(cal, "$.calibration", "seed", 2024))
-        provisional = GridModel(generators=tuple(generators), load_map=load_map,
-                                envelope=envelope, thresholds=np.ones(n),
-                                scheduled_load=sched, noise_enabled=noise_enabled)
-        thresholds = calibrate_threshold(provisional, horizon, margin,
-                                         RngStream(seed, 0))
-        grid = GridModel(generators=tuple(generators), load_map=load_map,
-                         envelope=envelope, thresholds=thresholds,
-                         scheduled_load=sched, noise_enabled=noise_enabled)
+    grid = GridModel(generators=tuple(generators), load_map=load_map,
+                     envelope=envelope, thresholds=thresholds,
+                     scheduled_load=sched, noise_enabled=noise_enabled)
+    if calibrate:
+        grid = dataclasses.replace(grid, thresholds=calibrate_threshold(grid, calibration))
     return grid
 
 

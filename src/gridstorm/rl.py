@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import believed_input, closed_loop_step
+from .kernels import add_feedback, closed_loop_step
 from .model import GridModel
 from .sim import TWO_PI, BreakerSchedule
 
@@ -313,8 +313,9 @@ class GridEnv:
 
         for _ in range(self.cfg.action_repeat):
             sched = self._sched(self._k_step)
-            u = np.array([sched + self._offset,
-                          believed_input(self._k, self._use_k, sched, self._xhat)])
+            u = np.array([sched + self._offset, sched])
+            if self._use_k:
+                add_feedback(self._k, self._xhat, u)
             z1, yr1 = np.empty_like(self._z), np.empty_like(self._yr)
             closed_loop_step(self._a, self._c, self._l, self._z, self._r,
                              self._b * u[..., None], 0.0, 0.0, 0.0,
@@ -345,7 +346,7 @@ class GridEnv:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, int] = (64, 64)
     gamma: float = 0.99
     tau: float = 0.005
     actor_lr: float = 1e-4
@@ -354,6 +355,16 @@ class TrainConfig:
     buffer_capacity: int = 100_000
     noise_sigma: float = 0.2
     noise_decay: float = 0.995
+
+    def __post_init__(self):
+        if min(self.hidden) < 1:
+            raise ValueError("hidden widths must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError("buffer_capacity must be >= batch_size")
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError("tau must be in (0, 1]")
 
 
 @dataclass

@@ -205,10 +205,11 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
              init=None, noise=False, rng=None) -> SimTrace:
     """Run the closed loop for `horizon` steps (records 0..horizon).
 
-    The plant consumes the schedule plus any breaker-induced load alteration;
-    the estimator consumes the schedule (plus K x_hat when a feedback gain is
-    configured) and the falsified measurements.  After the attack's d steps
-    the breakers revert to nominal and false data drops to zero.
+    The plant and the estimator both consume the schedule plus K x_hat (the
+    configured feedback gain, 0 by default); the plant also takes any
+    breaker-induced load alteration, the estimator the falsified
+    measurements.  After the attack's d steps the breakers revert to nominal
+    and false data drops to zero.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

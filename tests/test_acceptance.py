@@ -15,8 +15,8 @@ import pytest
 from scipy import stats
 
 from gridstorm.cli import main
-from gridstorm.falsify import (Candidate, FalsificationProblem, falsify_sa,
-                               objective, zero_candidate)
+from gridstorm.falsify import (Candidate, FalsificationProblem, FalsifyConfig,
+                               falsify_sa, objective, zero_candidate)
 from gridstorm.model import (build_continuous, discretize_zoh, load_grid_config,
                              spectral_radius)
 from gridstorm.numerics import RngStream, dare_map, mat_exp, solve_dare
@@ -203,8 +203,7 @@ def test_criterion_5_falsification():
     grid = load_grid_config(doc)
     laa = BreakerSchedule(signals=np.zeros((60, 2), dtype=int))
     problem = FalsificationProblem(grid=grid, laa=laa,
-                                   range_lo=-0.05, range_hi=0.05,
-                                   mask=np.array([0, 1]), control_points=1)
+                                   config=FalsifyConfig(control_points=1))
 
     # exhaustive-grid oracle certifies the violating region is >= 5% of the box
     zgrid = np.linspace(-0.05, 0.05, 201)
@@ -221,8 +220,7 @@ def test_criterion_5_falsification():
     # so SA's best must coincide with the exhaustive grid minimum
     benign = FalsificationProblem(grid=grid,
                                   laa=BreakerSchedule(np.ones((60, 2), dtype=int)),
-                                  range_lo=-0.05, range_hi=0.05,
-                                  mask=np.array([0, 1]), control_points=1)
+                                  config=FalsifyConfig(control_points=1))
     rhos_b = np.array([objective(benign, Candidate(knots=np.array([[[z]]]),
                                                    mask=benign.mask))
                        for z in zgrid])

@@ -65,6 +65,26 @@ def test_simulate_missing_config(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("section, key, value, field", [
+    ("generators", "inertia", "x", "$.generators[0].params.inertia"),
+    ("generators", "governor_sign", 1.0, "$.generators[0].params.governor_sign"),
+    ("calibration", "horizon", 10.5, "$.calibration.horizon"),
+    ("calibration", "margin", 0.9, "$.calibration"),
+    ("envelope", "f_lo", "a", "$.envelope.f_lo"),
+])
+def test_simulate_malformed_grid_config_exit_2(tmp_path, capsys, section, key, value,
+                                               field):
+    doc = load_config_doc("toy_grid.json")
+    target = doc["generators"][0]["params"] if section == "generators" else doc[section]
+    target[key] = value
+    out = tmp_path / "x"
+    rc = main(["simulate", "--config", write_json(tmp_path / "grid.json", doc),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_byte_identical_reruns(fast_toy_config, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -123,9 +143,14 @@ def test_train_laa_rejects_unknown_keys(fast_toy_config, tmp_path):
     ({"weights": {"w1": "heavy"}}, "$.weights.w1"),
     ({"reward_variant": "sum"}, "$.reward_variant"),
     ({"episodes": "4"}, "$.episodes"),
-    ({"hidden": [64, 6.5]}, "$.hidden"),
+    ({"hidden": [64, 6.5]}, "$.hidden[1]"),
     ({"action_repeat": 0}, "$"),
     ([4], "$"),
+    ({"batch_size": 0}, "$"),
+    ({"buffer_capacity": 4, "batch_size": 8}, "$"),
+    ({"tau": -1.0}, "$"),
+    ({"hidden": [64]}, "$.hidden"),
+    ({"hidden": [64, 0]}, "$"),
 ])
 def test_train_laa_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, doc,
                                            field):
@@ -193,6 +218,7 @@ def test_train_laa_product_reward_variant_reaches_reward(fast_toy_config, tmp_pa
     ({"stealth_mode": "never"}, "$.stealth_mode"),
     ({"seed": 1}, "$"),
     ([0.05], "$"),
+    ({"budget": 0}, "$"),
 ])
 def test_falsify_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, doc, field):
     laa = write_json(tmp_path / "laa.json",
@@ -241,6 +267,7 @@ def test_falsify_true_signal_basis_attack(tmp_path):
     assert rc == 0
     provenance = json.loads(read(out / "attack.json"))["provenance"]
     assert provenance["signal_basis"] == "true"
+    assert provenance["stealth_mode"] == "until_unsafe"
     grid = load_grid_config(doc)
     trace = simulate(grid, load_attack_file(out / "attack.json"), horizon=d)
     assert robustness(trace, grid.envelope, grid.thresholds, "true") == provenance["rho"]

@@ -7,7 +7,8 @@ from scipy.optimize import linprog
 import gridstorm.falsify
 from gridstorm.cli import main
 from gridstorm.falsify import (AffineModel, Candidate, FalsificationProblem,
-                               FalsifyResult, ValidationMismatch, affine_model,
+                               FalsifyConfig, FalsifyResult, ValidationMismatch,
+                               affine_model,
                                decode_control_points, falsify_sa, load_attack,
                                load_schedule, objective, sample_candidate, save_attack,
                                save_schedule, synthesize_and_validate, zero_candidate)
@@ -18,15 +19,13 @@ from gridstorm.sim import AttackVector, BreakerSchedule, check_success, simulate
 from conftest import load_config_doc, make_plain_grid
 
 
-def make_problem(grid=None, d=40, p=10, lo=-0.05, hi=0.05, laa_open=False,
-                 **kw):
+def make_problem(grid=None, d=40, p=10, lo=-0.05, hi=0.05, laa_open=False):
     grid = grid or make_plain_grid(n=1, thresholds=[0.01], m=2, mcol=0.3)
     m = grid.n_breakers
     fill = 0 if laa_open else 1
     laa = BreakerSchedule(signals=np.full((d, m), fill, dtype=int))
-    return FalsificationProblem(grid=grid, laa=laa, range_lo=lo,
-                                range_hi=hi, mask=np.array([0, 1]),
-                                control_points=p, **kw)
+    return FalsificationProblem(grid=grid, laa=laa,
+                                config=FalsifyConfig(range=(lo, hi), control_points=p))
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +191,11 @@ def test_affine_model_agrees_with_objective(mask, basis, stealth):
     init = np.array([[0.02, -0.01, 0.005, 0.0], [-0.01, 0.005, 0.0, 0.002],
                      [0.04, -0.02, 0.01, 0.0]])
     laa = BreakerSchedule(signals=np.zeros((30, 2), dtype=int))
-    prob = FalsificationProblem(grid=grid, laa=laa, range_lo=-0.05,
-                                range_hi=0.08, mask=np.array(mask), init=init,
-                                control_points=5, signal_basis=basis,
-                                stealth_mode=stealth)
+    config = FalsifyConfig(range=(-0.05, 0.08), mask=mask, control_points=5,
+                           signal_basis=basis, stealth_mode=stealth)
+    prob = FalsificationProblem(grid=grid, laa=laa, config=config, init=init)
     model, built = affine_model(prob)
-    assert built == 1 + prob.n_attacked * prob.control_points
+    assert built == 1 + prob.n_attacked * config.control_points
     rng = RngStream(23, 0)
     rhos = []
     for _ in range(50):
@@ -220,8 +218,7 @@ def toy_problem(breakers):
     doc["thresholds"] = [1.25]
     laa = BreakerSchedule(signals=np.full((60, 2), breakers, dtype=int))
     return FalsificationProblem(grid=load_grid_config(doc), laa=laa,
-                                range_lo=-0.05, range_hi=0.05,
-                                mask=np.array([0, 1]), control_points=4)
+                                config=FalsifyConfig(control_points=4))
 
 
 def lp_optimum(problem):
@@ -233,8 +230,8 @@ def lp_optimum(problem):
     box the worst residue excess max_{t < k', i, o} |r_ito(z)| - Th_i.  The
     unit responses come from one simulation per (generator, knot).
     """
-    n, p = problem.grid.n_generators, problem.control_points
-    lo, hi, th = problem.range_lo, problem.range_hi, problem.grid.thresholds
+    n, p = problem.grid.n_generators, problem.config.control_points
+    (lo, hi), th = problem.config.range, problem.grid.thresholds
 
     def run(knots):
         sched = decode_control_points(Candidate(knots=knots, mask=problem.mask),
@@ -246,13 +243,13 @@ def lp_optimum(problem):
     resp = []
     for unit in np.eye(n * p):
         trace = run(unit.reshape(n, 1, p))
-        assert np.array_equal(trace.frequency(problem.signal_basis),
-                              base.frequency(problem.signal_basis))
+        assert np.array_equal(trace.frequency(problem.config.signal_basis),
+                              base.frequency(problem.config.signal_basis))
         resp.append(trace.residue - base.residue)
     resp = np.stack(resp, axis=-1)                   # n x steps x 2 x (n * p)
 
     env = problem.grid.envelope
-    f = base.frequency(problem.signal_basis)
+    f = base.frequency(problem.config.signal_basis)
     s = np.min(np.minimum(env.f_hi - f, f - env.f_lo), axis=0)
     rho_star, z_star = max(s[0], -np.min(th)), np.zeros(n * p)   # k' = 0
     for kp in range(1, problem.d + 1):
@@ -281,7 +278,8 @@ def lp_optimum(problem):
 def test_sa_never_beats_exact_lp_optimum(breakers):
     prob = toy_problem(breakers)
     rho_star, knots = lp_optimum(prob)
-    assert np.all(knots >= prob.range_lo) and np.all(knots <= prob.range_hi)
+    lo, hi = prob.config.range
+    assert np.all(knots >= lo) and np.all(knots <= hi)
     assert abs(objective(prob, Candidate(knots=knots, mask=prob.mask))
                - rho_star) <= 1e-9
     res = falsify_sa(prob, budget=2000, restarts=4, rng=RngStream(24, 0))
@@ -320,9 +318,8 @@ def test_result_invariant_success_iff_negative():
 def test_synthesize_none_on_infeasible():
     grid = make_plain_grid(n=1, thresholds=[0.01], m=2)
     laa = BreakerSchedule(signals=np.ones((30, 2), dtype=int))
-    out = synthesize_and_validate(grid, laa, RngStream(11, 0), range_lo=0.0,
-                                  range_hi=0.0, budget=50, restarts=2,
-                                  noise_check_seeds=0)
+    out = synthesize_and_validate(grid, laa, RngStream(11, 0), FalsifyConfig(
+        range=(0.0, 0.0), budget=50, restarts=2, noise_check_seeds=0))
     assert out.attack is None
     assert not out.result.success
 
@@ -331,10 +328,9 @@ def test_synthesize_validates_and_is_repeatable():
     prob_grid = make_plain_grid(n=1, thresholds=[100.0], m=2, mcol=0.45,
                                 inertia=0.02, regulation=20.0)
     laa = BreakerSchedule(signals=np.zeros((40, 2), dtype=int))
-    out1 = synthesize_and_validate(prob_grid, laa, RngStream(12, 0),
-                                   budget=200, restarts=2, noise_check_seeds=0)
-    out2 = synthesize_and_validate(prob_grid, laa, RngStream(12, 0),
-                                   budget=200, restarts=2, noise_check_seeds=0)
+    config = FalsifyConfig(budget=200, restarts=2, noise_check_seeds=0)
+    out1 = synthesize_and_validate(prob_grid, laa, RngStream(12, 0), config)
+    out2 = synthesize_and_validate(prob_grid, laa, RngStream(12, 0), config)
     assert out1.attack is not None
     assert out1.validation.success
     assert out1.validation == out2.validation
@@ -377,8 +373,8 @@ def test_synthesize_raises_when_validation_rho_differs(monkeypatch):
     simulate_after_search(monkeypatch, nudged)
     grid, laa = validating_problem()
     with pytest.raises(ValidationMismatch, match="re-simulated rho"):
-        synthesize_and_validate(grid, laa, RngStream(12, 0), budget=200, restarts=2,
-                                noise_check_seeds=0)
+        synthesize_and_validate(grid, laa, RngStream(12, 0), FalsifyConfig(
+            budget=200, restarts=2, noise_check_seeds=0))
 
 
 def test_falsify_cli_exits_4_when_validation_rho_differs(monkeypatch, tmp_path):
@@ -410,8 +406,8 @@ def test_validation_simulates_winner_once_without_noise(monkeypatch):
 
     simulate_after_search(monkeypatch, spy)
     grid, laa = validating_problem()
-    out = synthesize_and_validate(grid, laa, RngStream(12, 0), budget=200, restarts=2,
-                                  noise_check_seeds=3)
+    out = synthesize_and_validate(grid, laa, RngStream(12, 0), FalsifyConfig(
+        budget=200, restarts=2, noise_check_seeds=3))
     assert out.validation.success
     assert noise_flags == [False, True, True, True]
 

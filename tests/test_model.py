@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from gridstorm.model import (AgcParams, ConfigError, ContinuousStateSpace,
+from gridstorm.model import (AgcParams, Calibration, ConfigError, ContinuousStateSpace,
                              build_continuous, calibrate_threshold,
                              design_kalman_gain, design_lqr_gain, discretize_zoh,
                              load_grid_config, spectral_radius)
-from gridstorm.numerics import RngStream, solve_dare
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -198,14 +197,14 @@ def test_lqr_on_discretized_plant_contracts():
 
 def test_calibrate_noise_free_hits_floor():
     grid = make_plain_grid(n=1, thresholds=[1.0])
-    th = calibrate_threshold(grid, 200, 1.1, RngStream(0, 0))
+    th = calibrate_threshold(grid, Calibration(horizon=200, seed=0))
     assert np.array_equal(th, [1e-9])
 
 
 def test_calibrate_shared_input_step_stays_floor():
     sched = np.concatenate([np.zeros((1, 50)), 0.05 * np.ones((1, 1))], axis=1)
     grid = make_plain_grid(n=1, thresholds=[1.0], sched=sched)
-    th = calibrate_threshold(grid, 400, 1.1, RngStream(0, 0))
+    th = calibrate_threshold(grid, Calibration(horizon=400, seed=0))
     assert np.array_equal(th, [1e-9])
 
 
@@ -213,8 +212,7 @@ def test_calibrate_multi_seed_spread_below_20_percent():
     doc = load_config_doc("toy_grid.json")
     doc["thresholds"] = [1.0]  # placeholder; calibration runs explicitly below
     grid = load_grid_config(doc)
-    ths = [calibrate_threshold(grid, 1000, 1.1, RngStream(s, 0))[0]
-           for s in (1, 2, 3)]
+    ths = [calibrate_threshold(grid, Calibration(seed=s))[0] for s in (1, 2, 3)]
     spread = (max(ths) - min(ths)) / min(ths)
     assert spread < 0.20, f"threshold spread {spread:.3f} across seeds"
 
@@ -223,13 +221,12 @@ def test_calibrate_rejects_unsafe_nominal():
     sched = 100.0 * np.ones((1, 1))  # schedule alone drives frequency out
     grid = make_plain_grid(n=1, thresholds=[1.0], sched=sched)
     with pytest.raises(ValueError, match="nominal"):
-        calibrate_threshold(grid, 400, 1.1, RngStream(0, 0))
+        calibrate_threshold(grid, Calibration(horizon=400, seed=0))
 
 
 def test_calibrate_rejects_margin_below_one():
-    grid = make_plain_grid(n=1, thresholds=[1.0])
-    with pytest.raises(ValueError):
-        calibrate_threshold(grid, 100, 0.9, RngStream(0, 0))
+    with pytest.raises(ValueError, match="margin"):
+        Calibration(horizon=100, margin=0.9)
 
 
 # ---------------------------------------------------------------------------

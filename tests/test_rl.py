@@ -267,16 +267,18 @@ def test_env_action_repeat():
     assert np.array_equal(sched.signals[0], sched.signals[1])
 
 
-@pytest.mark.parametrize("case", ["zero_init", "uniform_init", "feedback_gain"])
+@pytest.mark.parametrize("case", ["zero_init", "uniform_init", "feedback_gain", "lqr"])
 def test_env_matches_simulate_over_executed_schedule(case):
     doc = load_config_doc("default_grid.json")
     init = {"type": "zero"}
     if case == "uniform_init":
         init = {"type": "uniform", "low": [-0.02, -0.01, -0.01, -0.01],
                 "high": [0.02, 0.01, 0.01, 0.01]}
-    if case == "feedback_gain":
+    gains = {"feedback_gain": {"k": [[0.0, 0.0, 0.0, 0.1]]},
+             "lqr": {"lqr": {"q": 1, "r": 1}}}.get(case)
+    if gains:
         for gen in doc["generators"]:
-            gen["gains"] = {"k": [[0.0, 0.0, 0.0, 0.1]]}
+            gen["gains"] = gains
     grid = load_grid_config(doc)
     repeat, steps = 3, 12
     env = GridEnv(grid, EpisodeConfig(steps_per_episode=steps, episodes=1,
@@ -306,8 +308,12 @@ def test_env_matches_simulate_over_executed_schedule(case):
     for j, obs in enumerate(observations, 1):
         want = offsets[:, j * repeat - 1] + droop * tr.x[:, j * repeat, 0]
         assert np.allclose(obs[2 * n:3 * n], want, rtol=0.0, atol=1e-12), j
-    if case == "feedback_gain":
-        assert np.any(tr.u_believed != 0.0)   # K x_hat reached the estimator
+    # K x_hat reaches plant and estimator alike: their inputs differ by the offset
+    d = schedule.d
+    assert np.allclose(tr.u_actual[:, :d] - tr.u_believed[:, :d], offsets,
+                       rtol=0.0, atol=1e-12)
+    if gains:
+        assert np.any(tr.u_believed != 0.0)
 
 
 # ---------------------------------------------------------------------------

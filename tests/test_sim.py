@@ -1,17 +1,18 @@
+import dataclasses
 import io
 import warnings
 
 import numpy as np
 import pytest
 
-from gridstorm.model import LoadMap
+from gridstorm.model import LoadMap, design_lqr_gain, load_grid_config, spectral_radius
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (CSV_CHUNK_STEPS, CSV_COLUMNS, AttackVector,
                            BreakerSchedule, FalseDataSchedule, SimTrace,
                            apply_load_map, check_success, detect, robustness,
                            simulate, trace_csv_text)
 
-from conftest import make_plain_grid
+from conftest import load_config_doc, make_plain_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,7 +65,8 @@ def test_load_map_rejects_bad_state():
 def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
     """Plain dict-of-lists reimplementation of the attacked recursion; w and
     v are optional process (n x horizon x 4) and measurement
-    (n x horizon+1 x 2) noise."""
+    (n x horizon+1 x 2) noise.  Plant and estimator both apply the feedback
+    K x_hat of each loop's k_gain."""
     n = grid.n_generators
     lm = grid.load_map
     out = {"x": [], "xhat": [], "y": [], "ym": [], "r": []}
@@ -103,8 +105,9 @@ def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
         for i in range(n):
             _, loop = grid.generators[i]
             a, b, c, l = loop.a, loop.b[:, 0], loop.c, loop.l_gain
-            u_act = sched_at(i, k - 1) + offs[i]
-            u_bel = sched_at(i, k - 1)
+            fb = loop.k_gain[0] @ xhats[i]
+            u_act = sched_at(i, k - 1) + offs[i] + fb
+            u_bel = sched_at(i, k - 1) + fb
             x = a @ xs[i] + b * u_act + (0.0 if w is None else w[i, k - 1])
             xhat = a @ xhats[i] + b * u_bel + l @ rs[i]
             y = c @ x
@@ -117,8 +120,11 @@ def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
             out["ym"][i].append(ym)
             out["r"][i].append(r.copy())
     steps = range(horizon + 1)
-    out["ub"] = [[sched_at(i, k) for k in steps] for i in range(n)]
-    out["ua"] = [[sched_at(i, k) + laa_at(k)[i] for k in steps] for i in range(n)]
+    fb = [[grid.generators[i][1].k_gain[0] @ out["xhat"][i][k] for k in steps]
+          for i in range(n)]
+    out["ub"] = [[sched_at(i, k) + fb[i][k] for k in steps] for i in range(n)]
+    out["ua"] = [[sched_at(i, k) + laa_at(k)[i] + fb[i][k] for k in steps]
+                 for i in range(n)]
     return {key: np.array(val) for key, val in out.items()}
 
 
@@ -146,6 +152,31 @@ def assert_matches_reference(tr, ref):
 def test_simulate_matches_reference_loop():
     grid, attack, ref = reference_case()
     assert_matches_reference(simulate(grid, attack, horizon=60), ref)
+
+
+def test_simulate_with_gain_matches_reference_loop():
+    grid, attack, _ = reference_case()
+    gens = tuple((p, dataclasses.replace(
+        loop, k_gain=-design_lqr_gain(loop.a, loop.b, np.eye(4), np.eye(1))))
+        for p, loop in grid.generators)
+    grid = dataclasses.replace(grid, generators=gens)
+    tr = simulate(grid, attack, horizon=60)
+    assert np.any(np.abs(tr.u_believed - grid.scheduled_load[:, :1]) > 1e-6)
+    assert_matches_reference(tr, reference_simulate(grid, attack, 60))
+
+
+def test_lqr_gain_reaches_the_plant():
+    doc = load_config_doc("toy_grid.json")
+    doc["generators"][0]["gains"] = {"lqr": {"q": 1, "r": 1}}
+    doc.update(noise_enabled=False, thresholds=[0.9], scheduled_load=[[0.1]])
+    grid = load_grid_config(doc)
+    _, loop = grid.generators[0]
+    assert spectral_radius(loop.a + loop.b @ loop.k_gain) < 1.0
+    tr = simulate(grid, None, horizon=400)
+    assert not tr.truncated
+    assert np.any(tr.u_believed != 0.1)                # the feedback acts
+    assert np.array_equal(tr.u_actual, tr.u_believed)  # on plant and estimator alike
+    assert np.max(np.abs(tr.residue)) == 0.0
 
 
 def test_noisy_simulate_matches_reference_loop():
