@@ -173,22 +173,6 @@ def _read_config(path):
         return json.load(fh)
 
 
-# Keys each episode init type takes besides "type".
-_INIT_KEYS = {"zero": (), "uniform": ("low", "high")}
-
-
-def _check_init(init):
-    kind = choice(init.get("type", "zero"), _INIT_KEYS, "$.init.type")
-    require_keys(init, "$.init", _INIT_KEYS[kind], ["type"])
-    for key in _INIT_KEYS[kind]:
-        try:
-            finite = np.all(np.isfinite(np.asarray(init[key], dtype=float)))
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            raise ConfigError(f"$.init.{key}", f"expected finite numbers, got {init[key]!r}")
-
-
 def _load_train_config(path):
     """The episode and training sections share the top level of a train
     config; the reward weights are its "weights" object."""
@@ -198,7 +182,6 @@ def _load_train_config(path):
     require_keys(doc, "$", [], {"weights", "reward_variant"}.union(*names.values()))
     episode, train = (config_object(cls, {k: v for k, v in doc.items() if k in keys}, "$")
                       for cls, keys in names.items())
-    _check_init(episode.init)
     weights = config_object(RewardWeights, doc.get("weights", {}), "$.weights")
     variant = choice(doc.get("reward_variant", REWARD_VARIANTS[0]), REWARD_VARIANTS,
                      "$.reward_variant")
@@ -208,11 +191,11 @@ def _load_train_config(path):
 def cmd_train_laa(args):
     grid = load_grid_config_file(args.config)
     episode, weights, variant, train_cfg = _load_train_config(args.train_config)
+    env = GridEnv(grid, episode, weights=weights, reward_variant=variant)
     out_dir = _ensure_out(args.out)
     manifest = _Manifest(out_dir, args.config, args.seed)
     manifest.stage_seed("train", 2)
 
-    env = GridEnv(grid, episode, weights=weights, reward_variant=variant)
     artifacts = ddpg_train(env, train_cfg, RngStream(args.seed, 2))
 
     save_weights(manifest.add(os.path.join(out_dir, "actor.gsrl")), artifacts.actor)
@@ -252,10 +235,7 @@ def _load_falsify_config(path):
 
 def cmd_falsify(args):
     grid = load_grid_config_file(args.config)
-    try:
-        laa = load_schedule_file(args.laa)
-    except ValueError as exc:
-        raise ConfigError(args.laa, str(exc)) from None
+    laa = load_schedule_file(args.laa)
     config = _load_falsify_config(args.falsify_config)
     out_dir = _ensure_out(args.out)
     manifest = _Manifest(out_dir, args.config, args.seed)
@@ -311,10 +291,7 @@ def cmd_falsify(args):
 
 def cmd_validate(args):
     grid = load_grid_config_file(args.config)
-    try:
-        attack = load_attack_file(args.attack)
-    except ValueError as exc:
-        raise ConfigError(args.attack, str(exc)) from None
+    attack = load_attack_file(args.attack)
     horizon = args.horizon if args.horizon else attack.d
     trace = simulate(grid, attack, horizon=horizon, noise=False)
     reports = {
@@ -354,10 +331,7 @@ def cmd_compare(args):
         raise ConfigError("--laa-only/--fdia-only/--combined",
                           "select at least one mode")
     grid = load_grid_config_file(args.config)
-    try:
-        attack = load_attack_file(args.attack)
-    except ValueError as exc:
-        raise ConfigError(args.attack, str(exc)) from None
+    attack = load_attack_file(args.attack)
     out_dir = _ensure_out(args.out)
     manifest = _Manifest(out_dir, args.config, args.seed)
 

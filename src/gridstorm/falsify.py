@@ -22,7 +22,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .model import GridModel, write_json
+from .model import ConfigError, GridModel, write_json
 from .numerics import RngStream
 from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
                   FalseDataSchedule, SimTrace, SuccessReport, check_success, robustness,
@@ -165,8 +165,10 @@ class AffineModel:
 
     With the breaker schedule fixed and noise off, false data enters the
     measured outputs and, through the residue, the estimator, both linearly;
-    it never reaches the plant.  So the frequency and the residue are the
-    trace at all-zero knots plus each knot's value times its unit response.
+    with a feedback gain K it also reaches the plant, through K x_hat, again
+    linearly (with K = 0 it never does).  So the frequency and the residue
+    are the trace at all-zero knots plus each knot's value times its unit
+    response.
     """
 
     problem: FalsificationProblem
@@ -463,9 +465,18 @@ def load_attack(document) -> AttackVector:
     return AttackVector(breakers=breakers, false_data=false_data)
 
 
-def load_attack_file(path) -> AttackVector:
+def _load_file(path, parse):
+    """parse() of the file's text; its ValueError is a ConfigError at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_attack(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def load_attack_file(path) -> AttackVector:
+    return _load_file(path, load_attack)
 
 
 # ---------------------------------------------------------------------------
@@ -494,5 +505,4 @@ def load_schedule(document) -> BreakerSchedule:
 
 
 def load_schedule_file(path) -> BreakerSchedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_schedule(fh.read())
+    return _load_file(path, load_schedule)

@@ -91,7 +91,8 @@ def config_object(cls, doc, path):
     The keys are cls's field names: the fields without a default are
     required, any other key is rejected, and each value is read by
     config_value against its field's type.  A ValueError from cls's own
-    checks is reported at path.
+    checks is reported at path, unless it is a ConfigError, which names
+    its own path.
     """
     fields = dataclasses.fields(cls)
     required = [f.name for f in fields if f.default is dataclasses.MISSING
@@ -101,6 +102,8 @@ def config_object(cls, doc, path):
               for f in fields if f.name in doc}
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -224,6 +227,12 @@ class LoadMap:
     def n_breakers(self):
         return self.matrix.shape[1]
 
+    def offsets(self, signals):
+        """Per-generator load offsets M (b - b_nom) of breaker states: (n,)
+        for one state of shape (m,), (n, d) for a block of d states (d, m)."""
+        return self.matrix @ (np.asarray(signals, dtype=float)
+                              - self.b_nom.astype(float)).T
+
 
 @dataclass(frozen=True)
 class SafetyEnvelope:
@@ -262,7 +271,7 @@ class GridModel:
     load_map: LoadMap
     envelope: SafetyEnvelope
     thresholds: np.ndarray            # n residue thresholds
-    scheduled_load: np.ndarray        # n x T_sched per-unit load schedule
+    scheduled_load: np.ndarray        # n x T_sched per-unit load schedule, T_sched >= 1
     noise_enabled: bool = True
 
     def __post_init__(self):
@@ -276,8 +285,8 @@ class GridModel:
         n = len(self.generators)
         if th.shape != (n,) or np.any(th <= 0):
             raise ValueError("thresholds must be n positive values")
-        if sched.ndim != 2 or sched.shape[0] != n:
-            raise ValueError("scheduled_load must be n x T")
+        if sched.ndim != 2 or sched.shape[0] != n or sched.shape[1] < 1:
+            raise ValueError("scheduled_load must be n x T with T >= 1")
         if self.load_map.matrix.shape[0] != n:
             raise ValueError("load map rows must match generator count")
         ts = {loop.ts for _, loop in self.generators}
@@ -297,6 +306,12 @@ class GridModel:
     @property
     def ts(self):
         return self.generators[0][1].ts
+
+    def schedule(self, start, length):
+        """Scheduled load of steps start..start + length - 1, n x length;
+        past the end of scheduled_load its last column is held."""
+        last = self.scheduled_load.shape[1] - 1
+        return self.scheduled_load[:, np.minimum(np.arange(start, start + length), last)]
 
     def stacked(self):
         """Matrices stacked along a leading generator axis, for the kernels."""
@@ -507,8 +522,8 @@ def load_grid_config(document) -> GridModel:
 
     sched = document.get("scheduled_load", [[0.0]] * n)
     sched = _matrix(sched, "$.scheduled_load")
-    if sched.ndim != 2 or sched.shape[0] != n:
-        raise ConfigError("$.scheduled_load", f"must be {n} rows")
+    if sched.ndim != 2 or sched.shape[0] != n or sched.shape[1] < 1:
+        raise ConfigError("$.scheduled_load", f"must be {n} rows of at least one column")
 
     noise_enabled = config_value(document.get("noise_enabled", True), bool,
                                  "$.noise_enabled")

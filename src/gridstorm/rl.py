@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import add_feedback, closed_loop_step
-from .model import GridModel
+from .model import ConfigError, GridModel, choice, require_keys
 from .sim import TWO_PI, BreakerSchedule
 
 
@@ -199,8 +199,15 @@ def reward(f_hz, r_inf, p_e, weights, envelope, thresholds, variant="paired"):
     return float(term1 + term2 + term3)
 
 
+# Keys each episode init type takes besides "type".
+INIT_KEYS = {"zero": (), "uniform": ("low", "high")}
+
+
 @dataclass(frozen=True)
 class EpisodeConfig:
+    """The episode section of a train config, which is its top level: init
+    errors are ConfigErrors at $.init."""
+
     steps_per_episode: int = 100
     episodes: int = 50
     init: dict = field(default_factory=lambda: {"type": "zero"})
@@ -211,6 +218,30 @@ class EpisodeConfig:
             raise ValueError("steps_per_episode and episodes must be >= 1")
         if self.action_repeat < 1:
             raise ValueError("action_repeat must be >= 1")
+        kind = choice(self.init.get("type", "zero"), INIT_KEYS, "$.init.type")
+        require_keys(self.init, "$.init", INIT_KEYS[kind], ["type"])
+        for key in INIT_KEYS[kind]:
+            try:
+                finite = np.all(np.isfinite(np.asarray(self.init[key], dtype=float)))
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise ConfigError(f"$.init.{key}",
+                                  f"expected finite numbers, got {self.init[key]!r}")
+
+    def init_range(self, n):
+        """[low, high] of the uniform initial state, each n x 4; None for
+        the zero state."""
+        if self.init.get("type", "zero") == "zero":
+            return None
+        bounds = []
+        for key in INIT_KEYS["uniform"]:
+            try:
+                bounds.append(np.broadcast_to(np.asarray(self.init[key], dtype=float), (n, 4)))
+            except ValueError:
+                raise ConfigError(f"$.init.{key}", f"shape {np.shape(self.init[key])} "
+                                  f"does not broadcast to ({n}, 4)") from None
+        return bounds
 
 
 class GridEnv:
@@ -237,7 +268,7 @@ class GridEnv:
         params = [p for p, _ in grid.generators]
         self._nominal = np.array([p.nominal_frequency_hz for p in params])
         self._droop = np.array([p.droop for p in params])
-        self._sched_total = grid.scheduled_load
+        self._init_range = episode_config.init_range(self.n)
         self._done = True
 
         th = grid.thresholds
@@ -267,22 +298,13 @@ class GridEnv:
     def normalize(self, obs):
         return (obs - self._center) / self._scale
 
-    def _sched(self, k):
-        t = min(k, self._sched_total.shape[1] - 1)
-        return self._sched_total[:, t]
-
     def reset(self, rng=None):
-        init = self.cfg.init
-        if init.get("type", "zero") == "zero":
-            x0 = np.zeros((self.n, 4))
-        elif init["type"] == "uniform":
+        x0 = np.zeros((self.n, 4))
+        if self._init_range is not None:
             if rng is None:
                 raise ValueError("uniform init requires an rng")
-            lo = np.asarray(init["low"], dtype=float)
-            hi = np.asarray(init["high"], dtype=float)
+            lo, hi = self._init_range
             x0 = rng.uniform(size=(self.n, 4)) * (hi - lo) + lo
-        else:
-            raise ValueError(f"unknown init type {init!r}")
         self._z = np.stack([x0, x0])
         self._yr = np.zeros((2, self.n, 2))
         self._k_step = 0
@@ -296,7 +318,7 @@ class GridEnv:
     def _observation(self):
         f = self._nominal + self._x[:, 0] / TWO_PI
         r_inf = np.max(np.abs(self._r), axis=1)
-        sched = self._sched(self._k_step)
+        sched = self.grid.schedule(self._k_step, 1)[:, 0]
         pe = sched + self._offset + self._droop * self._x[:, 0] - sched
         return np.concatenate([f, r_inf, pe, self._prev_action])
 
@@ -308,11 +330,9 @@ class GridEnv:
         if action.shape != (self.m,):
             raise ValueError(f"action must have length {self.m}")
         breakers = (action > 0.0).astype(float)
-        self._offset = self.grid.load_map.matrix @ (
-            breakers - self.grid.load_map.b_nom.astype(float))
+        self._offset = self.grid.load_map.offsets(breakers)
 
-        for _ in range(self.cfg.action_repeat):
-            sched = self._sched(self._k_step)
+        for sched in self.grid.schedule(self._k_step, self.cfg.action_repeat).T:
             u = np.array([sched + self._offset, sched])
             if self._use_k:
                 add_feedback(self._k, self._xhat, u)

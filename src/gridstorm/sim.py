@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import buffers, step_loop
-from .model import GridModel, LoadMap
+from .model import GridModel
 
 TWO_PI = 2.0 * math.pi
 SIGNAL_BASES = ("measured", "true")
@@ -166,50 +166,15 @@ class SuccessReport:
         }
 
 
-def apply_load_map(load_map: LoadMap, breaker_state) -> np.ndarray:
-    """Per-generator load deviation for a breaker state vector.
-
-    Deviation form: dP_L_i = sum_j M[i, j] * (b_j - b_nom_j), zero at nominal.
-    """
-    b = np.asarray(breaker_state)
-    if b.shape != (load_map.n_breakers,):
-        raise ValueError(
-            f"breaker state must have length {load_map.n_breakers}, got {b.shape}")
-    if not np.all((b == 0) | (b == 1)):
-        raise ValueError("breaker state must be binary")
-    return load_map.matrix @ (b.astype(float) - load_map.b_nom.astype(float))
-
-
-def _pad_schedule(sched, n, length):
-    """Extend the per-generator schedule to `length` steps, holding the last value."""
-    out = np.zeros((n, length))
-    t = min(sched.shape[1], length)
-    if t:
-        out[:, :t] = sched[:, :t]
-        if t < length:
-            out[:, t:] = sched[:, t - 1:t]
-    return out
-
-def _laa_offsets(load_map, breakers, n, length):
-    """Per-generator load offsets for each step; nominal (zero) past the schedule."""
-    out = np.zeros((n, length))
-    if breakers is None:
-        return out
-    d = min(breakers.d, length)
-    delta = breakers.signals[:d].astype(float) - load_map.b_nom.astype(float)
-    out[:, :d] = load_map.matrix @ delta.T
-    return out
-
-
 def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
              init=None, noise=False, rng=None) -> SimTrace:
     """Run the closed loop for `horizon` steps (records 0..horizon).
 
-    The plant and the estimator both consume the schedule plus K x_hat (the
-    configured feedback gain, 0 by default); the plant also takes any
-    breaker-induced load alteration, the estimator the falsified
-    measurements.  After the attack's d steps the breakers revert to nominal
-    and false data drops to zero.
+    The plant and the estimator both consume the schedule (its last column
+    held, see GridModel.schedule) plus K x_hat (the configured feedback gain,
+    0 by default); the plant also takes any breaker-induced load alteration,
+    the estimator the falsified measurements.  After the attack's d steps the
+    breakers revert to nominal and false data drops to zero.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -231,11 +196,11 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
         raise ValueError(f"init must be {n}x4")
     xhat0 = x0.copy()
 
-    u_sched = _pad_schedule(grid.scheduled_load, n, n_steps)
-    u_laa = _laa_offsets(grid.load_map, attack.breakers if attack else None, n, n_steps)
-
+    u_sched = grid.schedule(0, n_steps)
+    u_laa = np.zeros((n, n_steps))
     a_y, w, v, z, yr, ym, u = buffers(n, n_steps)
     if attack is not None:
+        u_laa[:, :attack.d] = grid.load_map.offsets(attack.breakers.signals)
         a_y[:, :attack.d] = attack.false_data.values
 
     if noise:

@@ -151,6 +151,8 @@ def test_train_laa_rejects_unknown_keys(fast_toy_config, tmp_path):
     ({"tau": -1.0}, "$"),
     ({"hidden": [64]}, "$.hidden"),
     ({"hidden": [64, 0]}, "$"),
+    ({"init": {"type": "uniform", "low": [0, 0, 0], "high": [1, 1, 1]}}, "$.init.low"),
+    ({"init": {"type": "uniform", "low": [0] * 4, "high": [[1] * 4] * 2}}, "$.init.high"),
 ])
 def test_train_laa_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, doc,
                                            field):
@@ -162,6 +164,31 @@ def test_train_laa_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, do
                train_cfg, "--out", str(out)])
     assert rc == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "train-laa"])
+def test_empty_schedule_exit_2(tmp_path, capsys, command):
+    doc = load_config_doc("toy_grid.json")
+    doc["scheduled_load"] = [[]]
+    args = [command, "--config", write_json(tmp_path / "grid.json", doc)]
+    if command == "train-laa":
+        train = {"episodes": 1, "steps_per_episode": 5}
+        args += ["--train-config", write_json(tmp_path / "train.json", train)]
+    out = tmp_path / "x"
+    rc = main(args + ["--out", str(out)])
+    assert rc == 2
+    assert "config error: $.scheduled_load: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_bad_attack_file_names_the_file(fast_toy_config, tmp_path, capsys):
+    attack = write_json(tmp_path / "attack.json", {"d": 3})
+    out = tmp_path / "x"
+    rc = main(["simulate", "--config", fast_toy_config, "--attack", attack,
+               "--out", str(out)])
+    assert rc == 2
+    assert f"config error: {attack}: attack document missing keys" in capsys.readouterr().err
     assert not out.exists()
 
 

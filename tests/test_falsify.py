@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from gridstorm.falsify import (AffineModel, Candidate, FalsificationProblem,
                                decode_control_points, falsify_sa, load_attack,
                                load_schedule, objective, sample_candidate, save_attack,
                                save_schedule, synthesize_and_validate, zero_candidate)
-from gridstorm.model import load_grid_config
+from gridstorm.model import design_lqr_gain, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.sim import AttackVector, BreakerSchedule, check_success, simulate
 
@@ -183,11 +184,19 @@ def test_falsify_blowup_reports_inf_without_success():
 
 @pytest.mark.parametrize("mask", [(0, 1), (1, 0), (1, 1)])
 @pytest.mark.parametrize("basis", ["measured", "true"])
-@pytest.mark.parametrize("stealth", ["until_unsafe", "all_steps"])
-def test_affine_model_agrees_with_objective(mask, basis, stealth):
+@pytest.mark.parametrize("stealth, gain", [("until_unsafe", "zero"), ("all_steps", "zero"),
+                                           ("until_unsafe", "lqr")],
+                         ids=["until_unsafe", "all_steps", "until_unsafe-lqr"])
+def test_affine_model_agrees_with_objective(mask, basis, stealth, gain):
     # three generators guard the one-knot-on-every-generator build
     grid = make_plain_grid(n=3, thresholds=[0.02, 0.03, 0.024], m=2, mcol=0.45,
                            inertia=0.02, regulation=20.0)
+    if gain == "lqr":
+        # K x_hat carries the false data into the plant
+        grid = dataclasses.replace(grid, generators=[
+            (params, dataclasses.replace(loop, k_gain=-design_lqr_gain(
+                loop.a, loop.b, np.eye(4), np.eye(1))))
+            for params, loop in grid.generators])
     init = np.array([[0.02, -0.01, 0.005, 0.0], [-0.01, 0.005, 0.0, 0.002],
                      [0.04, -0.02, 0.01, 0.0]])
     laa = BreakerSchedule(signals=np.zeros((30, 2), dtype=int))
@@ -196,6 +205,10 @@ def test_affine_model_agrees_with_objective(mask, basis, stealth):
     prob = FalsificationProblem(grid=grid, laa=laa, config=config, init=init)
     model, built = affine_model(prob)
     assert built == 1 + prob.n_attacked * config.control_points
+    if basis == "true":
+        # the plant's frequency responds to false data iff there is a gain
+        moved = np.any(model.responses.reshape(3, built - 1, *model.base.shape[1:])[..., 0] != 0.0)
+        assert moved == (gain == "lqr")
     rng = RngStream(23, 0)
     rhos = []
     for _ in range(50):

@@ -273,6 +273,15 @@ def test_config_rejects_bad_load_map():
         load_grid_config(doc)
 
 
+def test_config_rejects_empty_schedule():
+    doc = load_config_doc("toy_grid.json")
+    doc["scheduled_load"] = [[]]   # one row, as the toy grid has one generator
+    with pytest.raises(ConfigError, match=r"^\$\.scheduled_load: "):
+        load_grid_config(doc)
+    with pytest.raises(ValueError, match="scheduled_load"):
+        make_plain_grid(n=1, sched=np.zeros((1, 0)))
+
+
 def test_config_explicit_thresholds_skip_calibration():
     doc = load_config_doc("toy_grid.json")
     doc["thresholds"] = [0.5]

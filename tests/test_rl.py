@@ -267,9 +267,16 @@ def test_env_action_repeat():
     assert np.array_equal(sched.signals[0], sched.signals[1])
 
 
-@pytest.mark.parametrize("case", ["zero_init", "uniform_init", "feedback_gain", "lqr"])
+@pytest.mark.parametrize("case", ["zero_init", "uniform_init", "feedback_gain", "lqr",
+                                  "schedule"])
 def test_env_matches_simulate_over_executed_schedule(case):
     doc = load_config_doc("default_grid.json")
+    # five columns, shorter than the 36-step episode: both hold the last one
+    sched = np.array([[0.01, -0.02, 0.015, 0.005, -0.01],
+                      [0.0, 0.01, 0.02, -0.01, 0.03],
+                      [-0.015, 0.0, 0.005, 0.01, 0.02]])
+    if case == "schedule":
+        doc["scheduled_load"] = sched.tolist()
     init = {"type": "zero"}
     if case == "uniform_init":
         init = {"type": "uniform", "low": [-0.02, -0.01, -0.01, -0.01],
@@ -314,6 +321,9 @@ def test_env_matches_simulate_over_executed_schedule(case):
                        rtol=0.0, atol=1e-12)
     if gains:
         assert np.any(tr.u_believed != 0.0)
+    if case == "schedule":
+        assert np.array_equal(tr.u_believed[:, :5], sched)
+        assert np.all(tr.u_believed[:, 5:] == sched[:, -1:])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from gridstorm.model import LoadMap, design_lqr_gain, load_grid_config, spectral
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (CSV_CHUNK_STEPS, CSV_COLUMNS, AttackVector,
                            BreakerSchedule, FalseDataSchedule, SimTrace,
-                           apply_load_map, check_success, detect, robustness,
-                           simulate, trace_csv_text)
+                           check_success, detect, robustness, simulate,
+                           trace_csv_text)
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -29,33 +29,41 @@ def zero_attack(n, d, m, mask=(0, 1)):
 
 def test_load_map_nominal_state_is_zero():
     lm = LoadMap(matrix=np.array([[0.2, 0.0], [0.0, 0.3]]), b_nom=np.array([1, 1]))
-    assert np.array_equal(apply_load_map(lm, np.array([1, 1])), [0.0, 0.0])
+    assert np.array_equal(lm.offsets(np.array([1, 1])), [0.0, 0.0])
 
 
 def test_load_map_hand_example_with_matrix_oracle():
     m = np.array([[0.2, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.1]])
     lm = LoadMap(matrix=m, b_nom=np.array([1, 1, 1]))
     b = np.array([0, 1, 1])
-    got = apply_load_map(lm, b)
+    got = lm.offsets(b)
     assert np.allclose(got, [-0.2, 0.0, 0.0])
     # matrix-multiply oracle
     assert np.array_equal(got, m @ (b - np.array([1, 1, 1])))
+    # a block of d states gives one column per state
+    block = lm.offsets(np.array([b, [1, 1, 1], [1, 0, 0]]))
+    assert block.shape == (3, 3)
+    assert np.array_equal(block[:, 0], got)
+    assert np.array_equal(block[:, 1], [0.0, 0.0, 0.0])
+    assert np.allclose(block[:, 2], [0.0, -0.3, -0.1])
 
 
 def test_load_map_toggle_is_involution():
     lm = LoadMap(matrix=np.array([[0.2, 0.1]]), b_nom=np.array([1, 0]))
     flipped = np.array([0, 1])
     back = np.array([1, 0])
-    assert np.any(apply_load_map(lm, flipped) != 0.0)
-    assert np.array_equal(apply_load_map(lm, back), [0.0])
+    assert np.any(lm.offsets(flipped) != 0.0)
+    assert np.array_equal(lm.offsets(back), [0.0])
 
 
 def test_load_map_rejects_bad_state():
-    lm = LoadMap(matrix=np.array([[0.2]]), b_nom=np.array([1]))
-    with pytest.raises(ValueError):
-        apply_load_map(lm, np.array([1, 0]))
-    with pytest.raises(ValueError):
-        apply_load_map(lm, np.array([2]))
+    # breaker states reach the load map only through a BreakerSchedule,
+    # which must be binary, and simulate, which checks its width
+    with pytest.raises(ValueError, match="binary"):
+        BreakerSchedule(signals=np.array([[2]]))
+    grid = make_plain_grid(n=1, m=1)
+    with pytest.raises(ValueError, match="breaker count"):
+        simulate(grid, zero_attack(1, 3, 2), horizon=5)
 
 
 # ---------------------------------------------------------------------------
