@@ -22,7 +22,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .model import ConfigError, GridModel, write_json
+from .model import ConfigError, GridModel, config_value, write_json
 from .numerics import RngStream
 from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
                   FalseDataSchedule, SimTrace, SuccessReport, check_success, robustness,
@@ -459,7 +459,10 @@ def load_attack(document) -> AttackVector:
                                    mask=np.asarray(document["mask"]))
     if breakers.d != d or false_data.d != d:
         raise ValueError("schedule lengths disagree with d")
-    lo, hi = document["range"]
+    lo, hi = config_value(document["range"], tuple[float, float], "range")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+        raise ValueError(f"range must be finite numbers [lo, hi] with lo <= hi, "
+                         f"got {document['range']!r}")
     if np.any(false_data.values < lo) or np.any(false_data.values > hi):
         raise ValueError("false data outside its declared range")
     return AttackVector(breakers=breakers, false_data=false_data)

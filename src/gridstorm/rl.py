@@ -28,22 +28,29 @@ class TrainingDiverged(RuntimeError):
 
 
 class MLP:
-    """Two hidden ReLU layers; optional tanh squash on the output."""
+    """Two hidden ReLU layers; optional tanh squash on the output.
+
+    The parameters live in one contiguous vector `flat` and their gradients
+    in `grad`; `params` and `grads` are [w1, b1, w2, b2, w3, b3] views into
+    them, in the GSRL file's order.
+    """
 
     def __init__(self, sizes, out_squash=None, rng=None):
         if len(sizes) != 4:
             raise ValueError("sizes must be [in, hidden1, hidden2, out]")
         self.sizes = list(int(s) for s in sizes)
         self.out_squash = out_squash
-        self.params = []
+        shapes = []
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            self.params.append(w)
-            self.params.append(np.zeros(fan_out))
+            shapes += [(fan_in, fan_out), (fan_out,)]
+        size = sum(int(np.prod(s)) for s in shapes)
+        self.flat, self.grad = np.zeros(size), np.zeros(size)
+        self.params = _views(self.flat, shapes)
+        self.grads = _views(self.grad, shapes)
+        if rng is not None:
+            for w in self.params[::2]:
+                bound = 1.0 / np.sqrt(w.shape[0])
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     def forward(self, x, with_cache=False):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -58,62 +65,74 @@ class MLP:
             return out
         return out, (x, z1, h1, z2, h2, z3, out)
 
-    def backward(self, cache, dout):
-        """Gradients of sum(dout * out) w.r.t. params and input."""
+    def backward(self, cache, dout, input_grad=False):
+        """Gradients of sum(dout * out) w.r.t. the parameters, written into
+        `grad`; with input_grad, only the gradient w.r.t. the input, which
+        is returned."""
         x, z1, h1, z2, h2, z3, out = cache
         w1, b1, w2, b2, w3, b3 = self.params
+        gw1, gb1, gw2, gb2, gw3, gb3 = self.grads
         if self.out_squash == "tanh":
             dz3 = dout * (1.0 - out * out)
         else:
             dz3 = dout
-        dw3 = h2.T @ dz3
-        db3 = dz3.sum(axis=0)
-        dh2 = dz3 @ w3.T
-        dz2 = dh2 * (z2 > 0.0)
-        dw2 = h1.T @ dz2
-        db2 = dz2.sum(axis=0)
-        dh1 = dz2 @ w2.T
-        dz1 = dh1 * (z1 > 0.0)
-        dw1 = x.T @ dz1
-        db1 = dz1.sum(axis=0)
-        dx = dz1 @ w1.T
-        return [dw1, db1, dw2, db2, dw3, db3], dx
+        if not input_grad:
+            np.matmul(h2.T, dz3, out=gw3)
+            np.sum(dz3, axis=0, out=gb3)
+        dz2 = (dz3 @ w3.T) * (z2 > 0.0)
+        if not input_grad:
+            np.matmul(h1.T, dz2, out=gw2)
+            np.sum(dz2, axis=0, out=gb2)
+        dz1 = (dz2 @ w2.T) * (z1 > 0.0)
+        if input_grad:
+            return dz1 @ w1.T
+        np.matmul(x.T, dz1, out=gw1)
+        np.sum(dz1, axis=0, out=gb1)
 
     def copy(self):
         dup = MLP(self.sizes, self.out_squash)
-        dup.params = [p.copy() for p in self.params]
+        dup.flat[...] = self.flat
         return dup
+
+
+def _views(buffer, shapes):
+    """Consecutive views of buffer with the given shapes."""
+    views, off = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(buffer[off:off + size].reshape(shape))
+        off += size
+    return views
 
 
 def soft_update(target: MLP, source: MLP, tau):
     """target <- tau*source + (1-tau)*target; tau=1 is an exact hard copy."""
     if tau == 1.0:
-        for t, s in zip(target.params, source.params):
-            t[...] = s
+        target.flat[...] = source.flat
         return
-    for t, s in zip(target.params, source.params):
-        t *= 1.0 - tau
-        t += tau * s
+    target.flat *= 1.0 - tau
+    target.flat += tau * source.flat
 
 
 class Adam:
+    """Adam over one flat parameter vector and its gradient vector."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grads * grads
+        params -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +267,11 @@ class GridEnv:
     """One-step interface over the closed loop, false data held at zero.
 
     Observations are raw per the agent contract: [f_i..., r_inf_i..., pe_i...,
-    previous action...], with pe_i under the load offset of the last breaker
-    command; normalize() maps them to unit scale for the nets.
+    previous action...]; normalize() maps them to unit scale for the nets.
+    pe_i, which the reward judges against the envelope, is relative to the
+    schedule and leaves out K x_hat: the load offset of the last breaker
+    command plus droop times d_omega.  SimTrace.p_e is absolute (schedule,
+    offset and K x_hat included), so the two differ when either is non-zero.
     """
 
     def __init__(self, grid: GridModel, episode_config: EpisodeConfig,
@@ -318,8 +340,7 @@ class GridEnv:
     def _observation(self):
         f = self._nominal + self._x[:, 0] / TWO_PI
         r_inf = np.max(np.abs(self._r), axis=1)
-        sched = self.grid.schedule(self._k_step, 1)[:, 0]
-        pe = sched + self._offset + self._droop * self._x[:, 0] - sched
+        pe = self._offset + self._droop * self._x[:, 0]
         return np.concatenate([f, r_inf, pe, self._prev_action])
 
     def step(self, action):
@@ -409,8 +430,8 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
     critic = MLP([env.obs_dim + env.act_dim, h1, h2, 1], rng=rng)
     actor_t = actor.copy()
     critic_t = critic.copy()
-    opt_a = Adam(actor.params, cfg.actor_lr)
-    opt_c = Adam(critic.params, cfg.critic_lr)
+    opt_a = Adam(actor.flat, cfg.actor_lr)
+    opt_c = Adam(critic.flat, cfg.critic_lr)
     buffer = ReplayBuffer(cfg.buffer_capacity, env.obs_dim, env.act_dim)
 
     curve = np.zeros(env.cfg.episodes)
@@ -465,18 +486,17 @@ def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, cfg, rn
             "loss": loss, "q_head": q[:8, 0].tolist(), "target_head": target[:8].tolist(),
         })
     dq = (2.0 / cfg.batch_size) * err[:, None]
-    grads_c, _ = critic.backward(cache_c, dq)
-    opt_c.step(critic.params, grads_c)
+    critic.backward(cache_c, dq)
+    opt_c.step(critic.flat, critic.grad)
 
     # actor along the critic's action gradient (ascent on Q)
     a_pi, cache_a = actor.forward(z, with_cache=True)
     q_pi, cache_q = critic.forward(np.concatenate([z, a_pi], axis=1), with_cache=True)
-    _, dinput = critic.backward(cache_q, np.full_like(q_pi, -1.0 / cfg.batch_size))
-    dact = dinput[:, env.obs_dim:]
-    grads_a, _ = actor.backward(cache_a, dact)
-    if not all(np.all(np.isfinite(g)) for g in grads_a):
+    dinput = critic.backward(cache_q, np.full_like(q_pi, -1.0 / cfg.batch_size), input_grad=True)
+    actor.backward(cache_a, dinput[:, env.obs_dim:])
+    if not np.isfinite(actor.grad).all():
         raise TrainingDiverged("actor gradients are non-finite", {"loss": loss})
-    opt_a.step(actor.params, grads_a)
+    opt_a.step(actor.flat, actor.grad)
 
     soft_update(actor_t, actor, cfg.tau)
     soft_update(critic_t, critic, cfg.tau)
@@ -524,8 +544,7 @@ def save_weights(path, mlp: MLP):
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(mlp.sizes)))
         fh.write(struct.pack(f"<{len(mlp.sizes)}I", *mlp.sizes))
-        for p in mlp.params:
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        fh.write(mlp.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_weights(path, out_squash=None) -> MLP:
@@ -540,15 +559,7 @@ def load_weights(path, out_squash=None) -> MLP:
     sizes = struct.unpack_from(f"<{n_sizes}I", blob, 12)
     off = 12 + 4 * n_sizes
     mlp = MLP(list(sizes), out_squash=out_squash)
-    params = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=off)
-        off += 8 * fan_in * fan_out
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off)
-        off += 8 * fan_out
-        params.append(w.reshape(fan_in, fan_out).copy())
-        params.append(b.copy())
-    if off != len(blob):
+    if len(blob) != off + 8 * mlp.flat.size:
         raise ValueError("weights file has trailing or missing bytes")
-    mlp.params = params
+    mlp.flat[...] = np.frombuffer(blob, dtype="<f8", offset=off)
     return mlp

@@ -167,20 +167,16 @@ def test_criterion_4_rl():
         x = nprng.normal(size=(4, sizes[0]))
         w_out = nprng.normal(size=(4, sizes[-1]))
         _, cache = net.forward(x, with_cache=True)
-        grads, _ = net.backward(cache, w_out)
-        flat = [(pi, idx) for pi, p in enumerate(net.params)
-                for idx in range(p.size)]
-        for probe in nprng.choice(len(flat), size=100, replace=False):
-            pi, idx = flat[probe]
-            p = net.params[pi]
-            orig = p.flat[idx]
-            p.flat[idx] = orig + 1e-6
+        net.backward(cache, w_out)
+        for idx in nprng.choice(net.flat.size, size=100, replace=False):
+            orig = net.flat[idx]
+            net.flat[idx] = orig + 1e-6
             up = float(np.sum(net.forward(x) * w_out))
-            p.flat[idx] = orig - 1e-6
+            net.flat[idx] = orig - 1e-6
             down = float(np.sum(net.forward(x) * w_out))
-            p.flat[idx] = orig
+            net.flat[idx] = orig
             numeric = (up - down) / 2e-6
-            analytic = grads[pi].flat[idx]
+            analytic = net.grad[idx]
             rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-8)
             grad_worst = max(grad_worst, rel)
 

@@ -192,6 +192,25 @@ def test_simulate_bad_attack_file_names_the_file(fast_toy_config, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate", "compare"])
+@pytest.mark.parametrize("bad_range, message", [
+    (5, "range: expected an array of 2, got 5"),
+    ([0.05, -0.05], "range must be finite numbers [lo, hi] with lo <= hi"),
+], ids=["not_a_pair", "lo_above_hi"])
+def test_attack_bad_range_exit_2(fast_toy_config, tmp_path, capsys, command,
+                                 bad_range, message):
+    attack = write_json(tmp_path / "attack.json", {
+        "d": 3, "breaker_schedule": [[1, 1]] * 3,
+        "false_data": [[[0.0, 0.0]] * 3], "mask": [0, 1], "range": bad_range})
+    out = tmp_path / "x"
+    argv = [command, "--config", fast_toy_config, "--attack", attack]
+    argv += {"simulate": ["--out", str(out)], "validate": [],
+             "compare": ["--combined", "--out", str(out)]}[command]
+    assert main(argv) == 2
+    assert f"config error: {attack}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def train_toy(config, tmp_path, name, options):
     doc = {"episodes": 2, "steps_per_episode": 15, "batch_size": 8, **options}
     out = tmp_path / name

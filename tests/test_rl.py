@@ -92,22 +92,18 @@ def test_gradient_check_actor_and_critic():
             return float(np.sum(net.forward(x) * w_out))
 
         out, cache = net.forward(x, with_cache=True)
-        grads, _ = net.backward(cache, w_out)
-        flat = [(pi, idx) for pi, p in enumerate(net.params)
-                for idx in range(p.size)]
-        probes = nprng.choice(len(flat), size=100, replace=False)
+        net.backward(cache, w_out)
+        probes = nprng.choice(net.flat.size, size=100, replace=False)
         eps = 1e-6
-        for probe in probes:
-            pi, idx = flat[probe]
-            p = net.params[pi]
-            orig = p.flat[idx]
-            p.flat[idx] = orig + eps
+        for idx in probes:
+            orig = net.flat[idx]
+            net.flat[idx] = orig + eps
             up = loss()
-            p.flat[idx] = orig - eps
+            net.flat[idx] = orig - eps
             down = loss()
-            p.flat[idx] = orig
+            net.flat[idx] = orig
             numeric = (up - down) / (2 * eps)
-            analytic = grads[pi].flat[idx]
+            analytic = net.grad[idx]
             denom = max(abs(analytic) + abs(numeric), 1e-8)
             assert abs(analytic - numeric) / denom <= 1e-4
 
@@ -119,7 +115,8 @@ def test_gradient_check_input_gradient():
     x = nprng.normal(size=(1, 4))
     w_out = nprng.normal(size=(1, 2))
     _, cache = net.forward(x, with_cache=True)
-    _, dx = net.backward(cache, w_out)
+    dx = net.backward(cache, w_out, input_grad=True)
+    assert not np.any(net.grad)   # the parameter gradients were skipped
     eps = 1e-6
     for idx in range(4):
         xp = x.copy()
@@ -155,11 +152,109 @@ def test_soft_update_blends():
 
 def test_adam_reduces_quadratic():
     rng = RngStream(15, 0)
-    params = [rng.normal(size=(5,))]
+    params = rng.normal(size=(5,))
     opt = Adam(params, lr=0.05)
     for _ in range(300):
-        opt.step(params, [2.0 * params[0]])  # grad of sum(p^2)
-    assert np.max(np.abs(params[0])) < 1e-2
+        opt.step(params, 2.0 * params)  # grad of sum(p^2)
+    assert np.max(np.abs(params)) < 1e-2
+
+
+def test_mlp_params_are_views_of_flat():
+    net = MLP([5, 7, 6, 2], out_squash="tanh", rng=RngStream(16, 0))
+    assert [p.shape for p in net.params] == [(5, 7), (7,), (7, 6), (6,), (6, 2), (2,)]
+    assert net.flat.size == net.grad.size == sum(p.size for p in net.params)
+    for p, g in zip(net.params, net.grads):
+        assert np.shares_memory(p, net.flat) and np.shares_memory(g, net.grad)
+        assert p.flags.c_contiguous and g.shape == p.shape
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.params]), net.flat)
+    dup = net.copy()
+    assert not np.shares_memory(dup.flat, net.flat)
+    assert not np.shares_memory(dup.grad, net.grad)
+    assert np.array_equal(dup.flat, net.flat)
+    net.flat += 1.0
+    assert not np.array_equal(dup.flat, net.flat)
+
+
+def test_mlp_init_draws_weights_layer_by_layer():
+    """Weights are drawn w1, w2, w3 in turn, U(-1/sqrt(fan_in), ..); biases 0."""
+    sizes = [5, 7, 6, 2]
+    net = MLP(sizes, rng=RngStream(17, 0))
+    rng = RngStream(17, 0)
+    for (fan_in, fan_out), w, b in zip(zip(sizes[:-1], sizes[1:]),
+                                       net.params[::2], net.params[1::2]):
+        bound = 1.0 / np.sqrt(fan_in)
+        assert np.array_equal(w, rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        assert not np.any(b)
+
+
+# Per-array references: the list-based updates the flat ones replace.
+
+
+def reference_backward(net, cache, dout):
+    x, z1, h1, z2, h2, z3, out = cache
+    w1, b1, w2, b2, w3, b3 = net.params
+    dz3 = dout * (1.0 - out * out) if net.out_squash == "tanh" else dout
+    dw3 = h2.T @ dz3
+    db3 = dz3.sum(axis=0)
+    dz2 = (dz3 @ w3.T) * (z2 > 0.0)
+    dw2 = h1.T @ dz2
+    db2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ w2.T) * (z1 > 0.0)
+    dw1 = x.T @ dz1
+    db1 = dz1.sum(axis=0)
+    return [dw1, db1, dw2, db2, dw3, db3], dz1 @ w1.T
+
+
+class ReferenceAdam:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def reference_soft_update(target, source, tau):
+    for t, s in zip(target.params, source.params):
+        t *= 1.0 - tau
+        t += tau * s
+
+
+@pytest.mark.parametrize("squash, sizes", [("tanh", [7, 16, 16, 3]), (None, [10, 16, 16, 1])])
+def test_flat_updates_bitwise_equal_per_array_references(squash, sizes):
+    net = MLP(sizes, out_squash=squash, rng=RngStream(18, 0))
+    ref = net.copy()
+    target, ref_target = net.copy(), net.copy()
+    opt, ref_opt = Adam(net.flat, 1e-2), ReferenceAdam(ref.params, 1e-2)
+    nprng = np.random.default_rng(19)
+    for _ in range(40):
+        x = nprng.normal(size=(8, sizes[0]))
+        dout = nprng.normal(size=(8, sizes[-1]))
+        _, cache = net.forward(x, with_cache=True)
+        _, ref_cache = ref.forward(x, with_cache=True)
+        net.backward(cache, dout)
+        dx = net.backward(cache, dout, input_grad=True)
+        ref_grads, ref_dx = reference_backward(ref, ref_cache, dout)
+        assert all(np.array_equal(g, r) for g, r in zip(net.grads, ref_grads))
+        assert np.array_equal(dx, ref_dx)
+        opt.step(net.flat, net.grad)
+        ref_opt.step(ref.params, ref_grads)
+        assert np.array_equal(net.flat, ref.flat)
+        soft_update(target, net, 0.05)
+        reference_soft_update(ref_target, ref, 0.05)
+        assert np.array_equal(target.flat, ref_target.flat)
+    assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref_opt.m]))
+    assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref_opt.v]))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +409,7 @@ def test_env_matches_simulate_over_executed_schedule(case):
     offsets = grid.load_map.matrix @ (schedule.signals - grid.load_map.b_nom).T
     for j, obs in enumerate(observations, 1):
         want = offsets[:, j * repeat - 1] + droop * tr.x[:, j * repeat, 0]
-        assert np.allclose(obs[2 * n:3 * n], want, rtol=0.0, atol=1e-12), j
+        assert np.array_equal(obs[2 * n:3 * n], want), j
     # K x_hat reaches plant and estimator alike: their inputs differ by the offset
     d = schedule.d
     assert np.allclose(tr.u_actual[:, :d] - tr.u_believed[:, :d], offsets,
@@ -386,13 +481,13 @@ def test_critic_fits_immediate_reward_when_gamma_zero():
     acts = np.array(act_list)
     rews = np.array(rew_list)
     critic = MLP([env.obs_dim + env.act_dim, 32, 32, 1], rng=rng)
-    opt = Adam(critic.params, 1e-2)
+    opt = Adam(critic.flat, 1e-2)
     inputs = np.concatenate([z, acts], axis=1)
     for _ in range(400):
         q, cache = critic.forward(inputs, with_cache=True)
         err = q[:, 0] - rews
-        grads, _ = critic.backward(cache, (2.0 / len(rews)) * err[:, None])
-        opt.step(critic.params, grads)
+        critic.backward(cache, (2.0 / len(rews)) * err[:, None])
+        opt.step(critic.flat, critic.grad)
     mse = float(np.mean((critic.forward(inputs)[:, 0] - rews) ** 2))
     mse_zero = float(np.mean(rews ** 2))
     assert mse < mse_zero
@@ -426,6 +521,16 @@ def test_weights_file_layout(tmp_path):
     assert sizes == [3, 4, 4, 1]
     n_floats = (3 * 4 + 4) + (4 * 4 + 4) + (4 * 1 + 1)
     assert len(blob) == 12 + 16 + 8 * n_floats
+
+
+@pytest.mark.parametrize("cut, extra", [(8, b""), (3, b""), (0, b"\x00" * 8), (0, b"\x01")])
+def test_weights_reject_trailing_or_missing_bytes(tmp_path, cut, extra):
+    path = tmp_path / "w.gsrl"
+    save_weights(path, MLP([3, 4, 4, 1], rng=RngStream(23, 0)))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) - cut] + extra)
+    with pytest.raises(ValueError, match="trailing or missing bytes"):
+        load_weights(path)
 
 
 def test_weights_reject_garbage(tmp_path):
