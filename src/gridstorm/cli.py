@@ -29,7 +29,8 @@ from .numerics import RngStream
 from .rl import (REWARD_VARIANTS, EpisodeConfig, GridEnv, RewardWeights, TrainConfig,
                  TrainingDiverged, ddpg_train, save_weights)
 from .sim import (SIGNAL_BASES, AttackVector, BreakerSchedule,
-                  FalseDataSchedule, check_success, detect, simulate, write_trace_csv)
+                  FalseDataSchedule, check_success, detect, simulate, simulate_many,
+                  write_trace_csv)
 from .svgplot import LinePlot
 
 EXIT_OK = 0
@@ -196,20 +197,24 @@ def cmd_train_laa(args):
     manifest = _Manifest(out_dir, args.config, args.seed)
     manifest.stage_seed("train", 2)
 
-    artifacts = ddpg_train(env, train_cfg, RngStream(args.seed, 2))
+    with manifest.timed("train"):
+        artifacts = ddpg_train(env, train_cfg, RngStream(args.seed, 2))
+    manifest.data["counts"] = {"env_steps": artifacts.env_steps,
+                               "ddpg_updates": artifacts.ddpg_updates}
 
-    save_weights(manifest.add(os.path.join(out_dir, "actor.gsrl")), artifacts.actor)
-    curve_path = manifest.add(os.path.join(out_dir, "reward_curve.csv"))
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("episode,reward\n")
-        for ep, rew in enumerate(artifacts.reward_curve):
-            fh.write(f"{ep},{format(rew, '.9g')}\n")
-    plot = LinePlot("Episode reward", "episode", "reward")
-    plot.add_series("reward", np.arange(len(artifacts.reward_curve)),
-                    artifacts.reward_curve)
-    plot.save(manifest.add(os.path.join(out_dir, "reward_curve.svg")))
-    save_schedule(manifest.add(os.path.join(out_dir, "best_schedule.json")),
-                  artifacts.best_schedule)
+    with manifest.timed("export"):
+        save_weights(manifest.add(os.path.join(out_dir, "actor.gsrl")), artifacts.actor)
+        curve_path = manifest.add(os.path.join(out_dir, "reward_curve.csv"))
+        with open(curve_path, "w", encoding="utf-8") as fh:
+            fh.write("episode,reward\n")
+            for ep, rew in enumerate(artifacts.reward_curve):
+                fh.write(f"{ep},{format(rew, '.9g')}\n")
+        plot = LinePlot("Episode reward", "episode", "reward")
+        plot.add_series("reward", np.arange(len(artifacts.reward_curve)),
+                        artifacts.reward_curve)
+        plot.save(manifest.add(os.path.join(out_dir, "reward_curve.svg")))
+        save_schedule(manifest.add(os.path.join(out_dir, "best_schedule.json")),
+                      artifacts.best_schedule)
     manifest.write()
 
     curve = artifacts.reward_curve
@@ -335,13 +340,12 @@ def cmd_compare(args):
     out_dir = _ensure_out(args.out)
     manifest = _Manifest(out_dir, args.config, args.seed)
 
-    traces = {}
+    mode_attacks = [_mode_attack(mode, attack, grid.n_generators, grid.load_map.b_nom)
+                    for mode in modes]
+    with manifest.timed("simulate"):
+        traces = dict(zip(modes, simulate_many(grid, mode_attacks, horizon=args.horizon)))
     summary = {}
-    for mode in modes:
-        mode_atk = _mode_attack(mode, attack, grid.n_generators, grid.load_map.b_nom)
-        with manifest.timed("simulate"):
-            trace = simulate(grid, mode_atk, horizon=args.horizon, noise=False)
-        traces[mode] = trace
+    for mode, trace in traces.items():
         rep = check_success(trace, grid.envelope, grid.thresholds,
                             args.signal_basis)
         f = trace.frequency(args.signal_basis)

@@ -8,8 +8,8 @@ parameterization, with independent restarts.
 
 With the breaker schedule fixed and noise off, the trace signals that
 robustness reads are affine in the knots.  So the search scores candidates
-with an AffineModel built from 1 + q_att * P simulations, not with one
-simulation each.  The zero screen and every reported rho come from
+with an AffineModel built from 1 + q_att * P runs in one loop, not with
+one simulation each.  The zero screen and every reported rho come from
 simulation: each restart's best model-scored candidate is re-scored with
 objective().  The winner is then simulated once more, and that one trace
 must give the same rho and satisfy the success predicate.
@@ -26,7 +26,7 @@ from .model import ConfigError, GridModel, config_value, write_json
 from .numerics import RngStream
 from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
                   FalseDataSchedule, SimTrace, SuccessReport, check_success, robustness,
-                  robustness_terms, simulate)
+                  robustness_terms, simulate, simulate_many)
 
 N_OUTPUTS = 2
 
@@ -134,10 +134,13 @@ def decode_control_points(candidate: Candidate, d: int) -> FalseDataSchedule:
     return FalseDataSchedule(values=values, mask=candidate.mask.copy())
 
 
+def _attack(problem: FalsificationProblem, candidate: Candidate) -> AttackVector:
+    return AttackVector(breakers=problem.laa,
+                        false_data=decode_control_points(candidate, problem.d))
+
+
 def _trace(problem: FalsificationProblem, candidate: Candidate) -> SimTrace:
-    schedule = decode_control_points(candidate, problem.d)
-    attack = AttackVector(breakers=problem.laa, false_data=schedule)
-    return simulate(problem.grid, attack, horizon=problem.d,
+    return simulate(problem.grid, _attack(problem, candidate), horizon=problem.d,
                     init=problem.init, noise=False)
 
 
@@ -192,29 +195,30 @@ class AffineModel:
 
 
 def affine_model(problem: FalsificationProblem):
-    """Build the AffineModel of a problem from 1 + q_att * P simulations.
+    """Build the AffineModel of a problem from 1 + q_att * P runs in one loop.
 
     False data does not couple generators (each generator's plant and
     estimator step on their own), so one run with a knot set to 1 on every
     generator gives that knot's response on all of them.  Returns (model,
-    simulations run); the model is None when a run truncates, because the
+    runs simulated); the model is None when a run truncates, because the
     trace is then not affine.
     """
     n, q_att = problem.grid.n_generators, problem.n_attacked
     p = problem.config.control_points
-    runs = []
+    attacks = []
     for unit in range(-1, q_att * p):       # -1: the all-zero base run
         knots = np.zeros((n, q_att * p))
         if unit >= 0:
             knots[:, unit] = 1.0
-        trace = _trace(problem, Candidate(knots=knots.reshape(n, q_att, p),
-                                          mask=problem.mask))
-        if trace.truncated:
-            return None, len(runs) + 1
-        runs.append(_signals(problem, trace))
-    sig = np.stack(runs, axis=1)            # n x (1 + q_att * P) x steps x 3
+        attacks.append(_attack(problem, Candidate(knots=knots.reshape(n, q_att, p),
+                                                  mask=problem.mask)))
+    traces = simulate_many(problem.grid, attacks, horizon=problem.d, init=problem.init)
+    if any(trace.truncated for trace in traces):
+        return None, len(traces)
+    # n x (1 + q_att * P) x steps x 3
+    sig = np.stack([_signals(problem, trace) for trace in traces], axis=1)
     responses = (sig[:, 1:] - sig[:, :1]).reshape(n, q_att * p, -1)
-    return AffineModel(problem=problem, base=sig[:, 0], responses=responses), len(runs)
+    return AffineModel(problem=problem, base=sig[:, 0], responses=responses), len(traces)
 
 
 def sample_candidate(problem: FalsificationProblem, rng: RngStream) -> Candidate:
@@ -245,7 +249,7 @@ class FalsifyResult:
     evaluations: int
     success: bool
     history: list = field(default_factory=list)
-    simulations: int = 0     # every simulate() run of the search
+    simulations: int = 0     # every closed-loop run of the search, stacked or not
 
     def __post_init__(self):
         assert self.success == (self.best_rho < 0.0)
@@ -406,14 +410,13 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
 
     frac = None
     if config.noise_check_seeds:
-        wins = 0
-        for s in range(config.noise_check_seeds):
-            noisy = simulate(grid, attack, horizon=problem.d, init=problem.init,
-                             noise=True, rng=rng.split(0xBEEF + s))
-            rep = check_success(noisy, grid.envelope, grid.thresholds,
-                                config.signal_basis)
-            wins += int(rep.success)
-        frac = wins / config.noise_check_seeds
+        seeds = range(config.noise_check_seeds)
+        noisy = simulate_many(grid, [attack] * len(seeds), horizon=problem.d,
+                              init=problem.init, noise=True,
+                              rngs=[rng.split(0xBEEF + s) for s in seeds])
+        wins = sum(check_success(trace, grid.envelope, grid.thresholds,
+                                 config.signal_basis).success for trace in noisy)
+        frac = wins / len(seeds)
 
     return SynthesisOutcome(attack=attack, result=result, validation=report,
                             noise_success_fraction=frac,

@@ -3,11 +3,13 @@
 Every generator's plant state x and estimate x_hat advance together as one
 block z = [x; x_hat] of shape (2, n, 4), so a step costs three einsums
 (A z, L r, C z) whatever the number of generators.  closed_loop_step()
-advances the block by one step into caller-provided arrays; simulate() runs
-it over a whole horizon through step_loop(), which writes straight into the
-trace records, and the RL environment runs it once per sub-step.  Within a
-step the [x; x_hat] (or [y; r]) stacking axis comes first, so each half is
+advances the block by one step into caller-provided arrays; the simulator
+runs it over a whole horizon through step_loop(), which writes straight into
+the trace records, and the RL environment runs it once per sub-step.  Within
+a step the [x; x_hat] (or [y; r]) stacking axis comes first, so each half is
 one contiguous (n, ...) array; the records are indexed [generator, step, ...].
+Rows never couple, so sim.simulate_many() stacks R runs of one grid as R * n
+rows and steps them all in one step_loop() call.
 
 The plant and the estimator apply the same control input u_sched + K x_hat;
 the plant's also carries the breaker load offset u_laa.  Bit-identity rests
@@ -69,18 +71,28 @@ def buffers(n, n_steps):
             alloc(n_steps, n, 2), alloc(n_steps, 2, n, gen_axis=1))
 
 
+def valid_counts(z, yr):
+    """Per row, the number of valid records: the first step >= 1 whose state
+    z or residue yr[:, :, 1] is non-finite, or all records if none is."""
+    ok = np.isfinite(z).all(axis=(2, 3)) & np.isfinite(yr[:, :, 1]).all(axis=2)
+    ok[:, 0] = True
+    return np.where(ok.all(axis=1), ok.shape[1], ok.argmin(axis=1))
+
+
 # The unused leading slot stays because perfbench/tracer.py reads this
 # function's arguments by position (args[1], args[3], args[6], args[14]).
 def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, v,
               z, yr, ym, u):
-    """Fill the records 0..horizon; return how many are valid.
+    """Fill the records 0..horizon of every row; return the number of
+    records valid on every row, the minimum of valid_counts(z, yr).
 
     Every array is indexed [generator, step, ...]: the inputs are a_y and v
     (n, steps, 2) and w (n, steps - 1, 4); the records are z = [x; x_hat]
     (n, steps, 2, 4), yr = [y; r] (n, steps, 2, 2), ym (n, steps, 2) and
-    u = [u_act, u_bel] (n, steps, 2); buffers() allocates them all.  A
-    return below horizon + 1 means the state went non-finite and the run was
-    truncated at that step.
+    u = [u_act, u_bel] (n, steps, 2); buffers() allocates them all.  The
+    whole horizon runs with floating-point warnings off, so a row that goes
+    non-finite does not stop the others; its records past its valid count
+    are meaningless.
     """
     n_steps = z.shape[1]
     zs, yrs, us = z.transpose(1, 2, 0, 3), yr.transpose(1, 2, 0, 3), u.transpose(1, 2, 0)
@@ -88,17 +100,16 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
 
     zs[0, 0] = x0
     zs[0, 1] = xhat0
-    outputs(c, zs[0], ays[0], vs[0], yrs[0], yms[0])
-    np.add(u_sched, u_laa, out=u[:, :, 0])
-    u[:, :, 1] = u_sched
-    for t in range(n_steps - 1):
-        z0, z1 = zs[t], zs[t + 1]
+    with np.errstate(all="ignore"):
+        outputs(c, zs[0], ays[0], vs[0], yrs[0], yms[0])
+        np.add(u_sched, u_laa, out=u[:, :, 0])
+        u[:, :, 1] = u_sched
+        for t in range(n_steps - 1):
+            z0, z1 = zs[t], zs[t + 1]
+            if use_k:
+                add_feedback(k, z0[1], us[t])
+            closed_loop_step(a, c, l, z0, yrs[t, 1], b * us[t][..., None], ws[t],
+                             ays[t + 1], vs[t + 1], z1, yrs[t + 1], yms[t + 1])
         if use_k:
-            add_feedback(k, z0[1], us[t])
-        closed_loop_step(a, c, l, z0, yrs[t, 1], b * us[t][..., None], ws[t],
-                         ays[t + 1], vs[t + 1], z1, yrs[t + 1], yms[t + 1])
-        if not (np.isfinite(z1).all() and np.isfinite(yrs[t + 1, 1]).all()):
-            return t + 1
-    if use_k:
-        add_feedback(k, zs[-1, 1], us[-1])
-    return n_steps
+            add_feedback(k, zs[-1, 1], us[-1])
+    return int(valid_counts(z, yr).min())

@@ -416,6 +416,8 @@ class TrainArtifacts:
     best_episode: int
     best_reward: float
     seed: tuple
+    env_steps: int       # GridEnv.step calls
+    ddpg_updates: int    # critic and actor updates
 
 
 def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
@@ -439,6 +441,7 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
     best_schedule = None
     best_episode = -1
     sigma = cfg.noise_sigma
+    env_steps = updates = 0
 
     for ep in range(env.cfg.episodes):
         obs = env.reset(rng)
@@ -449,6 +452,7 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
             act = actor.forward(z)[0] + rng.normal(scale=sigma, size=env.act_dim)
             act = np.clip(act, -1.0, 1.0)
             nxt, rew, done = env.step(act)
+            env_steps += 1
             buffer.add(obs, act, rew, nxt, done)
             total += rew
             obs = nxt
@@ -456,6 +460,7 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
             if len(buffer) >= cfg.batch_size:
                 _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c,
                         buffer, cfg, rng)
+                updates += 1
         curve[ep] = total
         if total > best_reward:
             best_reward = total
@@ -466,7 +471,8 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
     return TrainArtifacts(actor=actor, reward_curve=curve,
                           best_schedule=best_schedule, best_episode=best_episode,
                           best_reward=float(best_reward),
-                          seed=(rng.seed, rng.stream_id))
+                          seed=(rng.seed, rng.stream_id), env_steps=env_steps,
+                          ddpg_updates=updates)
 
 
 def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, cfg, rng):
@@ -547,16 +553,23 @@ def save_weights(path, mlp: MLP):
         fh.write(mlp.flat.astype("<f8", copy=False).tobytes())
 
 
+def _header_u32(blob, offset, count=1):
+    """count little-endian uint32 of a GSRL header, read at offset."""
+    if len(blob) < offset + 4 * count:
+        raise ValueError("weights file header is truncated")
+    return struct.unpack_from(f"<{count}I", blob, offset)
+
+
 def load_weights(path, out_squash=None) -> MLP:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ValueError("not a GSRL weights file")
-    version, = struct.unpack_from("<I", blob, 4)
+    version, = _header_u32(blob, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported weights format version {version}")
-    n_sizes, = struct.unpack_from("<I", blob, 8)
-    sizes = struct.unpack_from(f"<{n_sizes}I", blob, 12)
+    n_sizes, = _header_u32(blob, 8)
+    sizes = _header_u32(blob, 12, n_sizes)
     off = 12 + 4 * n_sizes
     mlp = MLP(list(sizes), out_squash=out_squash)
     if len(blob) != off + 8 * mlp.flat.size:

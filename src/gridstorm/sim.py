@@ -3,9 +3,10 @@
 simulate() advances every generator loop under an optional attack vector:
 breaker toggling alters the true load input while the estimator keeps
 believing the schedule, and additive false data corrupts the measured
-outputs before they reach the residue detector.  The resulting trace feeds
-detect / check_success / robustness, which give the boolean and quantitative
-semantics of the "unsafe before first detection" attack goal.
+outputs before they reach the residue detector; simulate_many() runs
+several attacks on one grid in a single step loop.  The resulting trace
+feeds detect / check_success / robustness, which give the boolean and
+quantitative semantics of the "unsafe before first detection" attack goal.
 """
 
 import io
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import buffers, step_loop
+from .kernels import buffers, step_loop, valid_counts
 from .model import GridModel
 
 TWO_PI = 2.0 * math.pi
@@ -176,56 +177,79 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
     the estimator the falsified measurements.  After the attack's d steps the
     breakers revert to nominal and false data drops to zero.
     """
+    rngs = None if rng is None else [rng]
+    return simulate_many(grid, [attack], horizon, init, noise, rngs)[0]
+
+
+def simulate_many(grid: GridModel, attacks, horizon: int, init=None, noise=False,
+                  rngs=None) -> list:
+    """simulate() of each attack (None: no attack), all in one step loop.
+
+    The R runs are stacked along the generator axis as R * n independent
+    rows, so each trace is bitwise the one simulate() gives.  With noise,
+    run j draws its noise from rngs[j] in simulate()'s order.  A run that
+    goes non-finite truncates only its own trace.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if attack is not None:
+    for attack in attacks:
+        if attack is None:
+            continue
         if attack.breakers.m != grid.n_breakers:
             raise ValueError("attack breaker count does not match grid")
         if attack.d > horizon:
             raise ValueError("attack length d must be <= horizon")
-    if noise and rng is None:
-        raise ValueError("noise=True requires an rng")
+    if noise and (rngs is None or len(rngs) != len(attacks)):
+        raise ValueError("noise=True requires an rng per run")
 
-    n = grid.n_generators
-    a, b, c, l, k = grid.stacked()
+    n, runs = grid.n_generators, len(attacks)
+    a, b, c, l, k = (np.concatenate([m] * runs) for m in grid.stacked())
     use_k = bool(np.any(k != 0.0))
     n_steps = horizon + 1
 
     x0 = np.zeros((n, 4)) if init is None else np.array(init, dtype=float)
     if x0.shape != (n, 4):
         raise ValueError(f"init must be {n}x4")
-    xhat0 = x0.copy()
+    x0 = np.concatenate([x0] * runs)
 
-    u_sched = grid.schedule(0, n_steps)
-    u_laa = np.zeros((n, n_steps))
-    a_y, w, v, z, yr, ym, u = buffers(n, n_steps)
-    if attack is not None:
-        u_laa[:, :attack.d] = grid.load_map.offsets(attack.breakers.signals)
-        a_y[:, :attack.d] = attack.false_data.values
+    u_sched = np.concatenate([grid.schedule(0, n_steps)] * runs)
+    u_laa = np.zeros((runs * n, n_steps))
+    a_y, w, v, z, yr, ym, u = buffers(runs * n, n_steps)
+    for j, attack in enumerate(attacks):
+        if attack is not None:
+            u_laa[j * n:(j + 1) * n, :attack.d] = grid.load_map.offsets(attack.breakers.signals)
+            a_y[j * n:(j + 1) * n, :attack.d] = attack.false_data.values
 
     if noise:
-        for i, (_, loop) in enumerate(grid.generators):
-            chol_q = np.linalg.cholesky(loop.q_noise + 1e-300 * np.eye(4))
-            w[i] = rng.normal(size=(horizon, 4)) @ chol_q.T
-        for i, (_, loop) in enumerate(grid.generators):
-            chol_r = np.linalg.cholesky(loop.r_noise)
-            v[i] = rng.normal(size=(n_steps, 2)) @ chol_r.T
+        chol_q = [np.linalg.cholesky(loop.q_noise + 1e-300 * np.eye(4))
+                  for _, loop in grid.generators]
+        chol_r = [np.linalg.cholesky(loop.r_noise) for _, loop in grid.generators]
+        for j, rng in enumerate(rngs):
+            for i in range(n):
+                w[j * n + i] = rng.normal(size=(horizon, 4)) @ chol_q[i].T
+            for i in range(n):
+                v[j * n + i] = rng.normal(size=(n_steps, 2)) @ chol_r[i].T
 
-    steps = step_loop(None, a, b, c, l, k, use_k, x0, xhat0,
+    valid = step_loop(None, a, b, c, l, k, use_k, x0, x0,
                       u_sched, u_laa, a_y, w, v, z, yr, ym, u)
-    truncated = steps < n_steps
-    z, yr, ym, u = z[:, :steps], yr[:, :steps], ym[:, :steps], u[:, :steps]
+    counts = [n_steps] * runs
+    if valid < n_steps:
+        counts = valid_counts(z, yr).reshape(runs, n).min(axis=1)
 
     params = [p for p, _ in grid.generators]
-    return SimTrace(
-        ts=grid.ts,
-        nominal_hz=np.array([p.nominal_frequency_hz for p in params]),
-        droop=np.array([p.droop for p in params]),
-        thresholds=grid.thresholds.copy(),
-        x=z[:, :, 0], xhat=z[:, :, 1], y=yr[:, :, 0], y_meas=ym,
-        residue=yr[:, :, 1], u_believed=u[:, :, 1], u_actual=u[:, :, 0],
-        truncated=truncated,
-    )
+    nominal_hz = np.array([p.nominal_frequency_hz for p in params])
+    droop = np.array([p.droop for p in params])
+    traces = []
+    for j, steps in enumerate(counts):
+        rows, cut = slice(j * n, (j + 1) * n), slice(0, steps)
+        traces.append(SimTrace(
+            ts=grid.ts, nominal_hz=nominal_hz, droop=droop,
+            thresholds=grid.thresholds.copy(),
+            x=z[rows, cut, 0], xhat=z[rows, cut, 1], y=yr[rows, cut, 0],
+            y_meas=ym[rows, cut], residue=yr[rows, cut, 1],
+            u_believed=u[rows, cut, 1], u_actual=u[rows, cut, 0],
+            truncated=steps < n_steps))
+    return traces
 
 
 def detect(trace: SimTrace, thresholds) -> Optional[int]:

@@ -6,13 +6,30 @@ fixed float formatting, no timestamps or library version strings.
 
 import math
 
+import numpy as np
+
 PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02")
 
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 16, 34, 44
+CHUNK_POINTS = 1024   # polyline points formatted per template
 
 
 def _f(x):
     return format(float(x), ".6g")
+
+
+def _points(px, py):
+    """Polyline points "x,y x,y ..." with 6 significant digits.
+
+    numpy lays out the coordinates and one template formats CHUNK_POINTS
+    points at a time; '%.6g' % v gives the same text as _f(v).
+    """
+    xy = np.stack([px, py], axis=1)
+    chunks = []
+    for i in range(0, len(xy), CHUNK_POINTS):
+        part = xy[i:i + CHUNK_POINTS]
+        chunks.append(" ".join(["%.6g,%.6g"] * len(part)) % tuple(part.ravel().tolist()))
+    return " ".join(chunks)
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -46,7 +63,8 @@ class LinePlot:
 
     def add_series(self, label, xs, ys):
         color = PALETTE[len(self.series) % len(PALETTE)]
-        self.series.append((label, list(map(float, xs)), list(map(float, ys)), color))
+        self.series.append((label, np.array(xs, dtype=float), np.array(ys, dtype=float),
+                            color))
 
     def add_hline(self, y, label):
         self.hlines.append((float(y), label))
@@ -58,17 +76,15 @@ class LinePlot:
         self.band = (float(lo), float(hi))
 
     def _limits(self):
-        xs = [x for _, sx, _, _ in self.series for x in sx]
-        ys = [y for _, _, sy, _ in self.series for y in sy if math.isfinite(y)]
-        ys += [y for y, _ in self.hlines]
-        if self.band:
-            ys += list(self.band)
-        if not xs:
-            xs = [0.0, 1.0]
-        if not ys:
-            ys = [0.0, 1.0]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
+        xs = np.concatenate([np.empty(0)] + [sx for _, sx, _, _ in self.series])
+        ys = np.concatenate([sy[np.isfinite(sy)] for _, _, sy, _ in self.series]
+                            + [[y for y, _ in self.hlines], self.band or []])
+        if not xs.size:
+            xs = np.array([0.0, 1.0])
+        if not ys.size:
+            ys = np.array([0.0, 1.0])
+        x_lo, x_hi = float(xs.min()), float(xs.max())
+        y_lo, y_hi = float(ys.min()), float(ys.max())
         if x_hi == x_lo:
             x_hi = x_lo + 1.0
         pad = 0.06 * (y_hi - y_lo) or 1.0
@@ -132,8 +148,8 @@ class LinePlot:
                        f'font-family="sans-serif" font-size="10" fill="#d62728">{label}</text>')
 
         for label, xs, ys, color in self.series:
-            pts = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(xs, ys)
-                           if math.isfinite(y))
+            finite = np.isfinite(ys)
+            pts = _points(sx(xs[finite]), sy(ys[finite]))
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                        f'stroke-width="1.5"/>')
 

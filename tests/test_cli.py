@@ -112,6 +112,19 @@ def test_train_laa_artifacts_and_determinism(fast_toy_config, tmp_path):
     assert len(rows) == 1 + 4
 
 
+def test_train_laa_manifest_records_counts_and_stage_times(fast_toy_config, tmp_path):
+    train_cfg = write_json(tmp_path / "train.json",
+                           {"episodes": 4, "steps_per_episode": 30, "batch_size": 16})
+    out = tmp_path / "t"
+    assert main(["train-laa", "--config", fast_toy_config, "--train-config",
+                 train_cfg, "--seed", "3", "--out", str(out)]) == 0
+    manifest = json.loads(read(out / "manifest.json"))
+    # one update per step once the replay buffer holds a batch
+    assert manifest["counts"] == {"env_steps": 120, "ddpg_updates": 120 - 16 + 1}
+    assert set(manifest["wall_s"]) == {"train", "export"}
+    assert all(sec > 0.0 for sec in manifest["wall_s"].values())
+
+
 def test_train_laa_assert_improving_contract(fast_toy_config, tmp_path):
     train_cfg = write_json(tmp_path / "train.json",
                            {"episodes": 12, "steps_per_episode": 30})

@@ -177,9 +177,10 @@ def test_falsify_blowup_reports_inf_without_success():
     assert not res.success
     assert res.best_rho == np.inf
     assert res.evaluations == 31
-    # screen + the one truncated build run + 30 objective() scores; each
-    # restart's best is one of those scores, so it is not simulated again
-    assert res.simulations == 32
+    # screen + the 11 build runs, stacked in one loop, all truncated + 30
+    # objective() scores; each restart's best is one of those scores, so it
+    # is not simulated again
+    assert res.simulations == 42
 
 
 @pytest.mark.parametrize("mask", [(0, 1), (1, 0), (1, 1)])
@@ -355,13 +356,14 @@ def test_synthesize_validates_and_is_repeatable():
     assert rep.success
 
 
-def simulate_after_search(monkeypatch, replacement):
-    """From the end of the search on, falsify's simulate() is replacement(real)."""
-    real_search, real_simulate = gridstorm.falsify.falsify_sa, gridstorm.falsify.simulate
+def simulate_after_search(monkeypatch, replacement, name="simulate"):
+    """From the end of the search on, falsify's `name` (simulate() by
+    default) is replacement(real)."""
+    real_search, real_simulate = gridstorm.falsify.falsify_sa, getattr(gridstorm.falsify, name)
 
     def search(*args, **kwargs):
         result = real_search(*args, **kwargs)
-        monkeypatch.setattr(gridstorm.falsify, "simulate", replacement(real_simulate))
+        monkeypatch.setattr(gridstorm.falsify, name, replacement(real_simulate))
         return result
 
     monkeypatch.setattr(gridstorm.falsify, "falsify_sa", search)
@@ -409,7 +411,7 @@ def test_falsify_cli_exits_4_when_validation_rho_differs(monkeypatch, tmp_path):
 
 
 def test_validation_simulates_winner_once_without_noise(monkeypatch):
-    noise_flags = []
+    noise_flags = []   # one per run, in order
 
     def spy(real_simulate):
         def run(*args, **kwargs):
@@ -417,7 +419,14 @@ def test_validation_simulates_winner_once_without_noise(monkeypatch):
             return real_simulate(*args, **kwargs)
         return run
 
+    def spy_many(real_simulate_many):
+        def run(grid, attacks, *args, **kwargs):
+            noise_flags.extend([kwargs.get("noise", False)] * len(attacks))
+            return real_simulate_many(grid, attacks, *args, **kwargs)
+        return run
+
     simulate_after_search(monkeypatch, spy)
+    simulate_after_search(monkeypatch, spy_many, "simulate_many")
     grid, laa = validating_problem()
     out = synthesize_and_validate(grid, laa, RngStream(12, 0), FalsifyConfig(
         budget=200, restarts=2, noise_check_seeds=3))

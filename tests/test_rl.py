@@ -533,6 +533,16 @@ def test_weights_reject_trailing_or_missing_bytes(tmp_path, cut, extra):
         load_weights(path)
 
 
+@pytest.mark.parametrize("keep", [4, 6, 8, 10, 12, 18, 27])
+def test_weights_reject_cut_header(tmp_path, keep):
+    # the header is GSRL, the version, the size count and 4 sizes: 28 bytes
+    path = tmp_path / "w.gsrl"
+    save_weights(path, MLP([3, 4, 4, 1], rng=RngStream(23, 0)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="header is truncated"):
+        load_weights(path)
+
+
 def test_weights_reject_garbage(tmp_path):
     path = tmp_path / "bad.gsrl"
     path.write_bytes(b"NOPE" + b"\x00" * 40)

@@ -10,7 +10,7 @@ from gridstorm.numerics import RngStream
 from gridstorm.sim import (CSV_CHUNK_STEPS, CSV_COLUMNS, AttackVector,
                            BreakerSchedule, FalseDataSchedule, SimTrace,
                            check_success, detect, robustness, simulate,
-                           trace_csv_text)
+                           simulate_many, trace_csv_text)
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -314,6 +314,86 @@ def test_post_attack_padding_reverts_to_nominal():
     tr = simulate(grid, attack, horizon=50)
     assert np.all(tr.u_actual[0, :10] == -0.4)
     assert np.all(tr.u_actual[0, 10:] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked runs: simulate_many against one simulate call per run
+
+RECORDS = ("x", "xhat", "y", "y_meas", "residue", "u_believed", "u_actual")
+
+
+def assert_same_records(got, want, label):
+    assert got.n_steps == want.n_steps and got.truncated == want.truncated, label
+    for name in RECORDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (label, name)
+
+
+def random_attack(grid, d, rng):
+    vals = np.zeros((grid.n_generators, d, 2))
+    vals[:, :, 1] = rng.uniform(-0.05, 0.05, size=(grid.n_generators, d))
+    return AttackVector(BreakerSchedule(rng.integers(0, 2, size=(d, grid.n_breakers))),
+                        FalseDataSchedule(vals, np.array([0, 1])))
+
+
+@pytest.mark.parametrize("case", ["plain", "noisy", "feedback_gain", "lqr", "init",
+                                  "schedule"])
+def test_simulate_many_bitwise_equals_separate_runs(case):
+    doc = load_config_doc("default_grid.json")
+    if case == "schedule":   # five columns, the last one held
+        doc["scheduled_load"] = [[0.01, -0.02, 0.015, 0.005, -0.01],
+                                 [0.0, 0.01, 0.02, -0.01, 0.03],
+                                 [-0.015, 0.0, 0.005, 0.01, 0.02]]
+    gains = {"feedback_gain": {"k": [[0.0, 0.0, 0.0, 0.1]]},
+             "lqr": {"lqr": {"q": 1, "r": 1}}}.get(case)
+    if gains:
+        for gen in doc["generators"]:
+            gen["gains"] = gains
+    grid = load_grid_config(doc)
+    init = None
+    if case == "init":
+        init = np.random.default_rng(2).uniform(-0.02, 0.02, size=(grid.n_generators, 4))
+    rng = np.random.default_rng(7)
+    attacks = [None] + [random_attack(grid, d, rng) for d in (40, 7, 25)]
+    noise = case == "noisy"
+
+    def rngs():   # a fresh split stream per run
+        return [RngStream(31, 2).split(j) for j in range(len(attacks))] if noise else None
+
+    stacked = simulate_many(grid, attacks, horizon=60, init=init, noise=noise, rngs=rngs())
+    assert len(stacked) == len(attacks)
+    # the unattacked run has residue exactly 0 unless there is noise
+    assert np.any(stacked[0].residue != 0.0) == noise
+    for j, (attack, tr) in enumerate(zip(attacks, stacked)):
+        alone = simulate(grid, attack, horizon=60, init=init, noise=noise,
+                         rng=rngs()[j] if noise else None)
+        assert not tr.truncated and tr.n_steps == 61
+        assert_same_records(tr, alone, j)
+
+
+def test_simulate_many_truncates_only_the_blown_up_run():
+    grid = make_plain_grid(n=2, thresholds=[0.1, 0.1], m=2, mcol=0.3)
+    rng = np.random.default_rng(8)
+
+    def blown(gen, step):
+        attack = random_attack(grid, 10, rng)
+        vals = attack.false_data.values.copy()
+        vals[gen, step, 1] = np.inf
+        return AttackVector(attack.breakers, FalseDataSchedule(vals, np.array([0, 1])))
+
+    attacks = [random_attack(grid, 10, rng), blown(1, 4), None, blown(0, 0),
+               random_attack(grid, 30, rng)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = simulate_many(grid, attacks, horizon=50)
+        alone = [simulate(grid, attack, horizon=50) for attack in attacks]
+    assert [tr.truncated for tr in stacked] == [False, True, False, True, False]
+    # record 4 carries generator 1's infinite residue, so both generators
+    # keep records 0..3; record 0 is never checked, so an infinite residue
+    # there cuts the run at record 1, where the state takes it up
+    assert [tr.n_steps for tr in stacked] == [51, 4, 51, 1, 51]
+    assert np.all(np.isfinite(stacked[1].residue))
+    for j, (tr, want) in enumerate(zip(stacked, alone)):
+        assert_same_records(tr, want, j)
 
 
 # ---------------------------------------------------------------------------
