@@ -41,7 +41,7 @@ EXIT_INTERNAL = 4
 
 
 class _Manifest:
-    def __init__(self, out_dir, config_path, seed):
+    def __init__(self, out_dir, config_path, seed, load_grid_s):
         self.out_dir = out_dir
         self.data = {
             "version": __version__,
@@ -51,6 +51,7 @@ class _Manifest:
             "started": _utc_now(),
             "finished": None,
             "outputs": [],
+            "wall_s": {"load_grid": load_grid_s},
         }
 
     def stage_seed(self, name, stream_id):
@@ -62,7 +63,7 @@ class _Manifest:
         """Add the wall seconds of the with-block to wall_s[stage]."""
         t0 = time.perf_counter()
         yield
-        wall_s = self.data.setdefault("wall_s", {})
+        wall_s = self.data["wall_s"]
         wall_s[stage] = wall_s.get(stage, 0.0) + time.perf_counter() - t0
 
     def add(self, path):
@@ -79,6 +80,14 @@ class _Manifest:
         os.close(fd)
         write_json(tmp, self.data)
         os.replace(tmp, path)
+
+
+def _load_grid(path):
+    """The grid of the config file at path, and the wall seconds its load
+    took: reading, estimator design and threshold calibration."""
+    t0 = time.perf_counter()
+    grid = load_grid_config_file(path)
+    return grid, time.perf_counter() - t0
 
 
 def _utc_now():
@@ -130,12 +139,12 @@ def _plot_power(trace, envelope, path):
 
 
 def cmd_simulate(args):
-    grid = load_grid_config_file(args.config)
+    grid, load_s = _load_grid(args.config)
     if args.horizon < 1:
         raise ConfigError("--horizon", "must be >= 1")
     attack = load_attack_file(args.attack) if args.attack else None
     out_dir = _ensure_out(args.out)
-    manifest = _Manifest(out_dir, args.config, args.seed)
+    manifest = _Manifest(out_dir, args.config, args.seed, load_s)
     manifest.stage_seed("simulate", 1)
     rng = RngStream(args.seed, 1)
 
@@ -190,11 +199,11 @@ def _load_train_config(path):
 
 
 def cmd_train_laa(args):
-    grid = load_grid_config_file(args.config)
+    grid, load_s = _load_grid(args.config)
     episode, weights, variant, train_cfg = _load_train_config(args.train_config)
     env = GridEnv(grid, episode, weights=weights, reward_variant=variant)
     out_dir = _ensure_out(args.out)
-    manifest = _Manifest(out_dir, args.config, args.seed)
+    manifest = _Manifest(out_dir, args.config, args.seed, load_s)
     manifest.stage_seed("train", 2)
 
     with manifest.timed("train"):
@@ -239,18 +248,18 @@ def _load_falsify_config(path):
 
 
 def cmd_falsify(args):
-    grid = load_grid_config_file(args.config)
+    grid, load_s = _load_grid(args.config)
     laa = load_schedule_file(args.laa)
     config = _load_falsify_config(args.falsify_config)
     out_dir = _ensure_out(args.out)
-    manifest = _Manifest(out_dir, args.config, args.seed)
+    manifest = _Manifest(out_dir, args.config, args.seed, load_s)
     manifest.stage_seed("falsify", 3)
 
     outcome = synthesize_and_validate(grid, laa, RngStream(args.seed, 3), config)
     result = outcome.result
     manifest.data["counts"] = {"evaluations": result.evaluations,
                                "simulations": result.simulations}
-    manifest.data["wall_s"] = outcome.wall_s
+    manifest.data["wall_s"].update(outcome.wall_s)
 
     report_path = manifest.add(os.path.join(out_dir, "falsify_report.txt"))
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -335,10 +344,10 @@ def cmd_compare(args):
     if not modes:
         raise ConfigError("--laa-only/--fdia-only/--combined",
                           "select at least one mode")
-    grid = load_grid_config_file(args.config)
+    grid, load_s = _load_grid(args.config)
     attack = load_attack_file(args.attack)
     out_dir = _ensure_out(args.out)
-    manifest = _Manifest(out_dir, args.config, args.seed)
+    manifest = _Manifest(out_dir, args.config, args.seed, load_s)
 
     mode_attacks = [_mode_attack(mode, attack, grid.n_generators, grid.load_map.b_nom)
                     for mode in modes]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, mat_exp, solve_dare
+from .numerics import RiccatiDivergence, RngStream, mat_exp, solve_dare
 
 N_STATES = 4
 N_OUTPUTS = 2
@@ -365,20 +365,34 @@ def spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
+class DesignFailure(ValueError):
+    """A gain design failed on problem `problem`, its index in the stack."""
+
+    def __init__(self, problem, message):
+        super().__init__(message)
+        self.problem = problem
+
+
 def design_kalman_gain(a, c, q_n, r_n):
     """Steady-state estimator gain L = A P C' (C P C' + R)^-1.
 
     P solves the filter Riccati equation (dual of the control form).  The
-    returned gain always satisfies rho(A - L C) < 1.
+    arguments may be stacks (k, ...) of k loops, designed in one stacked
+    Riccati solve, each bitwise as if alone.  The returned gain always
+    satisfies rho(A - L C) < 1; otherwise DesignFailure names the loop.
     """
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    p = solve_dare(a.T, c.T, np.asarray(q_n, dtype=float), np.asarray(r_n, dtype=float))
-    s = c @ p @ c.T + r_n
-    l = a @ p @ c.T @ np.linalg.inv(s)
-    rad = spectral_radius(a - l @ c)
-    if not rad < 1.0:
-        raise ValueError(f"designed estimator is not contracting: rho = {rad}")
+    a, c, q_n, r_n = (np.asarray(m, dtype=float) for m in (a, c, q_n, r_n))
+    ct = np.swapaxes(c, -1, -2)
+    try:
+        p = solve_dare(np.swapaxes(a, -1, -2), ct, q_n, r_n)
+    except RiccatiDivergence as exc:
+        raise DesignFailure(exc.problem, str(exc)) from None
+    s = c @ p @ ct + r_n
+    l = a @ p @ ct @ np.linalg.inv(s)
+    rad = np.max(np.abs(np.linalg.eigvals(a - l @ c)), axis=-1)
+    for i, rho in enumerate(np.atleast_1d(rad)):
+        if not rho < 1.0:
+            raise DesignFailure(i, f"designed estimator is not contracting: rho = {rho}")
     return l
 
 
@@ -436,6 +450,8 @@ def _covariance(value, path, dim):
 
 
 def _load_generator(doc, path, ts):
+    """One generator's params and loop fields, its estimator gain None when
+    it is left to design_kalman_gain."""
     require_keys(doc, path, ["params"], ["gains", "noise"])
     params = config_object(AgcParams, doc["params"], f"{path}.params")
 
@@ -462,20 +478,37 @@ def _load_generator(doc, path, ts):
     else:
         k_gain = _matrix(gains.get("k", np.zeros((1, N_STATES))),
                          f"{path}.gains.k", (1, N_STATES))
+    l_gain = None
     if "l" in gains:
         l_gain = _matrix(gains["l"], f"{path}.gains.l", (N_STATES, N_OUTPUTS))
-    else:
-        try:
-            l_gain = design_kalman_gain(a, css.c_c, q_n, r_n)
-        except Exception as exc:
-            raise ConfigError(f"{path}.gains.l", f"estimator design failed: {exc}") from None
+    return params, dict(a=a, b=b, c=css.c_c.copy(), k_gain=k_gain, l_gain=l_gain,
+                        ts=ts, q_noise=q_n, r_noise=r_n)
 
-    try:
-        loop = DiscreteLoop(a=a, b=b, c=css.c_c.copy(), k_gain=k_gain,
-                            l_gain=l_gain, ts=ts, q_noise=q_n, r_noise=r_n)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-    return params, loop
+
+def _load_generators(gens_doc, ts):
+    """Every generator's (params, DiscreteLoop).  The estimator gains left
+    out of the config are designed in one stacked call, after every
+    generator has been read."""
+    paths = [f"$.generators[{i}]" for i in range(len(gens_doc))]
+    read = [_load_generator(g, path, ts) for g, path in zip(gens_doc, paths)]
+    design = [i for i, (_, f) in enumerate(read) if f["l_gain"] is None]
+    if design:
+        stack = [np.stack([read[i][1][key] for i in design])
+                 for key in ("a", "c", "q_noise", "r_noise")]
+        try:
+            gains = design_kalman_gain(*stack)
+        except DesignFailure as exc:
+            raise ConfigError(f"{paths[design[exc.problem]]}.gains.l",
+                              f"estimator design failed: {exc}") from None
+        for i, l_gain in zip(design, gains):
+            read[i][1]["l_gain"] = l_gain
+    generators = []
+    for path, (params, fields) in zip(paths, read):
+        try:
+            generators.append((params, DiscreteLoop(**fields)))
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
+    return generators
 
 
 def load_grid_config(document) -> GridModel:
@@ -501,9 +534,7 @@ def load_grid_config(document) -> GridModel:
     gens_doc = document["generators"]
     if not isinstance(gens_doc, list) or not gens_doc:
         raise ConfigError("$.generators", "must be a non-empty array")
-    generators = [
-        _load_generator(g, f"$.generators[{i}]", ts) for i, g in enumerate(gens_doc)
-    ]
+    generators = _load_generators(gens_doc, ts)
     n = len(generators)
 
     lm_doc = document["load_map"]

@@ -15,13 +15,20 @@ _INV_FACT = np.array([1.0 / math.factorial(k) for k in range(14)])
 
 
 class RiccatiDivergence(RuntimeError):
-    """Fixed-point Riccati iteration failed to converge within the cap."""
+    """Fixed-point Riccati iteration blew up or failed to converge within the
+    cap; problem is the index of the failing problem in its stack."""
+
+    def __init__(self, message, problem=0):
+        super().__init__(message)
+        self.problem = problem
 
 
-def _check_square(m, name):
+def _check_square(m, name, ndim=2):
+    """m as floats: a finite square matrix, or with ndim=3 a stack of them."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if m.ndim != ndim or m.shape[-2] != m.shape[-1]:
+        kind = "square" if ndim == 2 else "a stack of square matrices"
+        raise ValueError(f"{name} must be {kind}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
@@ -56,12 +63,14 @@ def dare_map(p, a, g, q, r):
     """One application of the discrete algebraic Riccati map.
 
     f(P) = A'PA - A'PG (R + G'PG)^-1 G'PA + Q.  Feeding (A^T, C^T) yields the
-    dual (filter) form used for steady-state Kalman covariances.
+    dual (filter) form used for steady-state Kalman covariances.  Stacks
+    (k, ...) of problems are mapped one by one.
     """
-    apa = a.T @ p @ a
+    at = np.swapaxes(a, -1, -2)
     pg = p @ g
-    gain = np.linalg.solve(r + g.T @ pg, (a.T @ pg).T)
-    return apa - (a.T @ pg) @ gain + q
+    apg = at @ pg
+    gain = np.linalg.solve(r + np.swapaxes(g, -1, -2) @ pg, np.swapaxes(apg, -1, -2))
+    return at @ p @ a - apg @ gain + q
 
 
 def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
@@ -72,31 +81,61 @@ def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
     step size equals the residual, so the stopping rule bounds the residual
     directly.
 
-    Raises RiccatiDivergence when the cap is hit or iterates blow up, which
-    signals a non-stabilizable / non-detectable configuration.
+    a (n, n), g (n, m), q (n, n) and r (m, m) may also be stacks (k, ...) of
+    k problems, solved together: each problem stops at its own iteration and
+    drops out of the later ones, so each P is bitwise what a lone call
+    returns.
+
+    Raises RiccatiDivergence, naming the lowest-index failing problem, when
+    its iterates blow up or the cap is hit, which signals a
+    non-stabilizable / non-detectable configuration.
     """
-    a = _check_square(a, "A")
-    q = _check_square(q, "Q")
+    lone = np.ndim(a) == 2
+    a = _check_square(a, "A", 2 if lone else 3)
+    q = _check_square(q, "Q", a.ndim)
     g = np.asarray(g, dtype=float)
     r = np.asarray(r, dtype=float)
-    if g.ndim != 2 or g.shape[0] != a.shape[0]:
-        raise ValueError(f"G must be {a.shape[0]}xk, got shape {g.shape}")
-    if r.shape != (g.shape[1], g.shape[1]):
-        raise ValueError(f"R must be {g.shape[1]}x{g.shape[1]}, got shape {r.shape}")
+    n = a.shape[-1]
+    if g.shape[:-1] != a.shape[:-1] or q.shape != a.shape:
+        raise ValueError(f"G must be {n}xm and Q {n}x{n}, got shapes {g.shape}, {q.shape}")
+    m = g.shape[-1]
+    if r.shape != a.shape[:-2] + (m, m):
+        raise ValueError(f"R must be {m}x{m}, got shape {r.shape}")
+    if lone:
+        a, g, q, r = a[None], g[None], q[None], r[None]
+    k = a.shape[0]
 
+    # Only the problems still iterating are mapped; the subset keeps each
+    # problem's matrix layout, so each gets the bits of a lone call.
     p = q.copy()
-    for _ in range(max_iter):
-        nxt = dare_map(p, a, g, q, r)
-        nxt = 0.5 * (nxt + nxt.T)
-        if not np.all(np.isfinite(nxt)):
-            raise RiccatiDivergence("Riccati iteration produced non-finite values")
-        step = np.max(np.abs(nxt - p))
-        p = nxt
-        if step <= tol:
-            return p
-    raise RiccatiDivergence(
-        f"Riccati iteration did not reach tol={tol} within {max_iter} iterations"
-    )
+    todo = np.arange(k)
+    blown = np.zeros(k, dtype=bool)
+    p_todo, stack = p, (a, g, q, r)
+    # The finiteness test reports a blow-up, so its overflow warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            nxt = dare_map(p_todo, *stack)
+            nxt = 0.5 * (nxt + np.swapaxes(nxt, -1, -2))
+            rows = nxt.reshape(todo.size, -1)
+            finite = np.isfinite(rows).all(axis=1)
+            going = finite & (np.abs(rows - p_todo.reshape(todo.size, -1)).max(axis=1) > tol)
+            if going.all():
+                p_todo = nxt
+                continue
+            p[todo[finite]] = nxt[finite]
+            blown[todo[~finite]] = True
+            todo, p_todo = todo[going], nxt[going]
+            if not todo.size:
+                break
+            stack = tuple(arr[todo] for arr in (a, g, q, r))
+    failed = np.flatnonzero(blown | np.isin(np.arange(k), todo))
+    if failed.size:
+        i = int(failed[0])
+        if blown[i]:
+            raise RiccatiDivergence("Riccati iteration produced non-finite values", i)
+        raise RiccatiDivergence(
+            f"Riccati iteration did not reach tol={tol} within {max_iter} iterations", i)
+    return p[0] if lone else p
 
 
 class RngStream:

@@ -45,7 +45,7 @@ def test_simulate_writes_artifacts_and_manifest(fast_toy_config, tmp_path):
     assert set(manifest["outputs"]) == names - {"manifest.json"}
     # manifest vs filesystem diff: everything listed exists, nothing unlisted
     assert set(os.listdir(out)) == set(manifest["outputs"]) | {"manifest.json"}
-    assert set(manifest["wall_s"]) == {"simulate", "csv", "svg"}
+    assert set(manifest["wall_s"]) == {"load_grid", "simulate", "csv", "svg"}
     assert all(sec > 0.0 for sec in manifest["wall_s"].values())
     # nominal run stays inside the band
     rows = read(out / "trace.csv").decode().strip().split("\n")[1:]
@@ -85,6 +85,19 @@ def test_simulate_malformed_grid_config_exit_2(tmp_path, capsys, section, key, v
     assert not out.exists()
 
 
+def test_estimator_design_failure_exit_2(tmp_path, capsys):
+    doc = load_config_doc("default_grid.json")
+    doc["generators"][1]["noise"]["process"] = 1e308
+    out = tmp_path / "x"
+    rc = main(["simulate", "--config", write_json(tmp_path / "grid.json", doc),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("config error: $.generators[1].gains.l: estimator design failed: "
+            "Riccati iteration produced non-finite values") in err
+    assert not out.exists()
+
+
 def test_simulate_byte_identical_reruns(fast_toy_config, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -121,7 +134,7 @@ def test_train_laa_manifest_records_counts_and_stage_times(fast_toy_config, tmp_
     manifest = json.loads(read(out / "manifest.json"))
     # one update per step once the replay buffer holds a batch
     assert manifest["counts"] == {"env_steps": 120, "ddpg_updates": 120 - 16 + 1}
-    assert set(manifest["wall_s"]) == {"train", "export"}
+    assert set(manifest["wall_s"]) == {"load_grid", "train", "export"}
     assert all(sec > 0.0 for sec in manifest["wall_s"].values())
 
 
@@ -351,7 +364,8 @@ def test_falsify_no_counterexample_exit_code(fast_toy_config, tmp_path):
     # simulations are the screen and 2 objective() scores, whose values the
     # restarts report without simulating again.
     assert manifest["counts"] == {"evaluations": 3, "simulations": 3}
-    assert set(manifest["wall_s"]) == {"search", "validation"}
+    assert set(manifest["wall_s"]) == {"load_grid", "search", "validation"}
+    assert manifest["wall_s"]["load_grid"] > 0.0
     assert manifest["wall_s"]["search"] > 0.0
     assert manifest["wall_s"]["validation"] == 0.0
 
@@ -416,7 +430,7 @@ def test_compare_three_modes_three_curves(fast_toy_config, tmp_path):
     report = json.loads(read(out / "compare_report.json"))
     assert set(report["modes"]) == {"laa-only", "fdia-only", "combined"}
     manifest = json.loads(read(out / "manifest.json"))
-    assert set(manifest["wall_s"]) == {"simulate", "svg"}
+    assert set(manifest["wall_s"]) == {"load_grid", "simulate", "svg"}
     assert all(sec > 0.0 for sec in manifest["wall_s"].values())
 
 

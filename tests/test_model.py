@@ -167,6 +167,52 @@ def test_kalman_gain_matches_covariance_recursion_oracle():
     assert np.max(np.abs(l - l_oracle)) <= 1e-8
 
 
+def test_stacked_kalman_design_equals_lone_designs():
+    # loops of different inertia and noise, whose Riccati solves stop at
+    # different iterations
+    loops = []
+    for inertia, scale in ((2.0, 1e-8), (5.0, 1e-4), (9.0, 1.0)):
+        css = build_continuous(params(inertia=inertia))
+        a, _ = discretize_zoh(css, 0.01)
+        loops.append((a, css.c_c, scale * np.eye(4), np.diag([0.06, 1e-8])))
+    stacked = design_kalman_gain(*(np.stack(m) for m in zip(*loops)))
+    for i, loop in enumerate(loops):
+        assert stacked[i].tobytes() == design_kalman_gain(*loop).tobytes(), i
+
+
+def test_config_designs_missing_estimator_gains_in_one_solve(default_grid, monkeypatch):
+    import gridstorm.model as model
+    calls = []
+    solve = model.solve_dare
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(model, "solve_dare", counting)
+    doc = load_config_doc("default_grid.json")
+    doc["thresholds"] = default_grid.thresholds.tolist()
+    supplied = default_grid.generators[1][1].l_gain * 0.5
+    doc["generators"][1]["gains"] = {"l": supplied.tolist()}
+    grid = load_grid_config(doc)
+    assert calls == [(2, 4, 4)]
+    for i, (_, loop) in enumerate(grid.generators):
+        want = supplied if i == 1 else default_grid.generators[i][1].l_gain
+        assert loop.l_gain.tobytes() == want.tobytes(), i
+
+
+def test_config_reads_every_generator_before_designing_estimators():
+    # generator 0's estimator design would fail, but generator 2's schema
+    # error is found first: every generator is read before the stacked design
+    doc = load_config_doc("default_grid.json")
+    doc["generators"][0]["noise"]["process"] = 1e308
+    doc["generators"][2]["params"]["inertia"] = "x"
+    with pytest.raises(ConfigError, match=r"generators\[2\]\.params\.inertia"):
+        load_grid_config(doc)
+    doc["generators"][2]["params"]["inertia"] = 5.0
+    with pytest.raises(ConfigError, match=r"generators\[0\]\.gains\.l: estimator design"):
+        load_grid_config(doc)
+
+
 def test_designed_estimators_are_contracting(default_grid):
     for _, loop in default_grid.generators:
         assert spectral_radius(loop.a - loop.l_gain @ loop.c) < 1.0

@@ -105,6 +105,78 @@ def test_dare_dimension_mismatch():
         solve_dare(np.eye(2), np.ones((3, 1)), np.eye(2), np.eye(1))
 
 
+# ---------------------------------------------------------------------------
+# stacked Riccati solves against the lone fixed-point iteration
+
+
+def lone_dare_map(p, a, g, q, r):
+    apa = a.T @ p @ a
+    pg = p @ g
+    gain = np.linalg.solve(r + g.T @ pg, (a.T @ pg).T)
+    return apa - (a.T @ pg) @ gain + q
+
+
+def lone_solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
+    """Bitwise oracle: the one-problem iteration that stacked solves replace."""
+    p = q.copy()
+    for it in range(1, max_iter + 1):
+        nxt = lone_dare_map(p, a, g, q, r)
+        nxt = 0.5 * (nxt + nxt.T)
+        assert np.all(np.isfinite(nxt))
+        step = np.max(np.abs(nxt - p))
+        p = nxt
+        if step <= tol:
+            return p, it
+    raise AssertionError("oracle did not converge")
+
+
+def filter_problems(k, seed):
+    """k filter-form problems (A', C', Q, R) whose estimators contract at
+    different rates, so the iterations stop at different counts."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, 4, 4))
+    a *= (np.linspace(0.3, 0.97, k) / np.abs(np.linalg.eigvals(a)).max(axis=1))[:, None, None]
+    c = rng.normal(size=(k, 2, 4))
+    mq = rng.normal(size=(k, 4, 4))
+    q = mq @ mq.swapaxes(1, 2) * np.logspace(-6, 0, k)[:, None, None]
+    r = np.eye(2) * np.logspace(0, -4, k)[:, None, None]
+    return a.swapaxes(1, 2), c.swapaxes(1, 2), q, r
+
+
+def test_stacked_dare_bitwise_equals_lone_solves():
+    a, g, q, r = filter_problems(5, seed=8)
+    got = solve_dare(a, g, q, r)
+    assert got.shape == (5, 4, 4)
+    iterations = set()
+    for i in range(5):
+        want, it = lone_solve_dare(a[i], g[i], q[i], r[i])
+        iterations.add(it)
+        assert got[i].tobytes() == want.tobytes(), i
+        assert solve_dare(a[i], g[i], q[i], r[i]).tobytes() == want.tobytes(), i
+    assert len(iterations) == 5
+
+
+def test_stacked_dare_names_the_failing_problem():
+    a, g, q, r = filter_problems(4, seed=8)
+    counts = [lone_solve_dare(a[i], g[i], q[i], r[i])[1] for i in range(4)]
+    # a cap between the counts fails every problem that needs more
+    cap = sorted(counts)[1]
+    with pytest.raises(RiccatiDivergence, match="did not reach") as err:
+        solve_dare(a, g, q, r, max_iter=cap)
+    assert err.value.problem == min(i for i in range(4) if counts[i] > cap)
+    # a blow-up is reported for its own problem, without a floating-point
+    # warning, and does not mask a lower-index failure that comes later
+    q_blown = q.copy()
+    q_blown[3] = 1e308 * np.eye(4)
+    with pytest.raises(RiccatiDivergence, match="non-finite") as err:
+        solve_dare(a, g, q_blown, r)
+    assert err.value.problem == 3
+    assert counts[2] > cap
+    with pytest.raises(RiccatiDivergence, match="did not reach") as err:
+        solve_dare(a, g, q_blown, r, max_iter=cap)
+    assert err.value.problem == 2
+
+
 def test_rng_determinism_and_separation():
     a = RngStream(42, 1).uniform(size=1000)
     b = RngStream(42, 1).uniform(size=1000)

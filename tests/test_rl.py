@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gridstorm.rl
 from gridstorm.model import SafetyEnvelope, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.rl import (MLP, Adam, EpisodeConfig, GridEnv, ReplayBuffer,
@@ -267,6 +268,30 @@ def test_buffer_capacity_and_wraparound():
         buf.add(np.full(3, i), np.zeros(2), float(i), np.zeros(3), False)
     assert len(buf) == 8
     assert set(buf.rew.tolist()) == set(range(12, 20))
+
+
+def test_training_buffer_smaller_than_the_run_wraps(monkeypatch):
+    buffers = []
+
+    class Recorded(ReplayBuffer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.added = []
+            buffers.append(self)
+
+        def add(self, obs, act, rew, nxt, done):
+            super().add(obs, act, rew, nxt, done)
+            self.added.append(rew)
+    monkeypatch.setattr(gridstorm.rl, "ReplayBuffer", Recorded)
+    # 3 episodes of 20 steps store 60 transitions in a 16-row ring
+    cfg = TrainConfig(hidden=(8, 8), batch_size=8, buffer_capacity=16)
+    ddpg_train(toy_env(episodes=3, steps=20), cfg, RngStream(1, 0))
+    (buf,) = buffers
+    assert (buf.capacity, len(buf), len(buf.added)) == (16, 16, 60)
+    ring = np.zeros(16)
+    for i, rew in enumerate(buf.added):
+        ring[i % 16] = rew
+    assert np.array_equal(buf.rew, ring)
 
 
 def test_buffer_sample_unique_in_batch():
