@@ -258,7 +258,8 @@ def cmd_falsify(args):
     outcome = synthesize_and_validate(grid, laa, RngStream(args.seed, 3), config)
     result = outcome.result
     manifest.data["counts"] = {"evaluations": result.evaluations,
-                               "simulations": result.simulations}
+                               "simulations": result.simulations,
+                               "scores": result.scores, "rounds": result.rounds}
     manifest.data["wall_s"].update(outcome.wall_s)
 
     report_path = manifest.add(os.path.join(out_dir, "falsify_report.txt"))

@@ -9,15 +9,19 @@ parameterization, with independent restarts.
 With the breaker schedule fixed and noise off, the trace signals that
 robustness reads are affine in the knots.  So the search scores candidates
 with an AffineModel built from 1 + q_att * P runs in one loop, not with
-one simulation each.  The zero screen and every reported rho come from
-simulation: each restart's best model-scored candidate is re-scored with
-objective().  The winner is then simulated once more, and that one trace
-must give the same rho and satisfy the success predicate.
+one simulation each.  Each restart draws from its own stream, so the
+restarts anneal in lockstep: one round scores the next proposal of every
+active restart in one stacked call.  The zero screen and every reported
+rho come from simulation: the restarts' best model-scored candidates are
+re-simulated in one stacked run.  The winner is then simulated once more,
+and that one trace must give the same rho and satisfy the success
+predicate.
 """
 
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Literal, Optional
 
 import numpy as np
@@ -178,20 +182,27 @@ class AffineModel:
     base: np.ndarray        # n x steps x 3, from _signals at all-zero knots
     responses: np.ndarray   # n x (q_att * P) x (steps * 3), one row per knot
 
-    def signals(self, candidate: Candidate) -> np.ndarray:
-        """The candidate's _signals, from the model."""
+    def signals(self, knots: np.ndarray) -> np.ndarray:
+        """_signals of each candidate in an R x n x q_att x P stack of knots,
+        from the model: R x n x steps x 3."""
         n, k, _ = self.responses.shape
-        delta = np.einsum("nk,nkm->nm", candidate.knots.reshape(n, k), self.responses)
-        return self.base + delta.reshape(self.base.shape)
+        delta = np.einsum("rnk,nkm->rnm", knots.reshape(len(knots), n, k), self.responses)
+        return self.base + delta.reshape(len(knots), *self.base.shape)
 
-    def score(self, candidate: Candidate) -> float:
-        """objective() of the candidate from the model; +inf when non-finite."""
-        sig = self.signals(candidate)
-        if not np.all(np.isfinite(sig)):
-            return float("inf")
-        p = self.problem
-        return robustness_terms(sig[:, :, 0], np.max(np.abs(sig[:, :, 1:]), axis=2),
-                                p.grid.envelope, p.grid.thresholds, p.config.stealth_mode)
+    def score_many(self, knots: np.ndarray) -> np.ndarray:
+        """objective() of each candidate in a stack of knots, from the model;
+        +inf where its signals are non-finite."""
+        sig = self.signals(knots)
+        finite = np.all(np.isfinite(sig), axis=(1, 2, 3))
+        rho = np.full(len(sig), np.inf)
+        if finite.any():
+            sig = sig if finite.all() else sig[finite]
+            # the residue inf-norm of the two outputs, as SimTrace.r_inf
+            r_inf = np.maximum(np.abs(sig[..., 1]), np.abs(sig[..., 2]))
+            p = self.problem
+            rho[finite] = robustness_terms(sig[..., 0], r_inf, p.grid.envelope,
+                                           p.grid.thresholds, p.config.stealth_mode)
+        return rho
 
 
 def affine_model(problem: FalsificationProblem):
@@ -250,54 +261,122 @@ class FalsifyResult:
     success: bool
     history: list = field(default_factory=list)
     simulations: int = 0     # every closed-loop run of the search, stacked or not
+    scores: int = 0          # annealing candidates scored, speculative ones included
+    rounds: int = 0          # stacked scoring rounds of the lockstep restarts
 
     def __post_init__(self):
         assert self.success == (self.best_rho < 0.0)
 
 
-def _anneal_restart(problem, budget, rng, score):
-    """One simulated-annealing restart; returns (best_rho, best_candidate, evals)."""
-    lo, hi = problem.config.range
-    width = hi - lo
-    evals = 0
+def _simulated_rhos(problem: FalsificationProblem, knots: np.ndarray) -> np.ndarray:
+    """objective() of each candidate in a stack of knots, all in one step loop."""
+    attacks = [_attack(problem, Candidate(knots=k, mask=problem.mask)) for k in knots]
+    traces = simulate_many(problem.grid, attacks, horizon=problem.d, init=problem.init)
+    return np.array([_rho(problem, trace) for trace in traces])
 
-    current = sample_candidate(problem, rng)
-    rho_cur = score(current)
-    evals += 1
-    best, rho_best = current, rho_cur
-    if rho_best < 0.0 or width <= 0.0:
-        return rho_best, best, evals
 
-    temp = max(abs(rho_cur), 1e-12)
-    sigma = SIGMA_INIT
-    consecutive_rejects = 0
+class _Chain:
+    """One simulated-annealing restart, advanced one scored proposal at a time.
 
-    while evals < budget:
-        step = rng.normal(scale=sigma * width, size=current.knots.shape)
-        proposal = Candidate(
-            knots=np.clip(current.knots + step, lo, hi),
-            mask=current.mask)
-        rho_new = score(proposal)
-        evals += 1
-        if rho_new < rho_best:
-            best, rho_best = proposal, rho_new
-            if rho_best < 0.0:
-                break
-        delta = rho_new - rho_cur
+    The chain draws its proposals and acceptances from its own stream, so how
+    its rounds interleave with other chains' does not change any draw.
+    """
+
+    def __init__(self, rng, budget, knots, rho, width):
+        self.rng, self.budget, self.width = rng, budget, width
+        self.current, self.rho_cur = knots, rho
+        self.best, self.rho_best = knots, rho
+        self.evals = 1
+        self.temp = max(abs(rho), 1e-12)
+        self.sigma = SIGMA_INIT
+        self.rejects = 0
+        # A zero-width box stops the chain after its first score.
+        self.done = rho < 0.0 or width <= 0.0 or budget <= 1
+
+    def step(self):
+        return self.rng.normal(scale=self.sigma * self.width, size=self.current.shape)
+
+    def update(self, proposal, rho):
+        """Take the score of one proposal: keep the best, accept or reject."""
+        self.evals += 1
+        if rho < self.rho_best:
+            self.best, self.rho_best = proposal, rho
+            if rho < 0.0:
+                self.done = True
+                return
+        delta = rho - self.rho_cur
         accept = delta <= 0.0
         if not accept and np.isfinite(delta):
-            accept = rng.uniform() < np.exp(-delta / temp)
+            accept = self.rng.uniform() < np.exp(-delta / self.temp)
         if accept:
-            current, rho_cur = proposal, rho_new
-            consecutive_rejects = 0
+            self.current, self.rho_cur = proposal, rho
+            self.rejects = 0
         else:
-            consecutive_rejects += 1
-            if consecutive_rejects >= REJECTION_WINDOW:
-                sigma = max(sigma / 2.0, SIGMA_FLOOR)
-                consecutive_rejects = 0
-        if evals % COOLING_WINDOW == 0:
-            temp *= COOLING_FACTOR
-    return rho_best, best, evals
+            self.rejects += 1
+            if self.rejects >= REJECTION_WINDOW:
+                self.sigma = max(self.sigma / 2.0, SIGMA_FLOOR)
+                self.rejects = 0
+        if self.evals % COOLING_WINDOW == 0:
+            self.temp *= COOLING_FACTOR
+        self.done = self.evals >= self.budget
+
+
+def _unpaused(chains):
+    """The chains up to the first that holds a negative score; the later
+    ones pause until simulation refutes that score."""
+    for chain in chains:
+        yield chain
+        if chain.rho_best < 0.0:
+            return
+
+
+@dataclass
+class _Lockstep:
+    committed: list     # (chain, simulated rho) in restart order, to the first success
+    scores: int         # candidates scored, speculative ones included
+    rounds: int         # stacked score() calls
+    resimulated: int    # best candidates re-simulated
+
+
+def _anneal_lockstep(problem, budgets, rng, score, resimulate) -> _Lockstep:
+    """Anneal restart i from rng.split(i) for budgets[i] scores, all restarts
+    in lockstep.
+
+    Each round scores the next proposal of every active restart with one
+    score() call on the stacked knots.  Restart k is active while it has
+    budget left and no uncommitted restart below k holds a negative score,
+    since a search that ran the restarts one by one would stop there if
+    simulation confirms it.  Once no restart is active, the finished ones are
+    committed in index order up to the first negative score; with resimulate
+    their best candidates are simulated in one stacked run first.  A
+    simulated success ends the search; a refuted one resumes the restarts it
+    paused.
+    """
+    lo, hi = problem.config.range
+    rngs = [rng.split(i) for i in range(len(budgets))]
+    knots = np.stack([sample_candidate(problem, r).knots for r in rngs])
+    chains = [_Chain(r, b, k, rho, hi - lo)
+              for r, b, k, rho in zip(rngs, budgets, knots, score(knots).tolist())]
+    run = _Lockstep(committed=[], scores=len(chains), rounds=1, resimulated=0)
+    while len(run.committed) < len(chains):
+        pending = chains[len(run.committed):]
+        while active := [c for c in _unpaused(pending) if not c.done]:
+            proposals = np.clip(np.stack([c.current for c in active])
+                                + np.stack([c.step() for c in active]), lo, hi)
+            for chain, proposal, rho in zip(active, proposals, score(proposals).tolist()):
+                chain.update(proposal, rho)
+            run.scores += len(active)
+            run.rounds += 1
+        walk = list(_unpaused(pending))    # all finished
+        rhos = [chain.rho_best for chain in walk]
+        if resimulate:
+            rhos = _simulated_rhos(problem, np.stack([c.best for c in walk])).tolist()
+            run.resimulated += len(walk)
+        for chain, rho in zip(walk, rhos):
+            run.committed.append((chain, rho))
+            if rho < 0.0:
+                return run
+    return run
 
 
 def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
@@ -306,19 +385,22 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
 
     The zero injection (the search's natural starting assignment) is screened
     first; each restart then anneals from an independent uniform sample with
-    its own split rng stream, and no restart starts once one has found a
-    counter-example.  The annealing scores candidates with the problem's
-    AffineModel when the search can make more scores than the model's
-    1 + q_att * P build runs cost, and with objective() otherwise or when a
-    build run truncates.  Each restart's best model score is then replaced
-    by objective() of its candidate, so only simulated values are reported
-    and compared (lowest rho, earliest restart wins).  A budget below the
-    restart count runs one restart per evaluation.  budget and restarts
-    must be >= 1, as FalsifyConfig checks.
+    its own split rng stream.  The restarts anneal in lockstep, and the result
+    is the one a search running them one after another gives: no restart
+    counts once one has found a counter-example, and the lowest rho wins,
+    ties to the earliest restart.  The annealing scores candidates with the
+    problem's AffineModel when the search can make more scores than the
+    model's 1 + q_att * P build runs cost, and by simulation otherwise or when
+    a build run truncates.  Each restart's best model score is then replaced
+    by the simulated rho of its candidate, so only simulated values are
+    reported and compared.  A budget below the restart count runs one restart
+    per evaluation.  budget and restarts must be >= 1, as FalsifyConfig
+    checks.
     """
     z = zero_candidate(problem)
     rho_zero = objective(problem, z)
     evaluations = simulations = 1
+    scores = rounds = 0
     best_rho, best_cand = rho_zero, z
     history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
                               success=rho_zero < 0.0)]
@@ -334,27 +416,18 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
         if max_scores > 1 + problem.n_attacked * problem.config.control_points:
             model, built = affine_model(problem)
             simulations += built
-        if model is not None:
-            score = model.score
-        else:
-            def score(cand):
-                nonlocal simulations
-                simulations += 1
-                return objective(problem, cand)
+        score = model.score_many if model is not None else partial(_simulated_rhos, problem)
+        run = _anneal_lockstep(problem, budgets, rng, score, resimulate=model is not None)
+        simulations += run.resimulated if model is not None else run.scores
+        scores, rounds = run.scores, run.rounds
 
-        for i in range(restarts):
-            rho_i, cand_i, evals_i = _anneal_restart(problem, budgets[i], rng.split(i),
-                                                     score)
-            if model is not None:   # objective() scores are already simulated
-                rho_i = objective(problem, cand_i)
-                simulations += 1
-            evaluations += evals_i
-            history.append(RestartHistory(restart=i, evaluations=evals_i,
+        for i, (chain, rho_i) in enumerate(run.committed):
+            evaluations += chain.evals
+            history.append(RestartHistory(restart=i, evaluations=chain.evals,
                                           best_rho=rho_i, success=rho_i < 0.0))
             if rho_i < best_rho:   # ties keep the earliest restart
-                best_rho, best_cand = rho_i, cand_i
-            if rho_i < 0.0:
-                break
+                best_rho = rho_i
+                best_cand = Candidate(knots=chain.best.copy(), mask=problem.mask)
 
     return FalsifyResult(
         best_candidate=best_cand,
@@ -364,6 +437,8 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
         success=best_rho < 0.0,
         history=history,
         simulations=simulations,
+        scores=scores,
+        rounds=rounds,
     )
 
 

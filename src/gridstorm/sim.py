@@ -301,27 +301,30 @@ def robustness(trace: SimTrace, envelope, thresholds, signal_basis="measured",
                             thresholds, stealth_mode)
 
 
-def robustness_terms(f, r_inf, envelope, thresholds,
-                     stealth_mode="until_unsafe") -> float:
+def robustness_terms(f, r_inf, envelope, thresholds, stealth_mode="until_unsafe"):
     """robustness() from its two signals, each generators x steps: the
-    frequency on the chosen basis and the residue inf-norm."""
+    frequency on the chosen basis and the residue inf-norm.
+
+    Leading axes stack independent traces and give an array of rhos; each is
+    bitwise the float its trace alone gives, since min and max are exact.
+    """
     th = np.asarray(thresholds, dtype=float)
     margin = np.minimum(envelope.f_hi - f, f - envelope.f_lo)  # per gen, per step
-    s = np.min(margin, axis=0)
-    excess = r_inf - th[:, None]
-    worst_excess = np.max(excess, axis=0)
+    s = np.min(margin, axis=-2)
+    worst_excess = np.max(r_inf - th[:, None], axis=-2)
 
     if stealth_mode == "all_steps":
-        return float(max(np.max(worst_excess), np.min(s)))
-    if stealth_mode != "until_unsafe":
+        stealth, unsafe = np.max(worst_excess, axis=-1), np.min(s, axis=-1)
+        rho = np.where(unsafe > stealth, unsafe, stealth)   # max(stealth, unsafe)
+    elif stealth_mode == "until_unsafe":
+        # g[k'] = max excess over steps < k'; running maximum shifted by one.
+        g = np.empty_like(s)
+        g[..., 0] = -float(np.min(th))
+        np.maximum.accumulate(worst_excess[..., :-1], axis=-1, out=g[..., 1:])
+        rho = np.min(np.maximum(s, g), axis=-1)
+    else:
         raise ValueError(f"unknown stealth_mode {stealth_mode!r}")
-
-    # g[k'] = max excess over steps < k'; running maximum shifted by one.
-    g = np.empty_like(s)
-    g[0] = -float(np.min(th))
-    if s.size > 1:
-        np.maximum.accumulate(worst_excess[:-1], out=g[1:])
-    return float(np.min(np.maximum(s, g)))
+    return float(rho) if rho.ndim == 0 else rho
 
 
 CSV_COLUMNS = ("k", "t_s", "gen", "x1", "x2", "x3", "x4",

@@ -361,9 +361,11 @@ def test_falsify_no_counterexample_exit_code(fast_toy_config, tmp_path):
     manifest = json.loads(read(out / "manifest.json"))
     # a zero-width box ends each restart after its first sample: 1 + 2
     # evaluations.  Two scores cost less than the 1 + 10 model runs, so
-    # simulations are the screen and 2 objective() scores, whose values the
-    # restarts report without simulating again.
-    assert manifest["counts"] == {"evaluations": 3, "simulations": 3}
+    # simulations are the screen and 2 simulated scores, whose values the
+    # restarts report without simulating again; both restarts score their
+    # one sample in one round.
+    assert manifest["counts"] == {"evaluations": 3, "simulations": 3,
+                                  "scores": 2, "rounds": 1}
     assert set(manifest["wall_s"]) == {"load_grid", "search", "validation"}
     assert manifest["wall_s"]["load_grid"] > 0.0
     assert manifest["wall_s"]["search"] > 0.0

@@ -7,15 +7,17 @@ from scipy.optimize import linprog
 
 import gridstorm.falsify
 from gridstorm.cli import main
-from gridstorm.falsify import (AffineModel, Candidate, FalsificationProblem,
-                               FalsifyConfig, FalsifyResult, ValidationMismatch,
-                               affine_model,
+from gridstorm.falsify import (COOLING_FACTOR, COOLING_WINDOW, REJECTION_WINDOW,
+                               SIGMA_FLOOR, SIGMA_INIT, AffineModel, Candidate,
+                               FalsificationProblem, FalsifyConfig, FalsifyResult,
+                               RestartHistory, ValidationMismatch, affine_model,
                                decode_control_points, falsify_sa, load_attack,
                                load_schedule, objective, sample_candidate, save_attack,
                                save_schedule, synthesize_and_validate, zero_candidate)
 from gridstorm.model import design_lqr_gain, load_grid_config
 from gridstorm.numerics import RngStream
-from gridstorm.sim import AttackVector, BreakerSchedule, check_success, simulate
+from gridstorm.sim import (AttackVector, BreakerSchedule, check_success, robustness_terms,
+                           simulate)
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -143,14 +145,14 @@ def test_infeasible_zero_range_returns_no_counterexample():
 def test_best_rho_equals_minimum_of_all_evaluations(monkeypatch):
     prob = make_problem(d=30, p=4)
     seen = []
-    real = AffineModel.score
+    real = AffineModel.score_many
 
-    def spy(model, cand):
-        rho = real(model, cand)
-        seen.append(rho)
-        return rho
+    def spy(model, knots):
+        rhos = real(model, knots)
+        seen.extend(rhos.tolist())
+        return rhos
 
-    monkeypatch.setattr(AffineModel, "score", spy)
+    monkeypatch.setattr(AffineModel, "score_many", spy)
     rho_zero = objective(prob, zero_candidate(prob))
     res = falsify_sa(prob, budget=200, restarts=2, rng=RngStream(8, 0))
     assert res.evaluations == 1 + len(seen)       # zero screen + model scores
@@ -211,16 +213,17 @@ def test_affine_model_agrees_with_objective(mask, basis, stealth, gain):
         moved = np.any(model.responses.reshape(3, built - 1, *model.base.shape[1:])[..., 0] != 0.0)
         assert moved == (gain == "lqr")
     rng = RngStream(23, 0)
+    cands = [sample_candidate(prob, rng) for _ in range(50)]
+    knots = np.stack([cand.knots for cand in cands])
+    scores, signals = model.score_many(knots), model.signals(knots)
     rhos = []
-    for _ in range(50):
-        cand = sample_candidate(prob, rng)
+    for cand, score, sig in zip(cands, scores, signals):
         rho = objective(prob, cand)
-        assert abs(model.score(cand) - rho) <= 1e-12
+        assert abs(score - rho) <= 1e-12
         rhos.append(rho)
         # the frequency too, which need not bind rho
         trace = simulate(grid, AttackVector(laa, decode_control_points(cand, 30)),
                          horizon=30, init=init)
-        sig = model.signals(cand)
         assert np.max(np.abs(sig[:, :, 0] - trace.frequency(basis))) <= 1e-12
         assert np.max(np.abs(sig[:, :, 1:] - trace.residue)) <= 1e-12
     assert len(set(rhos)) > 1     # the candidates move rho
@@ -323,6 +326,271 @@ def test_result_invariant_success_iff_negative():
     with pytest.raises(AssertionError):
         FalsifyResult(best_candidate=None, best_schedule=None, best_rho=0.5,
                       evaluations=1, success=True)
+
+
+# ---------------------------------------------------------------------------
+# lockstep restarts against the sequential search
+
+
+def _anneal_restart(problem, budget, rng, score):
+    """One simulated-annealing restart; returns (best_rho, best_candidate, evals)."""
+    lo, hi = problem.config.range
+    width = hi - lo
+    evals = 0
+
+    current = sample_candidate(problem, rng)
+    rho_cur = score(current)
+    evals += 1
+    best, rho_best = current, rho_cur
+    if rho_best < 0.0 or width <= 0.0:
+        return rho_best, best, evals
+
+    temp = max(abs(rho_cur), 1e-12)
+    sigma = SIGMA_INIT
+    consecutive_rejects = 0
+
+    while evals < budget:
+        step = rng.normal(scale=sigma * width, size=current.knots.shape)
+        proposal = Candidate(
+            knots=np.clip(current.knots + step, lo, hi),
+            mask=current.mask)
+        rho_new = score(proposal)
+        evals += 1
+        if rho_new < rho_best:
+            best, rho_best = proposal, rho_new
+            if rho_best < 0.0:
+                break
+        delta = rho_new - rho_cur
+        accept = delta <= 0.0
+        if not accept and np.isfinite(delta):
+            accept = rng.uniform() < np.exp(-delta / temp)
+        if accept:
+            current, rho_cur = proposal, rho_new
+            consecutive_rejects = 0
+        else:
+            consecutive_rejects += 1
+            if consecutive_rejects >= REJECTION_WINDOW:
+                sigma = max(sigma / 2.0, SIGMA_FLOOR)
+                consecutive_rejects = 0
+        if evals % COOLING_WINDOW == 0:
+            temp *= COOLING_FACTOR
+    return rho_best, best, evals
+
+
+def one_model_score(model, cand):
+    """The model's score of one candidate, from its own einsum."""
+    n, k, _ = model.responses.shape
+    delta = np.einsum("nk,nkm->nm", cand.knots.reshape(n, k), model.responses)
+    sig = model.base + delta.reshape(model.base.shape)
+    if not np.all(np.isfinite(sig)):
+        return float("inf")
+    p = model.problem
+    return robustness_terms(sig[:, :, 0], np.max(np.abs(sig[:, :, 1:]), axis=2),
+                            p.grid.envelope, p.grid.thresholds, p.config.stealth_mode)
+
+
+def sequential_falsify(problem, budget, restarts, rng, negative=frozenset()):
+    """falsify_sa with its restarts run one after another, one candidate
+    scored at a time.  Model scores of knots whose bytes are in `negative`
+    are forced to -1.  Returns (result, whether the model scored)."""
+    z = zero_candidate(problem)
+    rho_zero = objective(problem, z)
+    evaluations = 1
+    best_rho, best_cand = rho_zero, z
+    history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
+                              success=rho_zero < 0.0)]
+    model = None
+    if rho_zero >= 0.0:
+        restarts = min(restarts, budget)
+        budgets = [budget // restarts + (1 if i < budget % restarts else 0)
+                   for i in range(restarts)]
+        lo, hi = problem.config.range
+        max_scores = budget if hi > lo else restarts
+        if max_scores > 1 + problem.n_attacked * problem.config.control_points:
+            model = affine_model(problem)[0]
+        if model is not None:
+            def score(cand):
+                if cand.knots.tobytes() in negative:
+                    return -1.0
+                return one_model_score(model, cand)
+        else:
+            def score(cand):
+                return objective(problem, cand)
+
+        for i in range(restarts):
+            rho_i, cand_i, evals_i = _anneal_restart(problem, budgets[i], rng.split(i),
+                                                     score)
+            if model is not None:
+                rho_i = objective(problem, cand_i)
+            evaluations += evals_i
+            history.append(RestartHistory(restart=i, evaluations=evals_i,
+                                          best_rho=rho_i, success=rho_i < 0.0))
+            if rho_i < best_rho:
+                best_rho, best_cand = rho_i, cand_i
+            if rho_i < 0.0:
+                break
+    result = FalsifyResult(best_candidate=best_cand,
+                           best_schedule=decode_control_points(best_cand, problem.d),
+                           best_rho=float(best_rho), evaluations=evaluations,
+                           success=best_rho < 0.0, history=history)
+    return result, model is not None
+
+
+def assert_same_search(got, want):
+    bits = np.float64
+    assert bits(got.best_rho).tobytes() == bits(want.best_rho).tobytes()
+    assert got.best_candidate.knots.tobytes() == want.best_candidate.knots.tobytes()
+    assert got.best_schedule.values.tobytes() == want.best_schedule.values.tobytes()
+    assert got.evaluations == want.evaluations
+    assert got.success == want.success
+    assert ([(h.restart, h.evaluations, bits(h.best_rho).tobytes(), h.success)
+             for h in got.history]
+            == [(h.restart, h.evaluations, bits(h.best_rho).tobytes(), h.success)
+                for h in want.history])
+
+
+def open_toy_problem(d, **config):
+    """The toy grid with its breakers open: the search finds counter-examples."""
+    doc = load_config_doc("toy_grid.json")
+    doc["thresholds"] = [1.25]
+    laa = BreakerSchedule(signals=np.zeros((d, 2), dtype=int))
+    return FalsificationProblem(grid=load_grid_config(doc), laa=laa,
+                                config=FalsifyConfig(control_points=4, **config))
+
+
+def with_config(problem, **changes):
+    return dataclasses.replace(problem, config=dataclasses.replace(problem.config, **changes))
+
+
+def three_generator_problem():
+    """Breakers open on three generators, both outputs attacked: no
+    counter-example, and the temperature schedule shapes the winner."""
+    grid = make_plain_grid(n=3, thresholds=[0.02, 0.03, 0.024], m=2, mcol=0.45,
+                           inertia=0.02, regulation=20.0)
+    return with_config(make_problem(grid=grid, laa_open=True), mask=(1, 1))
+
+
+def blowup_problem():
+    return make_problem(grid=make_plain_grid(n=1, thresholds=[0.01], m=2,
+                                             sched=np.array([[np.inf]])))
+
+
+# id: (problem, budget, restarts, seed, scored by the model, winning restart)
+SEARCHES = {
+    "model-no-success": (lambda: make_problem(d=30, p=4), 200, 3, 8, True, None),
+    "model-both-outputs-no-success": (three_generator_problem, 300, 2, 0, True, None),
+    "model-middle-success": (lambda: open_toy_problem(40), 150, 4, 1, True, 1),
+    "model-middle-success-all_steps-true": (
+        lambda: open_toy_problem(40, stealth_mode="all_steps", signal_basis="true"),
+        150, 4, 1, True, 2),
+    "simulated-no-success": (lambda: make_problem(p=10), 11, 3, 8, False, None),
+    "simulated-middle-success": (lambda: open_toy_problem(60), 5, 4, 30, False, 2),
+    "zero-width": (lambda: make_problem(lo=0.0, hi=0.0), 300, 3, 7, False, None),
+    "zero-width-model": (lambda: make_problem(p=1, lo=0.02, hi=0.02), 300, 3, 7,
+                         True, None),
+    "budget-below-restarts": (lambda: make_problem(d=30, p=4), 3, 5, 21, False, None),
+    "blowup": (blowup_problem, 30, 3, 22, False, None),
+    "all_steps-true": (lambda: with_config(make_problem(d=30, p=4), stealth_mode="all_steps",
+                                           signal_basis="true"), 120, 3, 9, True, None),
+}
+
+
+@pytest.mark.parametrize("case", list(SEARCHES))
+def test_lockstep_search_equals_sequential_search(case):
+    make, budget, restarts, seed, modelled, winner = SEARCHES[case]
+    prob = make()
+    want, used_model = sequential_falsify(prob, budget, restarts, RngStream(seed, 0))
+    got = falsify_sa(prob, budget=budget, restarts=restarts, rng=RngStream(seed, 0))
+    assert used_model == modelled
+    assert_same_search(got, want)
+    wins = [h.restart for h in got.history if h.success]
+    assert wins == ([] if winner is None else [winner])
+
+
+@pytest.mark.parametrize("case", list(SEARCHES))
+def test_speculative_scores_stay_within_the_winners_evaluations(case):
+    make, budget, restarts, seed, _, winner = SEARCHES[case]
+    res = falsify_sa(make(), budget=budget, restarts=restarts, rng=RngStream(seed, 0))
+    speculative = res.scores - res.evaluations + 1
+    if winner is None:
+        assert speculative == 0
+    else:
+        after = min(restarts, budget) - 1 - winner
+        assert 0 < speculative <= after * res.history[-1].evaluations
+    assert 1 <= res.rounds <= res.scores
+
+
+def test_model_score_reads_both_residues():
+    prob = open_toy_problem(40)   # the residue binds rho
+    model = affine_model(prob)[0]
+    # the two residue channels swapped: the inf-norm, so rho, is the same
+    swap = [0, 2, 1]
+    swapped = AffineModel(problem=prob, base=model.base[..., swap],
+                          responses=model.responses.reshape(1, 4, 41, 3)[..., swap]
+                          .reshape(1, 4, -1))
+    rng = RngStream(31, 0)
+    knots = np.stack([sample_candidate(prob, rng).knots for _ in range(20)])
+    assert model.score_many(knots).tobytes() == swapped.score_many(knots).tobytes()
+
+
+def test_model_score_is_inf_where_signals_overflow():
+    prob = open_toy_problem(40)
+    model = affine_model(prob)[0]
+    huge = AffineModel(problem=prob, base=model.base,
+                       responses=np.full_like(model.responses, 1e308))
+    knots = np.stack([np.ones((1, 1, 4)), np.zeros((1, 1, 4))])   # 4e308, 0
+    assert huge.score_many(knots[:1]).tolist() == [np.inf]
+    rhos = huge.score_many(knots)
+    assert rhos[0] == np.inf
+    assert rhos[1:].tobytes() == model.score_many(knots[1:]).tobytes()
+
+
+def test_winners_are_simulated_in_one_stacked_run(monkeypatch):
+    calls = {"objective": 0, "simulate_many": []}
+    real_objective, real_many = gridstorm.falsify.objective, gridstorm.falsify.simulate_many
+
+    def objective_spy(*args):
+        calls["objective"] += 1
+        return real_objective(*args)
+
+    def many_spy(grid, attacks, *args, **kwargs):
+        calls["simulate_many"].append(len(attacks))
+        return real_many(grid, attacks, *args, **kwargs)
+
+    monkeypatch.setattr(gridstorm.falsify, "objective", objective_spy)
+    monkeypatch.setattr(gridstorm.falsify, "simulate_many", many_spy)
+    res = falsify_sa(open_toy_problem(40), budget=150, restarts=4, rng=RngStream(1, 0))
+    assert res.success and [h.restart for h in res.history] == [-1, 0, 1]
+    assert calls["objective"] == 1        # the zero screen
+    # the 1 + 4 build runs, then restarts 0 and 1, the winner
+    assert calls["simulate_many"] == [5, 2]
+    assert res.simulations == 1 + 5 + 2
+
+
+def test_refuted_model_success_resumes_paused_restarts(monkeypatch):
+    prob = make_problem(d=30, p=4)
+    rng = RngStream(8, 0)
+    # restart 1's first sample scores -1 on the model, but not when simulated
+    fake = sample_candidate(prob, rng.split(1)).knots.tobytes()
+    real = AffineModel.score_many
+
+    def disagreeing(model, knots):
+        rhos = real(model, knots)
+        for j, row in enumerate(knots):
+            if row.tobytes() == fake:
+                rhos[j] = -1.0
+        return rhos
+
+    monkeypatch.setattr(AffineModel, "score_many", disagreeing)
+    want, _ = sequential_falsify(prob, 200, 4, rng, negative={fake})
+    got = falsify_sa(prob, budget=200, restarts=4, rng=rng)
+    assert_same_search(got, want)
+    assert not got.success
+    assert got.history[2].evaluations == 1 and got.history[2].best_rho >= 0.0
+    assert [h.evaluations for h in got.history[3:]] == [50, 50]
+    # restarts 2 and 3 wait while restart 0 anneals alone, then resume
+    assert got.rounds == 1 + 49 + 49
+    assert got.scores == got.evaluations - 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from gridstorm.model import LoadMap, design_lqr_gain, load_grid_config, spectral
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (CSV_CHUNK_STEPS, CSV_COLUMNS, AttackVector,
                            BreakerSchedule, FalseDataSchedule, SimTrace,
-                           check_success, detect, robustness, simulate,
-                           simulate_many, trace_csv_text)
+                           check_success, detect, robustness, robustness_terms,
+                           simulate, simulate_many, trace_csv_text)
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -521,6 +521,43 @@ def test_robustness_matches_exhaustive_oracle():
         got = robustness(tr, _env(), [th], "measured")
         want = exhaustive_rho(r_seq, f_seq, th)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def scalar_robustness_terms(f, r_inf, envelope, thresholds, stealth_mode):
+    """robustness_terms of one generators x steps trace, in Python scalars
+    where it reduces to two values."""
+    th = np.asarray(thresholds, dtype=float)
+    s = np.min(np.minimum(envelope.f_hi - f, f - envelope.f_lo), axis=0)
+    worst_excess = np.max(r_inf - th[:, None], axis=0)
+    if stealth_mode == "all_steps":
+        return float(max(np.max(worst_excess), np.min(s)))
+    g = np.empty_like(s)
+    g[0] = -float(np.min(th))
+    if s.size > 1:
+        np.maximum.accumulate(worst_excess[:-1], out=g[1:])
+    return float(np.min(np.maximum(s, g)))
+
+
+@pytest.mark.parametrize("stealth_mode", ["until_unsafe", "all_steps"])
+def test_robustness_terms_stack_is_bitwise_each_trace(stealth_mode):
+    rng = np.random.default_rng(37)
+    th = [0.3, 0.45, 0.2]
+    for steps in (1, 2, 7, 40):
+        f = rng.uniform(59.3, 60.7, size=(9, 3, steps))
+        r_inf = rng.uniform(0.0, 0.6, size=(9, 3, steps))
+        f[0] = 60.5                      # margin exactly +0.0 everywhere
+        r_inf[1] = np.array(th)[:, None]  # excess exactly 0.0 everywhere
+        f[2], r_inf[2] = 59.5, 0.2       # both terms tie at 0.0
+        f[3, 1, -1] = np.nan
+        r_inf[4, 0, 0] = np.inf
+        stack = robustness_terms(f, r_inf, _env(), th, stealth_mode)
+        assert stack.shape == (9,)
+        for j in range(9):
+            want = scalar_robustness_terms(f[j], r_inf[j], _env(), th, stealth_mode)
+            alone = robustness_terms(f[j], r_inf[j], _env(), th, stealth_mode)
+            assert isinstance(alone, float)
+            assert np.float64(alone).tobytes() == np.float64(want).tobytes(), (steps, j)
+            assert stack[j].tobytes() == np.float64(want).tobytes(), (steps, j)
 
 
 def test_sign_consistency_on_random_corpus():
