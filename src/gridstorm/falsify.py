@@ -29,8 +29,8 @@ import numpy as np
 from .model import ConfigError, GridModel, config_value, write_json
 from .numerics import RngStream
 from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
-                  FalseDataSchedule, SimTrace, SuccessReport, check_success, robustness,
-                  robustness_terms, simulate, simulate_many)
+                  FalseDataSchedule, SimTrace, SuccessReport, check_success, residue_norm,
+                  robustness, robustness_terms, simulate, simulate_many)
 
 N_OUTPUTS = 2
 
@@ -103,49 +103,26 @@ class FalsificationProblem:
         return sum(self.config.mask)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """Knot values per (generator, attacked output): n x q_att x P."""
-
-    knots: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        knots.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-
-
 def knot_boundaries(d, p):
     return [int(np.floor(j * d / p)) for j in range(p + 1)]
 
 
-def decode_control_points(candidate: Candidate, d: int) -> FalseDataSchedule:
-    """Zero-order-hold expansion of the knots onto d steps.
+def decode_control_points(knots: np.ndarray, mask, d: int) -> FalseDataSchedule:
+    """Zero-order-hold expansion of n x q_att x P knots onto d steps of the
+    outputs that mask attacks.
 
-    Knot j covers steps floor(j*d/P) .. floor((j+1)*d/P)-1; with P = d the
-    decode is the identity.
+    Knot j covers steps floor(j*d/P) .. floor((j+1)*d/P)-1, none when P > d
+    leaves its segment empty; with P = d the decode is the identity.
     """
-    n, q_att, p = candidate.knots.shape
-    bounds = knot_boundaries(d, p)
-    attacked = np.flatnonzero(candidate.mask)
-    values = np.zeros((n, d, N_OUTPUTS))
-    for j in range(p):
-        lo, hi = bounds[j], bounds[j + 1]
-        if lo >= hi:
-            continue
-        values[:, lo:hi, attacked] = candidate.knots[:, None, :, j]
-    return FalseDataSchedule(values=values, mask=candidate.mask.copy())
+    held = np.repeat(knots, np.diff(knot_boundaries(d, knots.shape[2])), axis=2)
+    values = np.zeros((len(knots), d, N_OUTPUTS))
+    values[:, :, np.flatnonzero(mask)] = held.swapaxes(1, 2)
+    return FalseDataSchedule(values=values, mask=mask)
 
 
-def _attack(problem: FalsificationProblem, candidate: Candidate) -> AttackVector:
+def _attack(problem: FalsificationProblem, knots: np.ndarray) -> AttackVector:
     return AttackVector(breakers=problem.laa,
-                        false_data=decode_control_points(candidate, problem.d))
-
-
-def _trace(problem: FalsificationProblem, candidate: Candidate) -> SimTrace:
-    return simulate(problem.grid, _attack(problem, candidate), horizon=problem.d,
-                    init=problem.init, noise=False)
+                        false_data=decode_control_points(knots, problem.mask, problem.d))
 
 
 def _rho(problem: FalsificationProblem, trace: SimTrace) -> float:
@@ -155,9 +132,9 @@ def _rho(problem: FalsificationProblem, trace: SimTrace) -> float:
                       problem.config.signal_basis, problem.config.stealth_mode)
 
 
-def objective(problem: FalsificationProblem, candidate: Candidate) -> float:
-    """Robustness of the combined trace for this candidate; +inf on blow-up."""
-    return _rho(problem, _trace(problem, candidate))
+def objective(problem: FalsificationProblem, knots: np.ndarray) -> float:
+    """Robustness of the combined trace for these knots; +inf on blow-up."""
+    return float(_simulated_rhos(problem, [knots])[0])
 
 
 def _signals(problem: FalsificationProblem, trace: SimTrace) -> np.ndarray:
@@ -197,11 +174,10 @@ class AffineModel:
         rho = np.full(len(sig), np.inf)
         if finite.any():
             sig = sig if finite.all() else sig[finite]
-            # the residue inf-norm of the two outputs, as SimTrace.r_inf
-            r_inf = np.maximum(np.abs(sig[..., 1]), np.abs(sig[..., 2]))
             p = self.problem
-            rho[finite] = robustness_terms(sig[..., 0], r_inf, p.grid.envelope,
-                                           p.grid.thresholds, p.config.stealth_mode)
+            rho[finite] = robustness_terms(sig[..., 0], residue_norm(sig[..., 1:]),
+                                           p.grid.envelope, p.grid.thresholds,
+                                           p.config.stealth_mode)
         return rho
 
 
@@ -221,8 +197,7 @@ def affine_model(problem: FalsificationProblem):
         knots = np.zeros((n, q_att * p))
         if unit >= 0:
             knots[:, unit] = 1.0
-        attacks.append(_attack(problem, Candidate(knots=knots.reshape(n, q_att, p),
-                                                  mask=problem.mask)))
+        attacks.append(_attack(problem, knots.reshape(n, q_att, p)))
     traces = simulate_many(problem.grid, attacks, horizon=problem.d, init=problem.init)
     if any(trace.truncated for trace in traces):
         return None, len(traces)
@@ -232,16 +207,18 @@ def affine_model(problem: FalsificationProblem):
     return AffineModel(problem=problem, base=sig[:, 0], responses=responses), len(traces)
 
 
-def sample_candidate(problem: FalsificationProblem, rng: RngStream) -> Candidate:
-    shape = (problem.grid.n_generators, problem.n_attacked, problem.config.control_points)
-    knots = rng.uniform(*problem.config.range, size=shape)
-    return Candidate(knots=knots, mask=problem.mask)
+def _knot_shape(problem: FalsificationProblem):
+    return (problem.grid.n_generators, problem.n_attacked, problem.config.control_points)
 
 
-def zero_candidate(problem: FalsificationProblem) -> Candidate:
-    shape = (problem.grid.n_generators, problem.n_attacked, problem.config.control_points)
-    zero = np.clip(np.zeros(shape), *problem.config.range)
-    return Candidate(knots=zero, mask=problem.mask)
+def sample_candidate(problem: FalsificationProblem, rng: RngStream) -> np.ndarray:
+    """Uniform knots over the false-data box: n x q_att x P."""
+    return rng.uniform(*problem.config.range, size=_knot_shape(problem))
+
+
+def zero_candidate(problem: FalsificationProblem) -> np.ndarray:
+    """The zero injection, clipped into the false-data box."""
+    return np.clip(np.zeros(_knot_shape(problem)), *problem.config.range)
 
 
 @dataclass
@@ -254,7 +231,7 @@ class RestartHistory:
 
 @dataclass
 class FalsifyResult:
-    best_candidate: Candidate
+    best_knots: np.ndarray
     best_schedule: FalseDataSchedule
     best_rho: float
     evaluations: int
@@ -268,9 +245,10 @@ class FalsifyResult:
         assert self.success == (self.best_rho < 0.0)
 
 
-def _simulated_rhos(problem: FalsificationProblem, knots: np.ndarray) -> np.ndarray:
-    """objective() of each candidate in a stack of knots, all in one step loop."""
-    attacks = [_attack(problem, Candidate(knots=k, mask=problem.mask)) for k in knots]
+def _simulated_rhos(problem: FalsificationProblem, knots) -> np.ndarray:
+    """The robustness of each candidate in a stack of knots, all simulated
+    in one step loop; +inf where a run blows up."""
+    attacks = [_attack(problem, k) for k in knots]
     traces = simulate_many(problem.grid, attacks, horizon=problem.d, init=problem.init)
     return np.array([_rho(problem, trace) for trace in traces])
 
@@ -354,7 +332,7 @@ def _anneal_lockstep(problem, budgets, rng, score, resimulate) -> _Lockstep:
     """
     lo, hi = problem.config.range
     rngs = [rng.split(i) for i in range(len(budgets))]
-    knots = np.stack([sample_candidate(problem, r).knots for r in rngs])
+    knots = np.stack([sample_candidate(problem, r) for r in rngs])
     chains = [_Chain(r, b, k, rho, hi - lo)
               for r, b, k, rho in zip(rngs, budgets, knots, score(knots).tolist())]
     run = _Lockstep(committed=[], scores=len(chains), rounds=1, resimulated=0)
@@ -379,8 +357,7 @@ def _anneal_lockstep(problem, budgets, rng, score, resimulate) -> _Lockstep:
     return run
 
 
-def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
-               rng: RngStream) -> FalsifyResult:
+def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
     """Monte-Carlo sampled, simulated-annealing driven robustness minimization.
 
     The zero injection (the search's natural starting assignment) is screened
@@ -393,20 +370,21 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
     model's 1 + q_att * P build runs cost, and by simulation otherwise or when
     a build run truncates.  Each restart's best model score is then replaced
     by the simulated rho of its candidate, so only simulated values are
-    reported and compared.  A budget below the restart count runs one restart
-    per evaluation.  budget and restarts must be >= 1, as FalsifyConfig
-    checks.
+    reported and compared.  The budget and the restart count are those of
+    problem.config; a budget below the restart count runs one restart per
+    evaluation.
     """
     z = zero_candidate(problem)
     rho_zero = objective(problem, z)
     evaluations = simulations = 1
     scores = rounds = 0
-    best_rho, best_cand = rho_zero, z
+    best_rho, best_knots = rho_zero, z
     history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
                               success=rho_zero < 0.0)]
 
     if rho_zero >= 0.0:
-        restarts = min(restarts, budget)
+        budget = problem.config.budget
+        restarts = min(problem.config.restarts, budget)
         budgets = [budget // restarts + (1 if i < budget % restarts else 0)
                    for i in range(restarts)]
         # A zero-width box stops each restart after its first score.
@@ -426,12 +404,11 @@ def falsify_sa(problem: FalsificationProblem, budget: int, restarts: int,
             history.append(RestartHistory(restart=i, evaluations=chain.evals,
                                           best_rho=rho_i, success=rho_i < 0.0))
             if rho_i < best_rho:   # ties keep the earliest restart
-                best_rho = rho_i
-                best_cand = Candidate(knots=chain.best.copy(), mask=problem.mask)
+                best_rho, best_knots = rho_i, chain.best.copy()
 
     return FalsifyResult(
-        best_candidate=best_cand,
-        best_schedule=decode_control_points(best_cand, problem.d),
+        best_knots=best_knots,
+        best_schedule=decode_control_points(best_knots, problem.mask, problem.d),
         best_rho=float(best_rho),
         evaluations=evaluations,
         success=best_rho < 0.0,
@@ -463,8 +440,7 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
     """
     problem = FalsificationProblem(grid=grid, laa=laa, config=config, init=init)
     t0 = time.perf_counter()
-    result = falsify_sa(problem, budget=config.budget, restarts=config.restarts,
-                        rng=rng.split(0xFA15))
+    result = falsify_sa(problem, rng.split(0xFA15))
     t_search = time.perf_counter()
     if not result.success:
         return SynthesisOutcome(attack=None, result=result, validation=None,

@@ -420,7 +420,7 @@ def calibrate_threshold(grid: GridModel, calibration: Calibration):
     if np.any(f < grid.envelope.f_lo) or np.any(f > grid.envelope.f_hi):
         raise ValueError("nominal run leaves the frequency envelope; "
                          "grid is mis-configured")
-    peak = np.max(np.abs(trace.residue), axis=(1, 2))
+    peak = np.max(trace.r_inf, axis=1)
     return np.maximum(calibration.margin * peak, THRESHOLD_FLOOR)
 
 

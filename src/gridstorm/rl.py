@@ -14,7 +14,7 @@ import numpy as np
 
 from .kernels import add_feedback, closed_loop_step
 from .model import ConfigError, GridModel, choice, require_keys
-from .sim import TWO_PI, BreakerSchedule
+from .sim import TWO_PI, BreakerSchedule, residue_norm
 
 
 class TrainingDiverged(RuntimeError):
@@ -339,9 +339,8 @@ class GridEnv:
 
     def _observation(self):
         f = self._nominal + self._x[:, 0] / TWO_PI
-        r_inf = np.max(np.abs(self._r), axis=1)
         pe = self._offset + self._droop * self._x[:, 0]
-        return np.concatenate([f, r_inf, pe, self._prev_action])
+        return np.concatenate([f, residue_norm(self._r), pe, self._prev_action])
 
     def step(self, action):
         """Threshold the action into breaker commands, advance, reward."""
@@ -517,24 +516,6 @@ def rollout_policy(actor: MLP, env: GridEnv, steps: int) -> BreakerSchedule:
         if done:
             break
     return env.executed_schedule()
-
-
-def replay_schedule(env: GridEnv, schedule: BreakerSchedule):
-    """Drive the env with a fixed breaker schedule; returns cumulative reward.
-
-    Actions are +-1 encodings of the breaker bits, so the decode in step()
-    reproduces the schedule exactly.
-    """
-    obs = env.reset()
-    total = 0.0
-    rep = env.cfg.action_repeat
-    for t in range(0, schedule.d, rep):
-        act = 2.0 * schedule.signals[t] - 1.0
-        obs, rew, done = env.step(act)
-        total += rew
-        if done:
-            break
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ feeds detect / check_success / robustness, which give the boolean and
 quantitative semantics of the "unsafe before first detection" attack goal.
 """
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -93,6 +92,12 @@ class AttackVector:
         return self.breakers.d
 
 
+def residue_norm(residue):
+    """The detector statistic: the inf-norm of the two residue outputs on
+    the last axis, the bits of np.max(np.abs(residue), axis=-1)."""
+    return np.maximum(np.abs(residue[..., 0]), np.abs(residue[..., 1]))
+
+
 class SimTrace:
     """Immutable per-step record of a closed-loop run.
 
@@ -119,7 +124,7 @@ class SimTrace:
         self.f_hz = nominal_hz[:, None] + x[:, :, 0] / TWO_PI
         self.f_meas_hz = nominal_hz[:, None] + y_meas[:, :, 0] / TWO_PI
         self.p_e = u_actual + droop[:, None] * x[:, :, 0]
-        self.r_inf = np.max(np.abs(residue), axis=2)
+        self.r_inf = residue_norm(residue)
         self.stealthy = self.r_inf <= thresholds[:, None]
         for arr in (self.x, self.xhat, self.y, self.y_meas, self.residue,
                     self.u_believed, self.u_actual, self.f_hz, self.f_meas_hz,
@@ -363,9 +368,3 @@ def write_trace_csv(trace: SimTrace, fh):
             cells[:, :, col:col + width] = field[:, t0:t0 + steps.size].swapaxes(0, 1)
             col += width
         fh.write((_CSV_ROW * (steps.size * n)) % tuple(cells.ravel().tolist()))
-
-
-def trace_csv_text(trace: SimTrace) -> str:
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    return buf.getvalue()

@@ -11,12 +11,11 @@ import os
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from gridstorm.cli import main
-from gridstorm.falsify import (Candidate, FalsificationProblem, FalsifyConfig,
-                               falsify_sa, objective, zero_candidate)
+from gridstorm.falsify import (FalsificationProblem, FalsifyConfig, falsify_sa, objective,
+                               zero_candidate)
 from gridstorm.model import (build_continuous, discretize_zoh, load_grid_config,
                              spectral_radius)
 from gridstorm.numerics import RngStream, dare_map, mat_exp, solve_dare
@@ -203,24 +202,20 @@ def test_criterion_5_falsification():
 
     # exhaustive-grid oracle certifies the violating region is >= 5% of the box
     zgrid = np.linspace(-0.05, 0.05, 201)
-    rhos = np.array([objective(problem, Candidate(knots=np.array([[[z]]]),
-                                                  mask=problem.mask))
-                     for z in zgrid])
+    rhos = np.array([objective(problem, np.array([[[z]]])) for z in zgrid])
     frac = float(np.mean(rhos < 0))
     nontrivial = objective(problem, zero_candidate(problem)) >= 0
 
-    wins = sum(falsify_sa(problem, budget=2000, restarts=10,
-                          rng=RngStream(s, 0)).success for s in range(10))
+    wins = sum(falsify_sa(problem, RngStream(s, 0)).success for s in range(10))
 
     # 1-D oracle equivalence on the benign variant: rho is flat in the knot,
     # so SA's best must coincide with the exhaustive grid minimum
     benign = FalsificationProblem(grid=grid,
                                   laa=BreakerSchedule(np.ones((60, 2), dtype=int)),
-                                  config=FalsifyConfig(control_points=1))
-    rhos_b = np.array([objective(benign, Candidate(knots=np.array([[[z]]]),
-                                                   mask=benign.mask))
-                       for z in zgrid])
-    res_b = falsify_sa(benign, budget=300, restarts=3, rng=RngStream(0, 0))
+                                  config=FalsifyConfig(control_points=1, budget=300,
+                                                       restarts=3))
+    rhos_b = np.array([objective(benign, np.array([[[z]]])) for z in zgrid])
+    res_b = falsify_sa(benign, RngStream(0, 0))
     equiv = res_b.best_rho <= float(np.min(rhos_b)) + 1e-9
 
     elapsed = time.monotonic() - t0

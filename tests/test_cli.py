@@ -11,7 +11,7 @@ from gridstorm.model import load_grid_config
 from gridstorm.sim import (AttackVector, BreakerSchedule, FalseDataSchedule,
                            check_success, robustness, simulate)
 
-from conftest import config_path, load_config_doc
+from conftest import load_config_doc
 
 
 def write_json(path, doc):

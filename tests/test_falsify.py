@@ -8,12 +8,13 @@ from scipy.optimize import linprog
 import gridstorm.falsify
 from gridstorm.cli import main
 from gridstorm.falsify import (COOLING_FACTOR, COOLING_WINDOW, REJECTION_WINDOW,
-                               SIGMA_FLOOR, SIGMA_INIT, AffineModel, Candidate,
+                               SIGMA_FLOOR, SIGMA_INIT, AffineModel,
                                FalsificationProblem, FalsifyConfig, FalsifyResult,
                                RestartHistory, ValidationMismatch, affine_model,
-                               decode_control_points, falsify_sa, load_attack,
-                               load_schedule, objective, sample_candidate, save_attack,
-                               save_schedule, synthesize_and_validate, zero_candidate)
+                               decode_control_points, falsify_sa, knot_boundaries,
+                               load_attack, load_schedule, objective, sample_candidate,
+                               save_attack, save_schedule, synthesize_and_validate,
+                               zero_candidate)
 from gridstorm.model import design_lqr_gain, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (AttackVector, BreakerSchedule, check_success, robustness_terms,
@@ -31,6 +32,10 @@ def make_problem(grid=None, d=40, p=10, lo=-0.05, hi=0.05, laa_open=False):
                                 config=FalsifyConfig(range=(lo, hi), control_points=p))
 
 
+def with_config(problem, **changes):
+    return dataclasses.replace(problem, config=dataclasses.replace(problem.config, **changes))
+
+
 # ---------------------------------------------------------------------------
 # control-point decode
 
@@ -38,33 +43,56 @@ def make_problem(grid=None, d=40, p=10, lo=-0.05, hi=0.05, laa_open=False):
 def test_decode_identity_when_p_equals_d():
     prob = make_problem(d=12, p=12)
     rng = RngStream(1, 0)
-    cand = sample_candidate(prob, rng)
-    sched = decode_control_points(cand, 12)
-    assert np.array_equal(sched.values[0, :, 1], cand.knots[0, 0])
+    knots = sample_candidate(prob, rng)
+    sched = decode_control_points(knots, prob.mask, 12)
+    assert np.array_equal(sched.values[0, :, 1], knots[0, 0])
     assert np.all(sched.values[:, :, 0] == 0.0)
 
 
 def test_decode_single_knot_is_constant():
-    cand = Candidate(knots=np.full((1, 1, 1), 0.3), mask=np.array([0, 1]))
-    sched = decode_control_points(cand, 25)
+    sched = decode_control_points(np.full((1, 1, 1), 0.3), np.array([0, 1]), 25)
     assert np.all(sched.values[0, :, 1] == 0.3)
 
 
 def test_decode_segment_lengths_by_counting():
-    cand = Candidate(knots=np.arange(4.0).reshape(1, 1, 4) + 1.0,
-                     mask=np.array([0, 1]))
-    sched = decode_control_points(cand, 100)
+    sched = decode_control_points(np.arange(4.0).reshape(1, 1, 4) + 1.0,
+                                  np.array([0, 1]), 100)
     for j in range(4):
         assert int(np.sum(sched.values[0, :, 1] == j + 1.0)) == 25
 
 
 def test_decode_uneven_segments_cover_all_steps():
-    cand = Candidate(knots=np.arange(3.0).reshape(1, 1, 3) + 1.0,
-                     mask=np.array([0, 1]))
-    sched = decode_control_points(cand, 10)  # floor(j*10/3) -> segments 3,3,4
+    sched = decode_control_points(np.arange(3.0).reshape(1, 1, 3) + 1.0,
+                                  np.array([0, 1]), 10)  # floor(j*10/3) -> segments 3,3,4
     vals = sched.values[0, :, 1]
     assert np.all(vals > 0)
     assert [int(np.sum(vals == k + 1.0)) for k in range(3)] == [3, 3, 4]
+
+
+def loop_decode(knots, mask, d):
+    """The zero-order hold written one knot at a time: the decode's oracle."""
+    n, _, p = knots.shape
+    bounds = knot_boundaries(d, p)
+    attacked = np.flatnonzero(mask)
+    values = np.zeros((n, d, 2))
+    for j in range(p):
+        lo, hi = bounds[j], bounds[j + 1]
+        if lo >= hi:
+            continue
+        values[:, lo:hi, attacked] = knots[:, None, :, j]
+    return values
+
+
+@pytest.mark.parametrize("mask", [(0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("d, p", [(10, 3), (12, 12), (5, 9), (1, 4)],
+                         ids=["p_below_d", "p_equals_d", "p_above_d", "one_step"])
+def test_decode_matches_per_knot_loop(mask, d, p):
+    rng = np.random.default_rng(d * p)
+    knots = rng.uniform(-1.0, 1.0, size=(3, sum(mask), p))
+    knots[0, 0, 0] = -0.0
+    sched = decode_control_points(knots, np.array(mask), d)
+    assert sched.values.tobytes() == loop_decode(knots, mask, d).tobytes()
+    assert sched.mask.tolist() == list(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +106,8 @@ def test_objective_benign_is_positive():
 
 def test_objective_purity_bit_identical():
     prob = make_problem()
-    cand = sample_candidate(prob, RngStream(2, 0))
-    vals = {objective(prob, cand) for _ in range(5)}
+    knots = sample_candidate(prob, RngStream(2, 0))
+    vals = {objective(prob, knots) for _ in range(5)}
     assert len(vals) == 1
 
 
@@ -96,22 +124,21 @@ def test_objective_blowup_returns_inf():
 
 def test_sample_degenerate_box():
     prob = make_problem(lo=0.25, hi=0.25)
-    cand = sample_candidate(prob, RngStream(3, 0))
-    assert np.all(cand.knots == 0.25)
+    assert np.all(sample_candidate(prob, RngStream(3, 0)) == 0.25)
 
 
 def test_sample_within_range_property():
     prob = make_problem(lo=-0.4, hi=0.1)
     rng = RngStream(4, 0)
     for _ in range(200):
-        cand = sample_candidate(prob, rng)
-        assert np.all(cand.knots >= -0.4) and np.all(cand.knots <= 0.1)
+        knots = sample_candidate(prob, rng)
+        assert np.all(knots >= -0.4) and np.all(knots <= 0.1)
 
 
 def test_sample_mean_statistics():
     prob = make_problem(lo=-1.0, hi=1.0, p=5)
     rng = RngStream(5, 0)
-    draws = np.array([sample_candidate(prob, rng).knots for _ in range(20_000)])
+    draws = np.array([sample_candidate(prob, rng) for _ in range(20_000)])
     assert np.max(np.abs(draws.mean(axis=0))) <= 0.02
 
 
@@ -129,14 +156,14 @@ def stealthy_unsafe_problem():
 def test_zero_candidate_early_exit():
     prob = stealthy_unsafe_problem()
     assert objective(prob, zero_candidate(prob)) < 0
-    res = falsify_sa(prob, budget=2000, restarts=10, rng=RngStream(6, 0))
+    res = falsify_sa(with_config(prob, budget=2000, restarts=10), RngStream(6, 0))
     assert res.success
     assert res.evaluations <= 1 + 10  # screen + at most one eval per restart
 
 
 def test_infeasible_zero_range_returns_no_counterexample():
     prob = make_problem(lo=0.0, hi=0.0)
-    res = falsify_sa(prob, budget=300, restarts=3, rng=RngStream(7, 0))
+    res = falsify_sa(with_config(prob, budget=300, restarts=3), RngStream(7, 0))
     assert not res.success
     assert res.best_rho > 0
     assert res.evaluations <= 301
@@ -154,17 +181,17 @@ def test_best_rho_equals_minimum_of_all_evaluations(monkeypatch):
 
     monkeypatch.setattr(AffineModel, "score_many", spy)
     rho_zero = objective(prob, zero_candidate(prob))
-    res = falsify_sa(prob, budget=200, restarts=2, rng=RngStream(8, 0))
+    res = falsify_sa(with_config(prob, budget=200, restarts=2), RngStream(8, 0))
     assert res.evaluations == 1 + len(seen)       # zero screen + model scores
     # reported rho is simulated; the model's scores agree to rounding
-    assert res.best_rho == objective(prob, res.best_candidate)
+    assert res.best_rho == objective(prob, res.best_knots)
     assert abs(res.best_rho - min([rho_zero] + seen)) <= 1e-12
 
 
 def test_budget_below_restarts_spends_exactly_budget():
     prob = make_problem(d=30, p=4)
     for budget in range(1, 6):
-        res = falsify_sa(prob, budget=budget, restarts=4, rng=RngStream(21, 0))
+        res = falsify_sa(with_config(prob, budget=budget, restarts=4), RngStream(21, 0))
         assert not res.success
         assert res.evaluations == budget + 1, budget
         assert len(res.history) == 1 + min(budget, 4)
@@ -175,7 +202,7 @@ def test_falsify_blowup_reports_inf_without_success():
                            sched=np.array([[np.inf]]))
     prob = make_problem(grid=grid)
     assert affine_model(prob)[0] is None
-    res = falsify_sa(prob, budget=30, restarts=3, rng=RngStream(22, 0))
+    res = falsify_sa(with_config(prob, budget=30, restarts=3), RngStream(22, 0))
     assert not res.success
     assert res.best_rho == np.inf
     assert res.evaluations == 31
@@ -213,16 +240,15 @@ def test_affine_model_agrees_with_objective(mask, basis, stealth, gain):
         moved = np.any(model.responses.reshape(3, built - 1, *model.base.shape[1:])[..., 0] != 0.0)
         assert moved == (gain == "lqr")
     rng = RngStream(23, 0)
-    cands = [sample_candidate(prob, rng) for _ in range(50)]
-    knots = np.stack([cand.knots for cand in cands])
+    knots = np.stack([sample_candidate(prob, rng) for _ in range(50)])
     scores, signals = model.score_many(knots), model.signals(knots)
     rhos = []
-    for cand, score, sig in zip(cands, scores, signals):
+    for cand, score, sig in zip(knots, scores, signals):
         rho = objective(prob, cand)
         assert abs(score - rho) <= 1e-12
         rhos.append(rho)
         # the frequency too, which need not bind rho
-        trace = simulate(grid, AttackVector(laa, decode_control_points(cand, 30)),
+        trace = simulate(grid, AttackVector(laa, decode_control_points(cand, mask, 30)),
                          horizon=30, init=init)
         assert np.max(np.abs(sig[:, :, 0] - trace.frequency(basis))) <= 1e-12
         assert np.max(np.abs(sig[:, :, 1:] - trace.residue)) <= 1e-12
@@ -251,8 +277,7 @@ def lp_optimum(problem):
     (lo, hi), th = problem.config.range, problem.grid.thresholds
 
     def run(knots):
-        sched = decode_control_points(Candidate(knots=knots, mask=problem.mask),
-                                      problem.d)
+        sched = decode_control_points(knots, problem.mask, problem.d)
         return simulate(problem.grid, AttackVector(problem.laa, sched),
                         horizon=problem.d, init=problem.init)
 
@@ -297,9 +322,8 @@ def test_sa_never_beats_exact_lp_optimum(breakers):
     rho_star, knots = lp_optimum(prob)
     lo, hi = prob.config.range
     assert np.all(knots >= lo) and np.all(knots <= hi)
-    assert abs(objective(prob, Candidate(knots=knots, mask=prob.mask))
-               - rho_star) <= 1e-9
-    res = falsify_sa(prob, budget=2000, restarts=4, rng=RngStream(24, 0))
+    assert abs(objective(prob, knots) - rho_star) <= 1e-9
+    res = falsify_sa(with_config(prob, budget=2000, restarts=4), RngStream(24, 0))
     assert res.best_rho >= rho_star - 1e-12
     if breakers == 0:
         assert rho_star < 0.0     # the open variant has a counter-example
@@ -307,7 +331,7 @@ def test_sa_never_beats_exact_lp_optimum(breakers):
 
 def test_returned_schedule_respects_mask_and_range():
     prob = make_problem(d=30, p=4, lo=-0.02, hi=0.03)
-    res = falsify_sa(prob, budget=150, restarts=2, rng=RngStream(9, 0))
+    res = falsify_sa(with_config(prob, budget=150, restarts=2), RngStream(9, 0))
     vals = res.best_schedule.values
     assert np.all(vals[:, :, 0] == 0.0)
     assert np.all(vals >= -0.02) and np.all(vals <= 0.03)
@@ -315,7 +339,7 @@ def test_returned_schedule_respects_mask_and_range():
 
 def test_history_covers_restarts():
     prob = make_problem(d=30, p=4)
-    res = falsify_sa(prob, budget=100, restarts=4, rng=RngStream(10, 0))
+    res = falsify_sa(with_config(prob, budget=100, restarts=4), RngStream(10, 0))
     tags = [h.restart for h in res.history]
     assert tags[0] == -1  # zero screen
     assert tags[1:] == [0, 1, 2, 3]
@@ -324,7 +348,7 @@ def test_history_covers_restarts():
 
 def test_result_invariant_success_iff_negative():
     with pytest.raises(AssertionError):
-        FalsifyResult(best_candidate=None, best_schedule=None, best_rho=0.5,
+        FalsifyResult(best_knots=None, best_schedule=None, best_rho=0.5,
                       evaluations=1, success=True)
 
 
@@ -333,7 +357,7 @@ def test_result_invariant_success_iff_negative():
 
 
 def _anneal_restart(problem, budget, rng, score):
-    """One simulated-annealing restart; returns (best_rho, best_candidate, evals)."""
+    """One simulated-annealing restart; returns (best_rho, best_knots, evals)."""
     lo, hi = problem.config.range
     width = hi - lo
     evals = 0
@@ -350,10 +374,8 @@ def _anneal_restart(problem, budget, rng, score):
     consecutive_rejects = 0
 
     while evals < budget:
-        step = rng.normal(scale=sigma * width, size=current.knots.shape)
-        proposal = Candidate(
-            knots=np.clip(current.knots + step, lo, hi),
-            mask=current.mask)
+        step = rng.normal(scale=sigma * width, size=current.shape)
+        proposal = np.clip(current + step, lo, hi)
         rho_new = score(proposal)
         evals += 1
         if rho_new < rho_best:
@@ -377,10 +399,10 @@ def _anneal_restart(problem, budget, rng, score):
     return rho_best, best, evals
 
 
-def one_model_score(model, cand):
+def one_model_score(model, knots):
     """The model's score of one candidate, from its own einsum."""
     n, k, _ = model.responses.shape
-    delta = np.einsum("nk,nkm->nm", cand.knots.reshape(n, k), model.responses)
+    delta = np.einsum("nk,nkm->nm", knots.reshape(n, k), model.responses)
     sig = model.base + delta.reshape(model.base.shape)
     if not np.all(np.isfinite(sig)):
         return float("inf")
@@ -389,19 +411,20 @@ def one_model_score(model, cand):
                             p.grid.envelope, p.grid.thresholds, p.config.stealth_mode)
 
 
-def sequential_falsify(problem, budget, restarts, rng, negative=frozenset()):
+def sequential_falsify(problem, rng, negative=frozenset()):
     """falsify_sa with its restarts run one after another, one candidate
     scored at a time.  Model scores of knots whose bytes are in `negative`
     are forced to -1.  Returns (result, whether the model scored)."""
     z = zero_candidate(problem)
     rho_zero = objective(problem, z)
     evaluations = 1
-    best_rho, best_cand = rho_zero, z
+    best_rho, best_knots = rho_zero, z
     history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
                               success=rho_zero < 0.0)]
     model = None
     if rho_zero >= 0.0:
-        restarts = min(restarts, budget)
+        budget = problem.config.budget
+        restarts = min(problem.config.restarts, budget)
         budgets = [budget // restarts + (1 if i < budget % restarts else 0)
                    for i in range(restarts)]
         lo, hi = problem.config.range
@@ -409,28 +432,29 @@ def sequential_falsify(problem, budget, restarts, rng, negative=frozenset()):
         if max_scores > 1 + problem.n_attacked * problem.config.control_points:
             model = affine_model(problem)[0]
         if model is not None:
-            def score(cand):
-                if cand.knots.tobytes() in negative:
+            def score(knots):
+                if knots.tobytes() in negative:
                     return -1.0
-                return one_model_score(model, cand)
+                return one_model_score(model, knots)
         else:
-            def score(cand):
-                return objective(problem, cand)
+            def score(knots):
+                return objective(problem, knots)
 
         for i in range(restarts):
-            rho_i, cand_i, evals_i = _anneal_restart(problem, budgets[i], rng.split(i),
-                                                     score)
+            rho_i, knots_i, evals_i = _anneal_restart(problem, budgets[i], rng.split(i),
+                                                      score)
             if model is not None:
-                rho_i = objective(problem, cand_i)
+                rho_i = objective(problem, knots_i)
             evaluations += evals_i
             history.append(RestartHistory(restart=i, evaluations=evals_i,
                                           best_rho=rho_i, success=rho_i < 0.0))
             if rho_i < best_rho:
-                best_rho, best_cand = rho_i, cand_i
+                best_rho, best_knots = rho_i, knots_i
             if rho_i < 0.0:
                 break
-    result = FalsifyResult(best_candidate=best_cand,
-                           best_schedule=decode_control_points(best_cand, problem.d),
+    result = FalsifyResult(best_knots=best_knots,
+                           best_schedule=decode_control_points(best_knots, problem.mask,
+                                                               problem.d),
                            best_rho=float(best_rho), evaluations=evaluations,
                            success=best_rho < 0.0, history=history)
     return result, model is not None
@@ -439,7 +463,7 @@ def sequential_falsify(problem, budget, restarts, rng, negative=frozenset()):
 def assert_same_search(got, want):
     bits = np.float64
     assert bits(got.best_rho).tobytes() == bits(want.best_rho).tobytes()
-    assert got.best_candidate.knots.tobytes() == want.best_candidate.knots.tobytes()
+    assert got.best_knots.tobytes() == want.best_knots.tobytes()
     assert got.best_schedule.values.tobytes() == want.best_schedule.values.tobytes()
     assert got.evaluations == want.evaluations
     assert got.success == want.success
@@ -456,10 +480,6 @@ def open_toy_problem(d, **config):
     laa = BreakerSchedule(signals=np.zeros((d, 2), dtype=int))
     return FalsificationProblem(grid=load_grid_config(doc), laa=laa,
                                 config=FalsifyConfig(control_points=4, **config))
-
-
-def with_config(problem, **changes):
-    return dataclasses.replace(problem, config=dataclasses.replace(problem.config, **changes))
 
 
 def three_generator_problem():
@@ -498,9 +518,9 @@ SEARCHES = {
 @pytest.mark.parametrize("case", list(SEARCHES))
 def test_lockstep_search_equals_sequential_search(case):
     make, budget, restarts, seed, modelled, winner = SEARCHES[case]
-    prob = make()
-    want, used_model = sequential_falsify(prob, budget, restarts, RngStream(seed, 0))
-    got = falsify_sa(prob, budget=budget, restarts=restarts, rng=RngStream(seed, 0))
+    prob = with_config(make(), budget=budget, restarts=restarts)
+    want, used_model = sequential_falsify(prob, RngStream(seed, 0))
+    got = falsify_sa(prob, RngStream(seed, 0))
     assert used_model == modelled
     assert_same_search(got, want)
     wins = [h.restart for h in got.history if h.success]
@@ -510,7 +530,7 @@ def test_lockstep_search_equals_sequential_search(case):
 @pytest.mark.parametrize("case", list(SEARCHES))
 def test_speculative_scores_stay_within_the_winners_evaluations(case):
     make, budget, restarts, seed, _, winner = SEARCHES[case]
-    res = falsify_sa(make(), budget=budget, restarts=restarts, rng=RngStream(seed, 0))
+    res = falsify_sa(with_config(make(), budget=budget, restarts=restarts), RngStream(seed, 0))
     speculative = res.scores - res.evaluations + 1
     if winner is None:
         assert speculative == 0
@@ -529,7 +549,7 @@ def test_model_score_reads_both_residues():
                           responses=model.responses.reshape(1, 4, 41, 3)[..., swap]
                           .reshape(1, 4, -1))
     rng = RngStream(31, 0)
-    knots = np.stack([sample_candidate(prob, rng).knots for _ in range(20)])
+    knots = np.stack([sample_candidate(prob, rng) for _ in range(20)])
     assert model.score_many(knots).tobytes() == swapped.score_many(knots).tobytes()
 
 
@@ -559,19 +579,19 @@ def test_winners_are_simulated_in_one_stacked_run(monkeypatch):
 
     monkeypatch.setattr(gridstorm.falsify, "objective", objective_spy)
     monkeypatch.setattr(gridstorm.falsify, "simulate_many", many_spy)
-    res = falsify_sa(open_toy_problem(40), budget=150, restarts=4, rng=RngStream(1, 0))
+    res = falsify_sa(open_toy_problem(40, budget=150, restarts=4), RngStream(1, 0))
     assert res.success and [h.restart for h in res.history] == [-1, 0, 1]
     assert calls["objective"] == 1        # the zero screen
-    # the 1 + 4 build runs, then restarts 0 and 1, the winner
-    assert calls["simulate_many"] == [5, 2]
+    # the zero screen, the 1 + 4 build runs, then restarts 0 and 1, the winner
+    assert calls["simulate_many"] == [1, 5, 2]
     assert res.simulations == 1 + 5 + 2
 
 
 def test_refuted_model_success_resumes_paused_restarts(monkeypatch):
-    prob = make_problem(d=30, p=4)
+    prob = with_config(make_problem(d=30, p=4), budget=200, restarts=4)
     rng = RngStream(8, 0)
     # restart 1's first sample scores -1 on the model, but not when simulated
-    fake = sample_candidate(prob, rng.split(1)).knots.tobytes()
+    fake = sample_candidate(prob, rng.split(1)).tobytes()
     real = AffineModel.score_many
 
     def disagreeing(model, knots):
@@ -582,8 +602,8 @@ def test_refuted_model_success_resumes_paused_restarts(monkeypatch):
         return rhos
 
     monkeypatch.setattr(AffineModel, "score_many", disagreeing)
-    want, _ = sequential_falsify(prob, 200, 4, rng, negative={fake})
-    got = falsify_sa(prob, budget=200, restarts=4, rng=rng)
+    want, _ = sequential_falsify(prob, rng, negative={fake})
+    got = falsify_sa(prob, rng)
     assert_same_search(got, want)
     assert not got.success
     assert got.history[2].evaluations == 1 and got.history[2].best_rho >= 0.0

@@ -6,9 +6,8 @@ from gridstorm.model import SafetyEnvelope, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.rl import (MLP, Adam, EpisodeConfig, GridEnv, ReplayBuffer,
                           RewardWeights, TrainConfig, ddpg_train, load_weights,
-                          replay_schedule, reward, rollout_policy, save_weights,
-                          soft_update)
-from gridstorm.sim import AttackVector, FalseDataSchedule, simulate
+                          reward, rollout_policy, save_weights, soft_update)
+from gridstorm.sim import AttackVector, BreakerSchedule, FalseDataSchedule, simulate
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -459,6 +458,22 @@ def test_training_deterministic_and_improving():
     assert art1.best_episode == art2.best_episode
     assert np.array_equal(art1.best_schedule.signals, art2.best_schedule.signals)
     assert len(art1.reward_curve) == 12
+
+
+def replay_schedule(env: GridEnv, schedule: BreakerSchedule):
+    """Drive the env with a fixed breaker schedule; returns cumulative reward.
+
+    Actions are +-1 encodings of the breaker bits, so the decode in step()
+    reproduces the schedule exactly.
+    """
+    env.reset()
+    total = 0.0
+    for t in range(0, schedule.d, env.cfg.action_repeat):
+        _, rew, done = env.step(2.0 * schedule.signals[t] - 1.0)
+        total += rew
+        if done:
+            break
+    return total
 
 
 def test_best_schedule_replay_reproduces_reward():

@@ -9,8 +9,8 @@ from gridstorm.model import LoadMap, design_lqr_gain, load_grid_config, spectral
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (CSV_CHUNK_STEPS, CSV_COLUMNS, AttackVector,
                            BreakerSchedule, FalseDataSchedule, SimTrace,
-                           check_success, detect, robustness, robustness_terms,
-                           simulate, simulate_many, trace_csv_text)
+                           check_success, detect, residue_norm, robustness,
+                           robustness_terms, simulate, simulate_many, write_trace_csv)
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -239,7 +239,7 @@ def test_simulate_determinism_byte_identical():
     tr2 = simulate(grid, None, horizon=100, noise=True, rng=RngStream(9, 4))
     assert np.array_equal(tr1.x, tr2.x)
     assert np.array_equal(tr1.residue, tr2.residue)
-    assert trace_csv_text(tr1) == trace_csv_text(tr2)
+    assert csv_text(tr1) == csv_text(tr2)
 
 
 def long_horizon_case():
@@ -652,14 +652,34 @@ def test_laa_only_transient_recovers_toward_band(default_grid):
 
 
 # ---------------------------------------------------------------------------
+# detector statistic
+
+
+def test_residue_norm_is_bitwise_the_max_of_abs():
+    specials = np.array([np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0, 5e-324, -5e-324,
+                         1e300, -1e300, 0.1, -0.1, 1.0 / 3.0])
+    pairs = np.stack(np.meshgrid(specials, specials), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(4)
+    for r in (pairs, pairs.reshape(13, 13, 2), rng.normal(size=(4, 3, 101, 2))):
+        want, got = np.max(np.abs(r), axis=-1), residue_norm(r)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # CSV export
+
+
+def csv_text(trace):
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    return buf.getvalue()
 
 
 def test_trace_csv_shape_and_format():
     grid = make_plain_grid(n=2, thresholds=[0.1, 0.1],
                            sched=0.123456789123 * np.ones((2, 1)))
     tr = simulate(grid, None, horizon=5)
-    text = trace_csv_text(tr)
+    text = csv_text(tr)
     lines = text.strip().split("\n")
     assert lines[0] == ("k,t_s,gen,x1,x2,x3,x4,xhat1,xhat2,xhat3,xhat4,"
                         "u_believed,u_actual,y1,y2,ymeas1,ymeas2,r1,r2,rinf,"
@@ -733,6 +753,6 @@ def noisy_trace(horizon):
 def test_trace_csv_matches_per_cell_oracle(make_trace, n_records):
     tr = make_trace()
     assert tr.n_steps == n_records
-    text = trace_csv_text(tr)
+    text = csv_text(tr)
     assert text == reference_trace_csv(tr)
     assert text.count("\n") == 1 + n_records * tr.n_generators
