@@ -24,7 +24,7 @@ from .falsify import (FalsifyConfig, ValidationMismatch, load_attack_file,
                       load_schedule_file, save_attack, save_schedule,
                       synthesize_and_validate)
 from .model import (ConfigError, choice, config_object, load_grid_config_file,
-                    require_keys, write_json)
+                    read_json_file, require_keys, write_json)
 from .numerics import RngStream
 from .rl import (REWARD_VARIANTS, EpisodeConfig, GridEnv, RewardWeights, TrainConfig,
                  TrainingDiverged, ddpg_train, save_weights)
@@ -175,18 +175,13 @@ def cmd_simulate(args):
 
 
 # ---------------------------------------------------------------------------
-# train-laa and falsify configs: strict JSON objects, nested ones included
+# train-laa
 
 
-def _read_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _load_train_config(path):
-    """The episode and training sections share the top level of a train
-    config; the reward weights are its "weights" object."""
-    doc = _read_config(path)
+def _train_setup(grid, doc):
+    """The training env on grid and the train config of a train config
+    document.  The episode and training sections share its top level; the
+    reward weights are its "weights" object."""
     names = {cls: {f.name for f in dataclasses.fields(cls)}
              for cls in (EpisodeConfig, TrainConfig)}
     require_keys(doc, "$", [], {"weights", "reward_variant"}.union(*names.values()))
@@ -195,13 +190,12 @@ def _load_train_config(path):
     weights = config_object(RewardWeights, doc.get("weights", {}), "$.weights")
     variant = choice(doc.get("reward_variant", REWARD_VARIANTS[0]), REWARD_VARIANTS,
                      "$.reward_variant")
-    return episode, weights, variant, train
+    return GridEnv(grid, episode, weights=weights, reward_variant=variant), train
 
 
 def cmd_train_laa(args):
     grid, load_s = _load_grid(args.config)
-    episode, weights, variant, train_cfg = _load_train_config(args.train_config)
-    env = GridEnv(grid, episode, weights=weights, reward_variant=variant)
+    env, train_cfg = read_json_file(args.train_config, lambda doc: _train_setup(grid, doc))
     out_dir = _ensure_out(args.out)
     manifest = _Manifest(out_dir, args.config, args.seed, load_s)
     manifest.stage_seed("train", 2)
@@ -242,15 +236,11 @@ def cmd_train_laa(args):
 # falsify
 
 
-def _load_falsify_config(path):
-    return FalsifyConfig() if path is None else config_object(
-        FalsifyConfig, _read_config(path), "$")
-
-
 def cmd_falsify(args):
     grid, load_s = _load_grid(args.config)
     laa = load_schedule_file(args.laa)
-    config = _load_falsify_config(args.falsify_config)
+    config = FalsifyConfig() if args.falsify_config is None else read_json_file(
+        args.falsify_config, lambda doc: config_object(FalsifyConfig, doc, "$"))
     out_dir = _ensure_out(args.out)
     manifest = _Manifest(out_dir, args.config, args.seed, load_s)
     manifest.stage_seed("falsify", 3)
@@ -463,7 +453,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"gridstorm: config error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"gridstorm: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ValidationMismatch, TrainingDiverged) as exc:

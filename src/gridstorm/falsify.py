@@ -18,7 +18,6 @@ and that one trace must give the same rho and satisfy the success
 predicate.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -26,7 +25,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .model import ConfigError, GridModel, config_value, write_json
+from .model import GridModel, config_value, read_json_file, write_json
 from .numerics import RngStream
 from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
                   FalseDataSchedule, SimTrace, SuccessReport, check_success, residue_norm,
@@ -64,6 +63,8 @@ class FalsifyConfig:
     def __post_init__(self):
         if not self.range[0] <= self.range[1]:
             raise ValueError("range[0] must be <= range[1]")
+        if not np.isfinite(self.range[1] - self.range[0]):
+            raise ValueError("range must have a finite width")
         if (len(self.mask) != N_OUTPUTS or not set(self.mask) <= {0, 1}
                 or 1 not in self.mask):
             raise ValueError(f"mask must be {N_OUTPUTS} binary entries, at least one 1")
@@ -495,12 +496,7 @@ def save_attack(path, attack: AttackVector, range_lo, range_hi, provenance=None)
 
 
 def load_attack(document) -> AttackVector:
-    """Parse and validate an attack-vector document (dict or JSON text)."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid attack JSON: {exc}") from None
+    """Validate a parsed attack-vector document; errors are ValueErrors."""
     required = {"d", "breaker_schedule", "false_data", "mask", "range"}
     if not isinstance(document, dict):
         raise ValueError("attack document must be an object")
@@ -517,23 +513,13 @@ def load_attack(document) -> AttackVector:
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
         raise ValueError(f"range must be finite numbers [lo, hi] with lo <= hi, "
                          f"got {document['range']!r}")
-    if np.any(false_data.values < lo) or np.any(false_data.values > hi):
+    if not np.all((lo <= false_data.values) & (false_data.values <= hi)):   # NaN fails
         raise ValueError("false data outside its declared range")
     return AttackVector(breakers=breakers, false_data=false_data)
 
 
-def _load_file(path, parse):
-    """parse() of the file's text; its ValueError is a ConfigError at path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
 def load_attack_file(path) -> AttackVector:
-    return _load_file(path, load_attack)
+    return read_json_file(path, load_attack)
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +532,7 @@ def save_schedule(path, schedule: BreakerSchedule):
 
 
 def load_schedule(document) -> BreakerSchedule:
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid schedule JSON: {exc}") from None
+    """Validate a parsed breaker-schedule document; errors are ValueErrors."""
     if not isinstance(document, dict) or "signals" not in document:
         raise ValueError("schedule document must be an object with 'signals'")
     schedule = BreakerSchedule(signals=np.asarray(document["signals"]))
@@ -562,4 +544,4 @@ def load_schedule(document) -> BreakerSchedule:
 
 
 def load_schedule_file(path) -> BreakerSchedule:
-    return _load_file(path, load_schedule)
+    return read_json_file(path, load_schedule)

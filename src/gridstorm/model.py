@@ -12,6 +12,7 @@ f = nominal_hz + dw / (2*pi).
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ THRESHOLD_FLOOR = 1e-9
 
 
 class ConfigError(ValueError):
-    """Grid-config schema or invariant violation, with a field path."""
+    """An input schema or invariant violation, at a $.field path or a file."""
 
     def __init__(self, path, message):
         self.path = path
@@ -104,6 +105,28 @@ def config_object(cls, doc, path):
         return cls(**kwargs)
     except ConfigError:
         raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _finite(text):
+    """A JSON number or NaN/Infinity constant as a float, if finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number: {text}")
+    return value
+
+
+def read_json_file(path, parse):
+    """parse() of the JSON document in the file at path, the one reader of
+    every input file.  A ValueError on the way (malformed UTF-8 or JSON, a
+    NaN/Infinity constant or an overflowing literal such as 1e400, or
+    parse's own ConfigError with its $.field path) is a ConfigError that
+    names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
+        return parse(doc)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -512,17 +535,12 @@ def _load_generators(gens_doc, ts):
 
 
 def load_grid_config(document) -> GridModel:
-    """Build a fully validated GridModel from a config document (dict or JSON text).
+    """Build a fully validated GridModel from a parsed config document.
 
     Estimator gains are designed on load when not supplied; thresholds are
-    calibrated from a nominal noisy run when absent.
+    calibrated from a nominal noisy run when absent.  Errors are
+    ConfigErrors at their $.field path.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("$", f"invalid JSON: {exc}") from None
-
     require_keys(document, "$",
                  ["generators", "load_map", "envelope", "sampling_period_s"],
                  ["thresholds", "scheduled_load", "calibration", "noise_enabled"])
@@ -576,5 +594,4 @@ def load_grid_config(document) -> GridModel:
 
 
 def load_grid_config_file(path) -> GridModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_grid_config(fh.read())
+    return read_json_file(path, load_grid_config)

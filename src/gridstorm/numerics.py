@@ -77,9 +77,10 @@ def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
     """Fixed-point solution of the discrete algebraic Riccati equation.
 
     Iterates the Riccati difference recursion P <- f(P) from P0 = Q and stops
-    when the fixed-point residual ||P - f(P)||_inf drops below `tol`.  The
-    step size equals the residual, so the stopping rule bounds the residual
-    directly.
+    when the fixed-point residual ||P - f(P)||_inf (largest entry magnitude)
+    is at most tol * max(1, ||P||_inf): relative once P outgrows 1, where the
+    float spacing of P alone can exceed tol.  The step size equals the
+    residual, so the stopping rule bounds the residual directly.
 
     a (n, n), g (n, m), q (n, n) and r (m, m) may also be stacks (k, ...) of
     k problems, solved together: each problem stops at its own iteration and
@@ -111,20 +112,23 @@ def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
     todo = np.arange(k)
     blown = np.zeros(k, dtype=bool)
     p_todo, stack = p, (a, g, q, r)
+    bound = tol * np.maximum(1.0, np.abs(q).reshape(k, -1).max(axis=1))
     # The finiteness test reports a blow-up, so its overflow warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             nxt = dare_map(p_todo, *stack)
             nxt = 0.5 * (nxt + np.swapaxes(nxt, -1, -2))
             rows = nxt.reshape(todo.size, -1)
-            finite = np.isfinite(rows).all(axis=1)
-            going = finite & (np.abs(rows - p_todo.reshape(todo.size, -1)).max(axis=1) > tol)
+            size = np.abs(rows).max(axis=1)     # inf or NaN unless the row is finite
+            finite = np.isfinite(size)
+            going = finite & (np.abs(rows - p_todo.reshape(todo.size, -1)).max(axis=1) > bound)
+            bound = tol * np.maximum(1.0, size)
             if going.all():
                 p_todo = nxt
                 continue
             p[todo[finite]] = nxt[finite]
             blown[todo[~finite]] = True
-            todo, p_todo = todo[going], nxt[going]
+            todo, p_todo, bound = todo[going], nxt[going], bound[going]
             if not todo.size:
                 break
             stack = tuple(arr[todo] for arr in (a, g, q, r))

@@ -77,23 +77,23 @@ def test_simulate_malformed_grid_config_exit_2(tmp_path, capsys, section, key, v
     doc = load_config_doc("toy_grid.json")
     target = doc["generators"][0]["params"] if section == "generators" else doc[section]
     target[key] = value
+    config = write_json(tmp_path / "grid.json", doc)
     out = tmp_path / "x"
-    rc = main(["simulate", "--config", write_json(tmp_path / "grid.json", doc),
-               "--out", str(out)])
+    rc = main(["simulate", "--config", config, "--out", str(out)])
     assert rc == 2
-    assert f"config error: {field}: " in capsys.readouterr().err
+    assert f"config error: {config}: {field}: " in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_estimator_design_failure_exit_2(tmp_path, capsys):
     doc = load_config_doc("default_grid.json")
     doc["generators"][1]["noise"]["process"] = 1e308
+    config = write_json(tmp_path / "grid.json", doc)
     out = tmp_path / "x"
-    rc = main(["simulate", "--config", write_json(tmp_path / "grid.json", doc),
-               "--out", str(out)])
+    rc = main(["simulate", "--config", config, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert ("config error: $.generators[1].gains.l: estimator design failed: "
+    assert (f"config error: {config}: $.generators[1].gains.l: estimator design failed: "
             "Riccati iteration produced non-finite values") in err
     assert not out.exists()
 
@@ -189,7 +189,7 @@ def test_train_laa_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, do
     rc = main(["train-laa", "--config", fast_toy_config, "--train-config",
                train_cfg, "--out", str(out)])
     assert rc == 2
-    assert f"config error: {field}: " in capsys.readouterr().err
+    assert f"config error: {train_cfg}: {field}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -197,14 +197,15 @@ def test_train_laa_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, do
 def test_empty_schedule_exit_2(tmp_path, capsys, command):
     doc = load_config_doc("toy_grid.json")
     doc["scheduled_load"] = [[]]
-    args = [command, "--config", write_json(tmp_path / "grid.json", doc)]
+    config = write_json(tmp_path / "grid.json", doc)
+    args = [command, "--config", config]
     if command == "train-laa":
         train = {"episodes": 1, "steps_per_episode": 5}
         args += ["--train-config", write_json(tmp_path / "train.json", train)]
     out = tmp_path / "x"
     rc = main(args + ["--out", str(out)])
     assert rc == 2
-    assert "config error: $.scheduled_load: " in capsys.readouterr().err
+    assert f"config error: {config}: $.scheduled_load: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -215,6 +216,53 @@ def test_simulate_bad_attack_file_names_the_file(fast_toy_config, tmp_path, caps
                "--out", str(out)])
     assert rc == 2
     assert f"config error: {attack}: attack document missing keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the command that reads each input file, and every input file it reads
+INPUT_COMMANDS = {"--config": "simulate", "--attack": "simulate",
+                  "--train-config": "train-laa", "--laa": "falsify",
+                  "--falsify-config": "falsify"}
+COMMAND_INPUTS = {"simulate": ["--config", "--attack"],
+                  "train-laa": ["--config", "--train-config"],
+                  "falsify": ["--config", "--laa", "--falsify-config"]}
+
+
+@pytest.mark.parametrize("flag", list(INPUT_COMMANDS))
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"d": 3,', "Expecting property name", id="syntax"),
+    pytest.param('{"foo": 1}', "", id="schema"),
+    pytest.param('{"foo": NaN}', "non-finite number: NaN", id="nan"),
+    pytest.param('{"foo": -1e400}', "non-finite number: -1e400", id="overflow"),
+    pytest.param(None, "Is a directory", id="directory"),
+])
+def test_bad_input_file_exit_2_names_the_file(fast_toy_config, tmp_path, capsys, flag,
+                                              text, message):
+    inputs = {
+        "--config": fast_toy_config,
+        "--attack": write_json(tmp_path / "attack.json", {
+            "d": 3, "breaker_schedule": [[1, 1]] * 3,
+            "false_data": [[[0.0, 0.0]] * 3], "mask": [0, 1], "range": [-0.05, 0.05]}),
+        "--train-config": write_json(tmp_path / "train.json",
+                                     {"episodes": 1, "steps_per_episode": 5}),
+        "--laa": write_json(tmp_path / "laa.json", {"d": 5, "m": 2, "signals": [[1, 1]] * 5}),
+        "--falsify-config": write_json(tmp_path / "f.json", {"budget": 1, "restarts": 1}),
+    }
+    bad = tmp_path / "bad"
+    if text is None:
+        bad.mkdir()
+    else:
+        bad.write_text(text, encoding="utf-8")
+    inputs[flag] = str(bad)
+    command = INPUT_COMMANDS[flag]
+    out = tmp_path / "out"
+    argv = [command] + [arg for f in COMMAND_INPUTS[command] for arg in (f, inputs[f])]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if text is None:
+        assert str(bad) in err and message in err
+    else:
+        assert f"gridstorm: config error: {bad}: {message}" in err
     assert not out.exists()
 
 
@@ -291,16 +339,18 @@ def test_train_laa_product_reward_variant_reaches_reward(fast_toy_config, tmp_pa
     ({"seed": 1}, "$"),
     ([0.05], "$"),
     ({"budget": 0}, "$"),
+    pytest.param({"range": [-1e308, 1e308]}, "$", id="range_width_overflows"),
+    pytest.param({"range": [-np.inf, np.inf]}, "non-finite number", id="range_infinite"),
 ])
 def test_falsify_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, doc, field):
     laa = write_json(tmp_path / "laa.json",
                      {"d": 20, "m": 2, "signals": [[1, 1]] * 20})
+    fcfg = write_json(tmp_path / "f.json", doc)
     out = tmp_path / "f"
     rc = main(["falsify", "--config", fast_toy_config, "--laa", laa,
-               "--falsify-config", write_json(tmp_path / "f.json", doc),
-               "--out", str(out)])
+               "--falsify-config", fcfg, "--out", str(out)])
     assert rc == 2
-    assert f"config error: {field}: " in capsys.readouterr().err
+    assert f"config error: {fcfg}: {field}: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from gridstorm.falsify import (COOLING_FACTOR, COOLING_WINDOW, REJECTION_WINDOW,
                                FalsificationProblem, FalsifyConfig, FalsifyResult,
                                RestartHistory, ValidationMismatch, affine_model,
                                decode_control_points, falsify_sa, knot_boundaries,
-                               load_attack, load_schedule, objective, sample_candidate,
+                               load_attack, load_attack_file, load_schedule,
+                               load_schedule_file, objective, sample_candidate,
                                save_attack, save_schedule, synthesize_and_validate,
                                zero_candidate)
-from gridstorm.model import design_lqr_gain, load_grid_config
+from gridstorm.model import ConfigError, design_lqr_gain, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (AttackVector, BreakerSchedule, check_success, robustness_terms,
                            simulate)
@@ -735,35 +737,38 @@ def test_attack_roundtrip(tmp_path):
                           FalseDataSchedule(vals, np.array([0, 1])))
     path = tmp_path / "attack.json"
     save_attack(path, attack, -0.05, 0.05, provenance={"seed": 1})
-    loaded = load_attack(path.read_text())
+    loaded = load_attack_file(path)
     assert np.array_equal(loaded.breakers.signals, sig)
     assert np.array_equal(loaded.false_data.values, vals)
 
 
-def test_attack_rejects_out_of_range(tmp_path):
-    doc = {"d": 1, "breaker_schedule": [[1]], "false_data": [[[0.0, 0.2]]],
-           "mask": [0, 1], "range": [-0.05, 0.05]}
-    with pytest.raises(ValueError, match="range"):
-        load_attack(json.dumps(doc))
+def test_attack_rejects_out_of_range():
+    for value in (0.2, float("nan")):   # NaN compares False with either bound
+        doc = {"d": 1, "breaker_schedule": [[1]], "false_data": [[[0.0, value]]],
+               "mask": [0, 1], "range": [-0.05, 0.05]}
+        with pytest.raises(ValueError, match="false data outside its declared range"):
+            load_attack(doc)
 
 
 def test_attack_rejects_missing_keys():
     with pytest.raises(ValueError, match="missing"):
-        load_attack(json.dumps({"d": 3}))
+        load_attack({"d": 3})
 
 
 def test_schedule_roundtrip(tmp_path):
     sched = BreakerSchedule(signals=np.array([[1, 0], [0, 0]]))
     path = tmp_path / "laa.json"
     save_schedule(path, sched)
-    loaded = load_schedule(path.read_text())
+    loaded = load_schedule_file(path)
     assert np.array_equal(loaded.signals, sched.signals)
 
 
-def test_schedule_rejects_corrupt():
+def test_schedule_rejects_corrupt(tmp_path):
+    path = tmp_path / "laa.json"
+    path.write_text("not json {")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: Expecting value"):
+        load_schedule_file(path)
     with pytest.raises(ValueError):
-        load_schedule("not json {")
+        load_schedule({"d": 2, "m": 1, "signals": [[1]]})
     with pytest.raises(ValueError):
-        load_schedule(json.dumps({"d": 2, "m": 1, "signals": [[1]]}))
-    with pytest.raises(ValueError):
-        load_schedule(json.dumps({"signals": [[2, 0]]}))
+        load_schedule({"signals": [[2, 0]]})

@@ -1,5 +1,7 @@
 """Every name that a module of the package or of the test suite imports is
-used in that module; no linter is needed to catch a leftover import."""
+used in that module, and every private module-level helper of the package
+is read somewhere in the package; no linter is needed to catch a leftover
+import or helper."""
 
 import ast
 from pathlib import Path
@@ -7,7 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "gridstorm").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "gridstorm").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -32,3 +35,43 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source):
+    """(line, name) of each module-level function, class or constant whose
+    name starts with an underscore."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found if name.startswith("_")]
+
+
+def names_read(sources):
+    """Every name that the sources read, as a variable or as an attribute."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_dead_helpers_are_found():
+    source = ("_A = 1\n_B: int = 2\nC = _A\ndef _f():\n    pass\n"
+              "class _K:\n    pass\ndef g():\n    return m._K\n")
+    dead = [(line, name) for line, name in private_definitions(source)
+            if name not in names_read([source])]
+    assert dead == [(2, "_B"), (4, "_f")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_private_helper_is_read(path):
+    read = names_read(p.read_text(encoding="utf-8") for p in PACKAGE)
+    dead = private_definitions(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in dead if name not in read] == []

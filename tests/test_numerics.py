@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gridstorm.numerics
 from gridstorm.numerics import RiccatiDivergence, RngStream, dare_map, mat_exp, solve_dare
 
 
@@ -124,8 +125,9 @@ def lone_solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
         nxt = 0.5 * (nxt + nxt.T)
         assert np.all(np.isfinite(nxt))
         step = np.max(np.abs(nxt - p))
+        scale = max(1.0, np.max(np.abs(p)))
         p = nxt
-        if step <= tol:
+        if step <= tol * scale:
             return p, it
     raise AssertionError("oracle did not converge")
 
@@ -154,6 +156,24 @@ def test_stacked_dare_bitwise_equals_lone_solves():
         assert got[i].tobytes() == want.tobytes(), i
         assert solve_dare(a[i], g[i], q[i], r[i]).tobytes() == want.tobytes(), i
     assert len(iterations) == 5
+
+
+def test_dare_with_huge_noise_stops_on_relative_residual(default_grid, monkeypatch):
+    # Q = 1e300 I: float spacing near P keeps an absolute residual far above
+    # tol, so only the relative stop ends the iteration before the cap.
+    loop = default_grid.generators[1][1]
+    calls = []
+
+    def counting_map(*args):
+        calls.append(1)
+        return dare_map(*args)
+
+    problem = (loop.a.T, loop.c.T, 1e300 * np.eye(4), loop.r_noise)
+    monkeypatch.setattr(gridstorm.numerics, "dare_map", counting_map)
+    p = solve_dare(*problem)
+    want, iterations = lone_solve_dare(*problem)
+    assert np.max(np.abs(p)) > 1e300 and p.tobytes() == want.tobytes()
+    assert len(calls) == iterations < 1000
 
 
 def test_stacked_dare_names_the_failing_problem():
