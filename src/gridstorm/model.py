@@ -2,8 +2,9 @@
 
 A generator loop is the four-state system (rotor-speed deviation, mechanical
 power, valve position, power reference) driven by the load deviation.  The
-grid bundles n such loops with an m-breaker load topology, safety envelopes,
-and per-generator residue-detector thresholds.
+grid holds n such loops as arrays stacked along a leading generator axis,
+with an m-breaker load topology, safety envelopes, and per-generator
+residue-detector thresholds.
 
 Conventions: power quantities are per-unit on each generator's rating; the
 rotor-speed deviation state is rad/s and is reported as
@@ -22,6 +23,10 @@ from .numerics import RiccatiDivergence, RngStream, mat_exp, solve_dare
 
 N_STATES = 4
 N_OUTPUTS = 2
+
+# The output map of every generator loop: y = (d_omega, d_p_ref).
+C_OUT = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+C_OUT.setflags(write=False)
 
 THRESHOLD_FLOOR = 1e-9
 
@@ -117,15 +122,22 @@ def _finite(text):
     return value
 
 
+def _finite_int(text):
+    """A JSON integer, if a float holds it finite."""
+    _finite(text)
+    return int(text)
+
+
 def read_json_file(path, parse):
     """parse() of the JSON document in the file at path, the one reader of
     every input file.  A ValueError on the way (malformed UTF-8 or JSON, a
-    NaN/Infinity constant or an overflowing literal such as 1e400, or
-    parse's own ConfigError with its $.field path) is a ConfigError that
-    names the file."""
+    NaN/Infinity constant or a literal that overflows a float, such as 1e400
+    or an integer of 400 digits, or parse's own ConfigError with its $.field
+    path) is a ConfigError that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            doc = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                            parse_int=_finite_int)
         return parse(doc)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
@@ -175,50 +187,6 @@ class AgcParams:
             )
         if self.governor_sign not in (-1, 1):
             raise ValueError("governor_sign must be -1 or +1")
-
-
-@dataclass(frozen=True)
-class ContinuousStateSpace:
-    a_c: np.ndarray   # 4x4
-    b_c: np.ndarray   # 4x1
-    c_c: np.ndarray   # 2x4, selects (d_omega, d_p_ref)
-
-    def __post_init__(self):
-        for name, arr, shape in (("a_c", self.a_c, (4, 4)),
-                                 ("b_c", self.b_c, (4, 1)),
-                                 ("c_c", self.c_c, (2, 4))):
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
-            arr.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class DiscreteLoop:
-    """Discretized plant plus estimator and controller gains for one generator."""
-
-    a: np.ndarray        # 4x4
-    b: np.ndarray        # 4x1
-    c: np.ndarray        # 2x4, zero feedthrough
-    k_gain: np.ndarray   # 1x4 state-feedback gain (0 by default)
-    l_gain: np.ndarray   # 4x2 estimator gain
-    ts: float
-    q_noise: np.ndarray  # 4x4 process covariance
-    r_noise: np.ndarray  # 2x2 measurement covariance
-
-    def __post_init__(self):
-        shapes = {"a": (self.a, (4, 4)), "b": (self.b, (4, 1)),
-                  "c": (self.c, (2, 4)),
-                  "k_gain": (self.k_gain, (1, 4)), "l_gain": (self.l_gain, (4, 2)),
-                  "q_noise": (self.q_noise, (4, 4)), "r_noise": (self.r_noise, (2, 2))}
-        for name, (arr, shape) in shapes.items():
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            arr.setflags(write=False)
-        if not self.ts > 0:
-            raise ValueError("ts must be > 0")
-        rad = spectral_radius(self.a - self.l_gain @ self.c)
-        if not rad < 1.0:
-            raise ValueError(f"estimator loop unstable: rho(A - L C) = {rad}")
 
 
 @dataclass(frozen=True)
@@ -290,7 +258,19 @@ class Calibration:
 
 @dataclass(frozen=True)
 class GridModel:
-    generators: tuple                 # of (AgcParams, DiscreteLoop)
+    """n generator loops with their load topology, safety envelope and
+    residue thresholds.  The loop arrays are read-only and stacked along a
+    leading generator axis, the layout kernels.step_loop steps."""
+
+    params: tuple                     # n AgcParams
+    a: np.ndarray                     # n x 4 x 4 discretized plant
+    b: np.ndarray                     # n x 4 load input
+    c: np.ndarray                     # n x 2 x 4 output map, zero feedthrough
+    l: np.ndarray                     # n x 4 x 2 estimator gains
+    k: np.ndarray                     # n x 4 state-feedback gains (0 by default)
+    q_noise: np.ndarray               # n x 4 x 4 process covariances
+    r_noise: np.ndarray               # n x 2 x 2 measurement covariances
+    ts: float                         # sampling period of every loop, seconds
     load_map: LoadMap
     envelope: SafetyEnvelope
     thresholds: np.ndarray            # n residue thresholds
@@ -298,37 +278,45 @@ class GridModel:
     noise_enabled: bool = True
 
     def __post_init__(self):
-        if len(self.generators) < 1:
+        n = len(self.params)
+        if n < 1:
             raise ValueError("grid needs at least one generator")
-        th = np.asarray(self.thresholds, dtype=float)
-        sched = np.asarray(self.scheduled_load, dtype=float)
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "thresholds", th)
-        object.__setattr__(self, "scheduled_load", sched)
-        n = len(self.generators)
-        if th.shape != (n,) or np.any(th <= 0):
+        if not self.ts > 0:
+            raise ValueError("ts must be > 0")
+        object.__setattr__(self, "params", tuple(self.params))
+        shapes = {"a": (4, 4), "b": (4,), "c": (2, 4), "l": (4, 2), "k": (4,),
+                  "q_noise": (4, 4), "r_noise": (2, 2), "thresholds": ()}
+        for name, shape in shapes.items():
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != (n,) + shape:
+                raise ValueError(f"{name} must have shape {(n,) + shape}, got {arr.shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if np.any(self.thresholds <= 0):
             raise ValueError("thresholds must be n positive values")
+        sched = np.asarray(self.scheduled_load, dtype=float)
+        object.__setattr__(self, "scheduled_load", sched)
         if sched.ndim != 2 or sched.shape[0] != n or sched.shape[1] < 1:
             raise ValueError("scheduled_load must be n x T with T >= 1")
         if self.load_map.matrix.shape[0] != n:
             raise ValueError("load map rows must match generator count")
-        ts = {loop.ts for _, loop in self.generators}
-        if len(ts) != 1:
-            raise ValueError("all generator loops must share the same ts")
-        th.setflags(write=False)
         sched.setflags(write=False)
 
     @property
     def n_generators(self):
-        return len(self.generators)
+        return len(self.params)
 
     @property
     def n_breakers(self):
         return self.load_map.n_breakers
 
     @property
-    def ts(self):
-        return self.generators[0][1].ts
+    def nominal_hz(self):
+        return np.array([p.nominal_frequency_hz for p in self.params])
+
+    @property
+    def droop(self):
+        return np.array([p.droop for p in self.params])
 
     def schedule(self, start, length):
         """Scheduled load of steps start..start + length - 1, n x length;
@@ -336,18 +324,10 @@ class GridModel:
         last = self.scheduled_load.shape[1] - 1
         return self.scheduled_load[:, np.minimum(np.arange(start, start + length), last)]
 
-    def stacked(self):
-        """Matrices stacked along a leading generator axis, for the kernels."""
-        a = np.stack([loop.a for _, loop in self.generators])
-        b = np.stack([loop.b[:, 0] for _, loop in self.generators])
-        c = np.stack([loop.c for _, loop in self.generators])
-        l = np.stack([loop.l_gain for _, loop in self.generators])
-        k = np.stack([loop.k_gain[0] for _, loop in self.generators])
-        return a, b, c, l, k
 
-
-def build_continuous(params: AgcParams) -> ContinuousStateSpace:
-    """Assemble the four-state continuous-time AGC loop for one generator."""
+def build_continuous(params: AgcParams):
+    """The four-state continuous-time AGC loop (A_c, B_c) of one generator,
+    4 x 4 and 4 x 1; its output map is C_OUT."""
     d, h = params.droop, params.inertia
     t_tr, t_g = params.turbine_delay, params.governor_delay
     r, k_ref = params.regulation, params.integrator_gain
@@ -359,24 +339,19 @@ def build_continuous(params: AgcParams) -> ContinuousStateSpace:
         [-k_ref, 0.0, 0.0, 0.0],
     ])
     b_c = np.array([[-1 / (2 * h)], [0.0], [0.0], [0.0]])
-    c_c = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-    return ContinuousStateSpace(a_c=a_c, b_c=b_c, c_c=c_c)
+    return a_c, b_c
 
 
-def discretize_zoh(css: ContinuousStateSpace, ts: float):
-    """Exact zero-order-hold discretization via the block matrix exponential.
-
-    Returns (A, B); C passes through unchanged and the feedthrough is zero.
+def discretize_zoh(a_c, b_c, ts: float):
+    """Exact zero-order-hold discretization (A, B) of (A_c, B_c) via the
+    block matrix exponential; the output map and zero feedthrough carry over.
     """
     if not ts > 0:
         raise ValueError("ts must be > 0")
-    n, k = css.a_c.shape[0], css.b_c.shape[1]
+    n, k = a_c.shape[0], b_c.shape[1]
     block = np.zeros((n + k, n + k))
-    block[:n, :n] = css.a_c
-    block[:n, n:] = css.b_c
+    block[:n, :n] = a_c
+    block[:n, n:] = b_c
     ed = mat_exp(block * ts)
     a, b = ed[:n, :n], ed[:n, n:]
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -385,7 +360,8 @@ def discretize_zoh(css: ContinuousStateSpace, ts: float):
 
 
 def spectral_radius(m):
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    """The spectral radius of the matrix m, or of each matrix of a stack."""
+    return np.max(np.abs(np.linalg.eigvals(m)), axis=-1)
 
 
 class DesignFailure(ValueError):
@@ -412,7 +388,7 @@ def design_kalman_gain(a, c, q_n, r_n):
         raise DesignFailure(exc.problem, str(exc)) from None
     s = c @ p @ ct + r_n
     l = a @ p @ ct @ np.linalg.inv(s)
-    rad = np.max(np.abs(np.linalg.eigvals(a - l @ c)), axis=-1)
+    rad = spectral_radius(a - l @ c)
     for i, rho in enumerate(np.atleast_1d(rad)):
         if not rho < 1.0:
             raise DesignFailure(i, f"designed estimator is not contracting: rho = {rho}")
@@ -473,8 +449,8 @@ def _covariance(value, path, dim):
 
 
 def _load_generator(doc, path, ts):
-    """One generator's params and loop fields, its estimator gain None when
-    it is left to design_kalman_gain."""
+    """One generator's params and loop arrays, keyed by GridModel field, its
+    estimator gain l None when it is left to design_kalman_gain."""
     require_keys(doc, path, ["params"], ["gains", "noise"])
     params = config_object(AgcParams, doc["params"], f"{path}.params")
 
@@ -482,11 +458,12 @@ def _load_generator(doc, path, ts):
     require_keys(noise, f"{path}.noise", [], ["process", "measurement"])
     q_n = _covariance(noise.get("process", 1e-6), f"{path}.noise.process", N_STATES)
     r_n = _covariance(noise.get("measurement", 1e-6), f"{path}.noise.measurement", N_OUTPUTS)
+    if np.min(np.linalg.eigvalsh(q_n)) < 0:   # its lower triangle, all the noise draw reads
+        raise ConfigError(f"{path}.noise.process", "must be positive semidefinite")
     if np.min(np.linalg.eigvalsh(0.5 * (r_n + r_n.T))) <= 0:
         raise ConfigError(f"{path}.noise.measurement", "must be positive definite")
 
-    css = build_continuous(params)
-    a, b = discretize_zoh(css, ts)
+    a, b = discretize_zoh(*build_continuous(params), ts)
 
     gains = doc.get("gains", {})
     require_keys(gains, f"{path}.gains", [], ["k", "l", "lqr"])
@@ -496,42 +473,40 @@ def _load_generator(doc, path, ts):
         lqr = gains["lqr"]
         require_keys(lqr, f"{path}.gains.lqr", ["q", "r"])
         # The loop applies u = u_sched + K x_hat; the LQR gain is for u = -K x.
-        k_gain = -design_lqr_gain(a, b, _covariance(lqr["q"], f"{path}.gains.lqr.q", N_STATES),
-                                  _covariance(lqr["r"], f"{path}.gains.lqr.r", 1))
+        k = -design_lqr_gain(a, b, _covariance(lqr["q"], f"{path}.gains.lqr.q", N_STATES),
+                             _covariance(lqr["r"], f"{path}.gains.lqr.r", 1))
     else:
-        k_gain = _matrix(gains.get("k", np.zeros((1, N_STATES))),
-                         f"{path}.gains.k", (1, N_STATES))
-    l_gain = None
+        k = _matrix(gains.get("k", np.zeros((1, N_STATES))),
+                    f"{path}.gains.k", (1, N_STATES))
+    l = None
     if "l" in gains:
-        l_gain = _matrix(gains["l"], f"{path}.gains.l", (N_STATES, N_OUTPUTS))
-    return params, dict(a=a, b=b, c=css.c_c.copy(), k_gain=k_gain, l_gain=l_gain,
-                        ts=ts, q_noise=q_n, r_noise=r_n)
+        l = _matrix(gains["l"], f"{path}.gains.l", (N_STATES, N_OUTPUTS))
+    return params, dict(a=a, b=b[:, 0], c=C_OUT, l=l, k=k[0], q_noise=q_n, r_noise=r_n)
 
 
 def _load_generators(gens_doc, ts):
-    """Every generator's (params, DiscreteLoop).  The estimator gains left
-    out of the config are designed in one stacked call, after every
-    generator has been read."""
+    """Every generator's params, and their loop arrays stacked by GridModel
+    field.  The estimator gains left out of the config are designed in one
+    stacked call, after every generator has been read; every gain must
+    leave its estimator loop contracting."""
     paths = [f"$.generators[{i}]" for i in range(len(gens_doc))]
-    read = [_load_generator(g, path, ts) for g, path in zip(gens_doc, paths)]
-    design = [i for i, (_, f) in enumerate(read) if f["l_gain"] is None]
+    params, loops = zip(*(_load_generator(g, path, ts) for g, path in zip(gens_doc, paths)))
+    design = [i for i, loop in enumerate(loops) if loop["l"] is None]
     if design:
-        stack = [np.stack([read[i][1][key] for i in design])
-                 for key in ("a", "c", "q_noise", "r_noise")]
         try:
-            gains = design_kalman_gain(*stack)
+            gains = design_kalman_gain(*(np.stack([loops[i][key] for i in design])
+                                         for key in ("a", "c", "q_noise", "r_noise")))
         except DesignFailure as exc:
             raise ConfigError(f"{paths[design[exc.problem]]}.gains.l",
                               f"estimator design failed: {exc}") from None
-        for i, l_gain in zip(design, gains):
-            read[i][1]["l_gain"] = l_gain
-    generators = []
-    for path, (params, fields) in zip(paths, read):
-        try:
-            generators.append((params, DiscreteLoop(**fields)))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-    return generators
+        for i, l in zip(design, gains):
+            loops[i]["l"] = l
+    arrays = {key: np.stack([loop[key] for loop in loops]) for key in loops[0]}
+    rad = spectral_radius(arrays["a"] - arrays["l"] @ arrays["c"])
+    for path, rho in zip(paths, rad):
+        if not rho < 1.0:
+            raise ConfigError(path, f"estimator loop unstable: rho(A - L C) = {rho}")
+    return params, arrays
 
 
 def load_grid_config(document) -> GridModel:
@@ -552,8 +527,8 @@ def load_grid_config(document) -> GridModel:
     gens_doc = document["generators"]
     if not isinstance(gens_doc, list) or not gens_doc:
         raise ConfigError("$.generators", "must be a non-empty array")
-    generators = _load_generators(gens_doc, ts)
-    n = len(generators)
+    params, loops = _load_generators(gens_doc, ts)
+    n = len(params)
 
     lm_doc = document["load_map"]
     require_keys(lm_doc, "$.load_map", ["matrix", "b_nom"])
@@ -585,7 +560,7 @@ def load_grid_config(document) -> GridModel:
         thresholds = _matrix(document["thresholds"], "$.thresholds", (n,))
         if np.any(thresholds <= 0):
             raise ConfigError("$.thresholds", "must be positive")
-    grid = GridModel(generators=tuple(generators), load_map=load_map,
+    grid = GridModel(params=params, **loops, ts=ts, load_map=load_map,
                      envelope=envelope, thresholds=thresholds,
                      scheduled_load=sched, noise_enabled=noise_enabled)
     if calibrate:

@@ -284,12 +284,9 @@ class GridEnv:
         self.m = grid.n_breakers
         self.obs_dim = 3 * self.n + self.m
         self.act_dim = self.m
-        a, b, c, l, k = grid.stacked()
-        self._a, self._b, self._c, self._l, self._k = a, b, c, l, k
-        self._use_k = bool(np.any(k != 0.0))
-        params = [p for p, _ in grid.generators]
-        self._nominal = np.array([p.nominal_frequency_hz for p in params])
-        self._droop = np.array([p.droop for p in params])
+        self._a, self._b, self._c, self._l, self._k = grid.a, grid.b, grid.c, grid.l, grid.k
+        self._use_k = bool(np.any(grid.k != 0.0))
+        self._nominal, self._droop = grid.nominal_hz, grid.droop
         self._init_range = episode_config.init_range(self.n)
         self._done = True
 

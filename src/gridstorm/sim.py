@@ -208,8 +208,9 @@ def simulate_many(grid: GridModel, attacks, horizon: int, init=None, noise=False
         raise ValueError("noise=True requires an rng per run")
 
     n, runs = grid.n_generators, len(attacks)
-    a, b, c, l, k = (np.concatenate([m] * runs) for m in grid.stacked())
-    use_k = bool(np.any(k != 0.0))
+    a, b, c, l, k = (np.concatenate([m] * runs)
+                     for m in (grid.a, grid.b, grid.c, grid.l, grid.k))
+    use_k = bool(np.any(grid.k != 0.0))
     n_steps = horizon + 1
 
     x0 = np.zeros((n, 4)) if init is None else np.array(init, dtype=float)
@@ -226,9 +227,8 @@ def simulate_many(grid: GridModel, attacks, horizon: int, init=None, noise=False
             a_y[j * n:(j + 1) * n, :attack.d] = attack.false_data.values
 
     if noise:
-        chol_q = [np.linalg.cholesky(loop.q_noise + 1e-300 * np.eye(4))
-                  for _, loop in grid.generators]
-        chol_r = [np.linalg.cholesky(loop.r_noise) for _, loop in grid.generators]
+        chol_q = np.linalg.cholesky(grid.q_noise + 1e-300 * np.eye(4))
+        chol_r = np.linalg.cholesky(grid.r_noise)
         for j, rng in enumerate(rngs):
             for i in range(n):
                 w[j * n + i] = rng.normal(size=(horizon, 4)) @ chol_q[i].T
@@ -241,9 +241,7 @@ def simulate_many(grid: GridModel, attacks, horizon: int, init=None, noise=False
     if valid < n_steps:
         counts = valid_counts(z, yr).reshape(runs, n).min(axis=1)
 
-    params = [p for p, _ in grid.generators]
-    nominal_hz = np.array([p.nominal_frequency_hz for p in params])
-    droop = np.array([p.droop for p in params])
+    nominal_hz, droop = grid.nominal_hz, grid.droop
     traces = []
     for j, steps in enumerate(counts):
         rows, cut = slice(j * n, (j + 1) * n), slice(0, steps)

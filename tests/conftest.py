@@ -41,20 +41,16 @@ def make_plain_grid(n=1, thresholds=None, m=None, mcol=0.25, sched=None,
                     q_diag=(1e-6, 1e-6, 1e-6, 1e-6), r_diag=(1e-6, 1e-6),
                     inertia=5.0, regulation=1.0, noise_enabled=False):
     """Small synthetic grid for unit tests: mild dynamics, explicit thresholds."""
-    from gridstorm.model import (AgcParams, DiscreteLoop, GridModel, LoadMap,
-                                 SafetyEnvelope, build_continuous,
-                                 design_kalman_gain, discretize_zoh)
+    from gridstorm.model import (C_OUT, AgcParams, GridModel, LoadMap, SafetyEnvelope,
+                                 build_continuous, design_kalman_gain, discretize_zoh)
 
     m = m or n
     params = AgcParams(inertia=inertia, droop=1.0 / regulation, regulation=regulation,
                        turbine_delay=0.5, governor_delay=0.2, integrator_gain=1.0)
-    css = build_continuous(params)
-    a, b = discretize_zoh(css, 0.01)
+    a, b = discretize_zoh(*build_continuous(params), 0.01)
     q = np.diag(q_diag)
     r = np.diag(r_diag)
-    l = design_kalman_gain(a, css.c_c, q, r)
-    loop = DiscreteLoop(a=a, b=b, c=css.c_c.copy(), k_gain=np.zeros((1, 4)),
-                        l_gain=l, ts=0.01, q_noise=q, r_noise=r)
+    l = design_kalman_gain(a, C_OUT, q, r)
     matrix = np.full((n, m), 0.0)
     for i in range(n):
         matrix[i, i % m] = mcol
@@ -64,6 +60,7 @@ def make_plain_grid(n=1, thresholds=None, m=None, mcol=0.25, sched=None,
     envelope = SafetyEnvelope(f_lo=59.5, f_hi=60.5, pe_lo=-0.1, pe_hi=0.1)
     th = np.asarray(thresholds if thresholds is not None else [0.01] * n, dtype=float)
     sched = np.zeros((n, 1)) if sched is None else np.asarray(sched, dtype=float)
-    return GridModel(generators=tuple((params, loop) for _ in range(n)),
-                     load_map=load_map, envelope=envelope, thresholds=th,
+    return GridModel(params=(params,) * n, a=[a] * n, b=[b[:, 0]] * n, c=[C_OUT] * n,
+                     l=[l] * n, k=np.zeros((n, 4)), q_noise=[q] * n, r_noise=[r] * n,
+                     ts=0.01, load_map=load_map, envelope=envelope, thresholds=th,
                      scheduled_load=sched, noise_enabled=noise_enabled)

@@ -71,16 +71,15 @@ def test_criterion_1_numerics():
 
 
 def test_criterion_2_model():
-    css = build_continuous(params())
-    a, b = discretize_zoh(css, 0.01)
-    a_ref, b_ref = euler_refined(css.a_c, css.b_c, 0.01)
+    a_c, b_c = build_continuous(params())
+    a, b = discretize_zoh(a_c, b_c, 0.01)
+    a_ref, b_ref = euler_refined(a_c, b_c, 0.01)
     zoh_err = max(np.max(np.abs(a - a_ref)), np.max(np.abs(b - b_ref)))
 
     radii = []
     for name in ("default_grid.json", "toy_grid.json"):
         grid = load_grid_config(load_config_doc(name))
-        for _, loop in grid.generators:
-            radii.append(spectral_radius(loop.a - loop.l_gain @ loop.c))
+        radii.extend(spectral_radius(grid.a - grid.l @ grid.c))
 
     doc = load_config_doc("default_grid.json")
     doc["noise_enabled"] = False

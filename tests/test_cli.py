@@ -71,11 +71,14 @@ def test_simulate_missing_config(tmp_path):
     ("calibration", "horizon", 10.5, "$.calibration.horizon"),
     ("calibration", "margin", 0.9, "$.calibration"),
     ("envelope", "f_lo", "a", "$.envelope.f_lo"),
+    ("noise", "process", np.diag([1e-4, -1e-6, 1e-8, 1e-8]).tolist(),
+     "$.generators[0].noise.process"),
 ])
 def test_simulate_malformed_grid_config_exit_2(tmp_path, capsys, section, key, value,
                                                field):
     doc = load_config_doc("toy_grid.json")
-    target = doc["generators"][0]["params"] if section == "generators" else doc[section]
+    gen = doc["generators"][0]
+    target = {**doc, "generators": gen["params"], "noise": gen["noise"]}[section]
     target[key] = value
     config = write_json(tmp_path / "grid.json", doc)
     out = tmp_path / "x"
@@ -95,6 +98,18 @@ def test_estimator_design_failure_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert (f"config error: {config}: $.generators[1].gains.l: estimator design failed: "
             "Riccati iteration produced non-finite values") in err
+    assert not out.exists()
+
+
+def test_unstable_supplied_estimator_gain_exit_2(tmp_path, capsys):
+    doc = load_config_doc("toy_grid.json")
+    doc["thresholds"] = [0.9]
+    doc["generators"][0]["gains"] = {"l": [[5.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    config = write_json(tmp_path / "grid.json", doc)
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+    assert (f"config error: {config}: $.generators[0]: estimator loop unstable: "
+            "rho(A - L C) = 4.01") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -234,6 +249,8 @@ COMMAND_INPUTS = {"simulate": ["--config", "--attack"],
     pytest.param('{"foo": 1}', "", id="schema"),
     pytest.param('{"foo": NaN}', "non-finite number: NaN", id="nan"),
     pytest.param('{"foo": -1e400}', "non-finite number: -1e400", id="overflow"),
+    pytest.param('{"foo": 1' + "0" * 400 + "}", "non-finite number: 1" + "0" * 400,
+                 id="huge_int"),
     pytest.param(None, "Is a directory", id="directory"),
 ])
 def test_bad_input_file_exit_2_names_the_file(fast_toy_config, tmp_path, capsys, flag,

@@ -225,10 +225,9 @@ def test_affine_model_agrees_with_objective(mask, basis, stealth, gain):
                            inertia=0.02, regulation=20.0)
     if gain == "lqr":
         # K x_hat carries the false data into the plant
-        grid = dataclasses.replace(grid, generators=[
-            (params, dataclasses.replace(loop, k_gain=-design_lqr_gain(
-                loop.a, loop.b, np.eye(4), np.eye(1))))
-            for params, loop in grid.generators])
+        grid = dataclasses.replace(grid, k=[
+            -design_lqr_gain(a, b[:, None], np.eye(4), np.eye(1))[0]
+            for a, b in zip(grid.a, grid.b)])
     init = np.array([[0.02, -0.01, 0.005, 0.0], [-0.01, 0.005, 0.0, 0.002],
                      [0.04, -0.02, 0.01, 0.0]])
     laa = BreakerSchedule(signals=np.zeros((30, 2), dtype=int))

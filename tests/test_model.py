@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridstorm.model import (AgcParams, Calibration, ConfigError, ContinuousStateSpace,
+from gridstorm.model import (C_OUT, AgcParams, Calibration, ConfigError,
                              build_continuous, calibrate_threshold,
                              design_kalman_gain, design_lqr_gain, discretize_zoh,
                              load_grid_config, spectral_radius)
@@ -17,26 +17,26 @@ def params(**overrides):
 
 
 def test_continuous_entries_match_closed_forms():
-    css = build_continuous(params())
-    assert css.a_c[0, 0] == -0.1
-    assert css.a_c[0, 1] == 0.1
-    assert css.b_c[0, 0] == -0.1
-    assert css.a_c[1, 1] == -2.0 and css.a_c[1, 2] == 2.0
-    assert css.a_c[2, 2] == -5.0 and css.a_c[2, 3] == 5.0
-    assert css.a_c[3, 0] == -7.0
+    a_c, b_c = build_continuous(params())
+    assert a_c[0, 0] == -0.1
+    assert a_c[0, 1] == 0.1
+    assert b_c[0, 0] == -0.1
+    assert a_c[1, 1] == -2.0 and a_c[1, 2] == 2.0
+    assert a_c[2, 2] == -5.0 and a_c[2, 3] == 5.0
+    assert a_c[3, 0] == -7.0
     # physics sign convention on the rotor-speed coupling into the valve
-    assert css.a_c[2, 0] == -5.0
-    assert np.array_equal(css.c_c, [[1, 0, 0, 0], [0, 0, 0, 1]])
+    assert a_c[2, 0] == -5.0
+    assert np.array_equal(C_OUT, [[1, 0, 0, 0], [0, 0, 0, 1]])
 
 
 def test_governor_sign_flag_selects_printed_variant():
-    css = build_continuous(params(governor_sign=1))
-    assert css.a_c[2, 0] == +5.0
+    a_c, _ = build_continuous(params(governor_sign=1))
+    assert a_c[2, 0] == +5.0
 
 
 def test_zero_integrator_gain_freezes_reference_row():
-    css = build_continuous(params(integrator_gain=0.0))
-    assert np.array_equal(css.a_c[3], [0.0, 0.0, 0.0, 0.0])
+    a_c, _ = build_continuous(params(integrator_gain=0.0))
+    assert np.array_equal(a_c[3], [0.0, 0.0, 0.0, 0.0])
 
 
 def charpoly_leverrier(m):
@@ -59,7 +59,7 @@ def test_continuous_eigenvalues_match_polynomial_root_oracle():
                    turbine_delay=float(rng.uniform(0.2, 1.0)),
                    governor_delay=float(rng.uniform(0.05, 0.4)),
                    integrator_gain=float(rng.uniform(0.0, 5.0)))
-        a = build_continuous(p).a_c
+        a, _ = build_continuous(p)
         want = np.sort_complex(np.roots(charpoly_leverrier(a)))
         got = np.sort_complex(np.linalg.eigvals(a))
         assert np.allclose(got, want, atol=1e-8)
@@ -81,11 +81,8 @@ def test_params_invariants():
 
 def zoh_pair(a_c, b_c, ts):
     """Scalar/general ZOH through the public block-exponential path."""
-    css = object.__new__(ContinuousStateSpace)
-    object.__setattr__(css, "a_c", np.atleast_2d(np.asarray(a_c, dtype=float)))
-    object.__setattr__(css, "b_c", np.atleast_2d(np.asarray(b_c, dtype=float)))
-    object.__setattr__(css, "c_c", np.zeros((0, css.a_c.shape[0])))
-    return discretize_zoh(css, ts)
+    return discretize_zoh(np.atleast_2d(np.asarray(a_c, dtype=float)),
+                          np.atleast_2d(np.asarray(b_c, dtype=float)), ts)
 
 
 def test_zoh_identity_case():
@@ -113,25 +110,25 @@ def euler_refined(a_c, b_c, ts, substeps=10_000):
 
 
 def test_zoh_matches_fine_step_euler_oracle():
-    css = build_continuous(params())
-    a, b = discretize_zoh(css, 0.01)
-    a_ref, b_ref = euler_refined(css.a_c, css.b_c, 0.01)
+    a_c, b_c = build_continuous(params())
+    a, b = discretize_zoh(a_c, b_c, 0.01)
+    a_ref, b_ref = euler_refined(a_c, b_c, 0.01)
     assert np.max(np.abs(a - a_ref)) <= 1e-6
     assert np.max(np.abs(b - b_ref)) <= 1e-6
 
 
 def test_zoh_semigroup_property():
-    css = build_continuous(params(integrator_gain=1.0))
+    a_c, b_c = build_continuous(params(integrator_gain=1.0))
     ts = 0.04
-    a_full, b_full = discretize_zoh(css, ts)
-    a_half, b_half = discretize_zoh(css, ts / 2)
+    a_full, b_full = discretize_zoh(a_c, b_c, ts)
+    a_half, b_half = discretize_zoh(a_c, b_c, ts / 2)
     assert np.max(np.abs(a_half @ a_half - a_full)) <= 1e-8
     assert np.max(np.abs(a_half @ b_half + b_half - b_full)) <= 1e-8
 
 
 def test_zoh_rejects_bad_ts():
     with pytest.raises(ValueError):
-        discretize_zoh(build_continuous(params()), 0.0)
+        discretize_zoh(*build_continuous(params()), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +169,8 @@ def test_stacked_kalman_design_equals_lone_designs():
     # different iterations
     loops = []
     for inertia, scale in ((2.0, 1e-8), (5.0, 1e-4), (9.0, 1.0)):
-        css = build_continuous(params(inertia=inertia))
-        a, _ = discretize_zoh(css, 0.01)
-        loops.append((a, css.c_c, scale * np.eye(4), np.diag([0.06, 1e-8])))
+        a, _ = discretize_zoh(*build_continuous(params(inertia=inertia)), 0.01)
+        loops.append((a, C_OUT, scale * np.eye(4), np.diag([0.06, 1e-8])))
     stacked = design_kalman_gain(*(np.stack(m) for m in zip(*loops)))
     for i, loop in enumerate(loops):
         assert stacked[i].tobytes() == design_kalman_gain(*loop).tobytes(), i
@@ -191,13 +187,13 @@ def test_config_designs_missing_estimator_gains_in_one_solve(default_grid, monke
     monkeypatch.setattr(model, "solve_dare", counting)
     doc = load_config_doc("default_grid.json")
     doc["thresholds"] = default_grid.thresholds.tolist()
-    supplied = default_grid.generators[1][1].l_gain * 0.5
+    supplied = default_grid.l[1] * 0.5
     doc["generators"][1]["gains"] = {"l": supplied.tolist()}
     grid = load_grid_config(doc)
     assert calls == [(2, 4, 4)]
-    for i, (_, loop) in enumerate(grid.generators):
-        want = supplied if i == 1 else default_grid.generators[i][1].l_gain
-        assert loop.l_gain.tobytes() == want.tobytes(), i
+    for i, l in enumerate(grid.l):
+        want = supplied if i == 1 else default_grid.l[i]
+        assert l.tobytes() == want.tobytes(), i
 
 
 def test_config_reads_every_generator_before_designing_estimators():
@@ -214,8 +210,8 @@ def test_config_reads_every_generator_before_designing_estimators():
 
 
 def test_designed_estimators_are_contracting(default_grid):
-    for _, loop in default_grid.generators:
-        assert spectral_radius(loop.a - loop.l_gain @ loop.c) < 1.0
+    for a, l, c in zip(default_grid.a, default_grid.l, default_grid.c):
+        assert spectral_radius(a - l @ c) < 1.0
 
 
 def test_lqr_zero_state_cost_gives_zero_gain():
@@ -231,8 +227,7 @@ def test_lqr_stabilizes_unstable_scalar():
 
 
 def test_lqr_on_discretized_plant_contracts():
-    css = build_continuous(params(integrator_gain=1.0))
-    a, b = discretize_zoh(css, 0.01)
+    a, b = discretize_zoh(*build_continuous(params(integrator_gain=1.0)), 0.01)
     k = design_lqr_gain(a, b, np.eye(4), np.eye(1))
     assert spectral_radius(a - b @ k) <= min(1.0, spectral_radius(a)) + 1e-12
 
@@ -284,6 +279,15 @@ def test_default_config_loads_three_generators(default_grid):
     assert default_grid.n_breakers == 3
     assert default_grid.ts == 0.01
     assert np.all(default_grid.thresholds > 0)
+
+
+def test_grid_loop_arrays_are_read_only(default_grid):
+    assert default_grid.a.shape == (3, 4, 4) and default_grid.l.shape == (3, 4, 2)
+    for name in ("a", "b", "c", "l", "k", "q_noise", "r_noise", "thresholds"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(default_grid, name)[0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        C_OUT[0, 0] = 2.0
 
 
 def test_config_rejects_empty_generators():
@@ -339,13 +343,12 @@ def test_config_supplied_gain_is_used():
     doc = load_config_doc("toy_grid.json")
     doc["generators"][0]["gains"] = {"k": [[0.0, 0.0, 0.0, 0.1]]}
     grid = load_grid_config(doc)
-    assert grid.generators[0][1].k_gain[0, 3] == 0.1
+    assert grid.k[0, 3] == 0.1
 
 
 def test_estimator_error_decays_geometrically():
     grid = make_plain_grid(n=1, thresholds=[1.0])
-    _, loop = grid.generators[0]
-    m = loop.a - loop.l_gain @ loop.c
+    m = grid.a[0] - grid.l[0] @ grid.c[0]
     e = np.array([1.0, 0.5, -0.5, 0.25])
     norms = []
     for _ in range(1000):

@@ -161,14 +161,14 @@ def test_stacked_dare_bitwise_equals_lone_solves():
 def test_dare_with_huge_noise_stops_on_relative_residual(default_grid, monkeypatch):
     # Q = 1e300 I: float spacing near P keeps an absolute residual far above
     # tol, so only the relative stop ends the iteration before the cap.
-    loop = default_grid.generators[1][1]
     calls = []
 
     def counting_map(*args):
         calls.append(1)
         return dare_map(*args)
 
-    problem = (loop.a.T, loop.c.T, 1e300 * np.eye(4), loop.r_noise)
+    a, c, r = default_grid.a[1], default_grid.c[1], default_grid.r_noise[1]
+    problem = (a.T, c.T, 1e300 * np.eye(4), r)
     monkeypatch.setattr(gridstorm.numerics, "dare_map", counting_map)
     p = solve_dare(*problem)
     want, iterations = lone_solve_dare(*problem)

@@ -429,7 +429,7 @@ def test_env_matches_simulate_over_executed_schedule(case):
         assert np.array_equal(r, tr.residue[:, j * repeat]), j
     # observed p_e: the last command's load offset plus droop times d_omega
     n = grid.n_generators
-    droop = np.array([p.droop for p, _ in grid.generators])
+    droop = grid.droop
     offsets = grid.load_map.matrix @ (schedule.signals - grid.load_map.b_nom).T
     for j, obs in enumerate(observations, 1):
         want = offsets[:, j * repeat - 1] + droop * tr.x[:, j * repeat, 0]

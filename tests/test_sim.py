@@ -74,7 +74,7 @@ def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
     """Plain dict-of-lists reimplementation of the attacked recursion; w and
     v are optional process (n x horizon x 4) and measurement
     (n x horizon+1 x 2) noise.  Plant and estimator both apply the feedback
-    K x_hat of each loop's k_gain."""
+    K x_hat of each loop's gain row grid.k[i]."""
     n = grid.n_generators
     lm = grid.load_map
     out = {"x": [], "xhat": [], "y": [], "ym": [], "r": []}
@@ -98,10 +98,9 @@ def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
 
     rs = []
     for i in range(n):
-        _, loop = grid.generators[i]
-        y = loop.c @ xs[i]
+        y = grid.c[i] @ xs[i]
         ym = y + ay_at(i, 0) + (0.0 if v is None else v[i, 0])
-        rs.append(ym - loop.c @ xhats[i])
+        rs.append(ym - grid.c[i] @ xhats[i])
         out["x"].append([xs[i].copy()])
         out["xhat"].append([xhats[i].copy()])
         out["y"].append([y])
@@ -111,9 +110,8 @@ def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
     for k in range(1, horizon + 1):
         offs = laa_at(k - 1)
         for i in range(n):
-            _, loop = grid.generators[i]
-            a, b, c, l = loop.a, loop.b[:, 0], loop.c, loop.l_gain
-            fb = loop.k_gain[0] @ xhats[i]
+            a, b, c, l = grid.a[i], grid.b[i], grid.c[i], grid.l[i]
+            fb = grid.k[i] @ xhats[i]
             u_act = sched_at(i, k - 1) + offs[i] + fb
             u_bel = sched_at(i, k - 1) + fb
             x = a @ xs[i] + b * u_act + (0.0 if w is None else w[i, k - 1])
@@ -128,7 +126,7 @@ def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
             out["ym"][i].append(ym)
             out["r"][i].append(r.copy())
     steps = range(horizon + 1)
-    fb = [[grid.generators[i][1].k_gain[0] @ out["xhat"][i][k] for k in steps]
+    fb = [[grid.k[i] @ out["xhat"][i][k] for k in steps]
           for i in range(n)]
     out["ub"] = [[sched_at(i, k) + fb[i][k] for k in steps] for i in range(n)]
     out["ua"] = [[sched_at(i, k) + laa_at(k)[i] + fb[i][k] for k in steps]
@@ -164,10 +162,9 @@ def test_simulate_matches_reference_loop():
 
 def test_simulate_with_gain_matches_reference_loop():
     grid, attack, _ = reference_case()
-    gens = tuple((p, dataclasses.replace(
-        loop, k_gain=-design_lqr_gain(loop.a, loop.b, np.eye(4), np.eye(1))))
-        for p, loop in grid.generators)
-    grid = dataclasses.replace(grid, generators=gens)
+    grid = dataclasses.replace(grid, k=[
+        -design_lqr_gain(a, b[:, None], np.eye(4), np.eye(1))[0]
+        for a, b in zip(grid.a, grid.b)])
     tr = simulate(grid, attack, horizon=60)
     assert np.any(np.abs(tr.u_believed - grid.scheduled_load[:, :1]) > 1e-6)
     assert_matches_reference(tr, reference_simulate(grid, attack, 60))
@@ -178,8 +175,7 @@ def test_lqr_gain_reaches_the_plant():
     doc["generators"][0]["gains"] = {"lqr": {"q": 1, "r": 1}}
     doc.update(noise_enabled=False, thresholds=[0.9], scheduled_load=[[0.1]])
     grid = load_grid_config(doc)
-    _, loop = grid.generators[0]
-    assert spectral_radius(loop.a + loop.b @ loop.k_gain) < 1.0
+    assert spectral_radius(grid.a[0] + np.outer(grid.b[0], grid.k[0])) < 1.0
     tr = simulate(grid, None, horizon=400)
     assert not tr.truncated
     assert np.any(tr.u_believed != 0.1)                # the feedback acts
@@ -194,10 +190,9 @@ def test_noisy_simulate_matches_reference_loop():
     # generator's measurement noise, each shaped by its Cholesky factor
     rng = RngStream(17, 1)
     w = np.array([rng.normal(size=(horizon, 4))
-                  @ np.linalg.cholesky(loop.q_noise + 1e-300 * np.eye(4)).T
-                  for _, loop in grid.generators])
+                  @ np.linalg.cholesky(q + 1e-300 * np.eye(4)).T for q in grid.q_noise])
     v = np.array([rng.normal(size=(horizon + 1, 2))
-                  @ np.linalg.cholesky(loop.r_noise).T for _, loop in grid.generators])
+                  @ np.linalg.cholesky(r).T for r in grid.r_noise])
     assert w.shape == (n, horizon, 4) and np.all(w != 0.0) and np.all(v != 0.0)
     ref = reference_simulate(grid, attack, horizon, w=w, v=v)
     tr = simulate(grid, attack, horizon=horizon, noise=True, rng=RngStream(17, 1))
@@ -264,7 +259,7 @@ def test_trace_step_identities():
     attack = AttackVector(BreakerSchedule(sig),
                           FalseDataSchedule(np.zeros((2, 20, 2)), np.array([0, 1])))
     tr = simulate(grid, attack, horizon=40)
-    c = grid.generators[0][1].c
+    c = grid.c[0]
     for k in (0, 1, 17, 40):
         want = tr.y_meas[:, k] - np.einsum("os,ns->no", c, tr.xhat[:, k])
         assert np.allclose(tr.residue[:, k], want, atol=1e-15)
@@ -610,8 +605,7 @@ def test_fdia_only_detected_earlier_than_paired_combination(default_grid):
     candidates = np.linspace(-0.05, 0.05, 41)
     vals = np.zeros((3, d, 2))
     for i in range(3):
-        _, loop = grid.generators[i]
-        a, b, c, l = loop.a, loop.b[:, 0], loop.c, loop.l_gain
+        a, b, c, l = grid.a[i], grid.b[i], grid.c[i], grid.l[i]
         row = grid.load_map.matrix[i]
         x = np.zeros(4)
         xhat = np.zeros(4)
