@@ -1,25 +1,27 @@
 """The closed-loop plant/estimator recurrence, written once in numpy.
 
 Every generator's plant state x and estimate x_hat advance together as one
-block z = [x; x_hat] of shape (2, n, 4), so a step costs three contractions
-whatever the number of generators.  A z and C z are np.matvec calls, which
-give einsum's bits at half its call cost; L r and K x_hat stay einsums,
-because np.matvec and np.vecdot round those sums differently and the
-artifacts would change.  closed_loop_step() advances the block by one step
-into caller-provided arrays; the simulator runs it over a whole horizon
-through step_loop(), which writes straight into the trace records, and the
-RL environment runs it once per sub-step.  Within a step the [x; x_hat] (or
-[y; r]) stacking axis comes first, so each half is one contiguous (n, ...)
-array; the records are indexed [generator, step, ...].  Rows never couple,
-so sim.simulate_many() stacks R runs of one grid as R * n rows and steps
-them all in one step_loop() call.
+block z = [x; x_hat] of shape (2, n, 4), so a step costs the same few ufunc
+calls whatever the number of generators.  A z and C z are np.matvec calls,
+which give einsum's bits at half its call cost.  step_block() advances the
+block through a run of step-major records, walking views made once by
+step_views(), with no per-step indexing or Python call.  step_loop() runs
+it over a whole horizon a block of STOP_CHECK_STEPS steps at a time,
+writing straight into the trace records; the RL environment runs it once
+per env step over its action_repeat sub-steps.  Within a step the
+[x; x_hat] (or [y; r]) stacking axis comes first, so each half is one
+contiguous (n, ...) array; the records are indexed [generator, step, ...].
+Rows never couple, so sim.simulate_many() stacks R runs of one grid as
+R * n rows and steps them all in one step_loop() call.
 
 The plant and the estimator apply the same control input u_sched + K x_hat;
 the plant's also carries the breaker load offset u_laa.  Bit-identity rests
 on the operation order, which stays u_act = (u_sched + u_laa) + K x_hat,
-u_bel = u_sched + K x_hat, (A x + b u_act) + w, (A x_hat + b u_bel) + L r,
-(y + a_y) + v and y_meas - C x_hat.  Without a gain (K = 0) the K x_hat
-terms are skipped.
+u_bel = u_sched + K x_hat, (A z + b u) + [w; L r], L r = r_0 l_0 + r_1 l_1
+(each product rounded, as einsum rounds it), (y + a_y) + v and
+y_meas - C x_hat.  Without a gain (K = 0) the K x_hat terms are skipped.
+L r can be a zero of the other sign than einsum's, but A z + b u is never
+-0 (np.matvec sums from +0), so the sum is einsum's bits all the same.
 """
 
 import numpy as np
@@ -30,34 +32,42 @@ def add_feedback(k, xhat, u):
     np.add(u, np.einsum("ns,ns->n", k, xhat), out=u)
 
 
-def outputs(c, z, a_y, v, yr, ym):
-    """The measurement half of a step, written into yr = [y; r] and ym.
+def step_views(z, yr, ym, u, a_y, v):
+    """The views step_block() walks, indexed by the step t that advances
+    record t to t + 1, from step-major records: z (steps, 2, n, 4),
+    yr (steps, 2, n, 2), u = [u_act; u_bel] (steps, 2, n) and ym, a_y, v
+    (steps, n, 2).  Slicing each view by steps gives a block's views."""
+    return (z[:-1], yr[:-1, 1, :, None, :], u[:-1, :, :, None],
+            z[1:], yr[1:], yr[1:, 0], yr[1:, 1], ym[1:], a_y[1:], v[1:])
 
-    C z gives [y; C x_hat] in one matvec; y_meas = (y + a_y) + v, and the
-    residue r = y_meas - C x_hat then overwrites C x_hat.
+
+def step_block(a, b, c, l, k, steps, bu, wlr, lr):
+    """Advance every loop through one block of steps, in place.
+
+    Step t writes record t + 1: z = (A z + b u) + [w; L r] from record t,
+    then [y; r] and y_meas from C z, a_y and v.  steps are step_views() cut
+    to the block; bu and wlr (steps, 2, n, 4) and lr (n, 4, 2) are scratch,
+    and wlr[:, 0] must hold each step's process noise w.  Without a gain
+    (k None) b u is formed once for the block, else per step after
+    add_feedback has added K x_hat into u.
     """
-    np.matvec(c, z, out=yr)
-    np.add(yr[0], a_y, out=ym)
-    np.add(ym, v, out=ym)
-    np.subtract(ym, yr[1], out=yr[1])
-
-
-def closed_loop_step(a, c, l, z, r, bu, w, a_y, v, z1, yr1, ym1):
-    """One step of every loop: writes z = [x; x_hat] (2, n, 4), [y; r]
-    (2, n, 2) and y_meas (n, 2) at t+1 into z1, yr1 and ym1, which must not
-    overlap the inputs.
-
-    bu = [b u_act; b u_bel] (2, n, 4), that is b * u[..., None] for
-    u = [u_act; u_bel] (2, n): the plant consumes the actual input and
-    process noise w, the estimator the believed input and L times the
-    residue r.  a_y and v are the false data and measurement noise of step
-    t+1; w, a_y and v may be 0.0.
-    """
-    np.matvec(a, z, out=z1)
-    np.add(z1, bu, out=z1)
-    np.add(z1[0], w, out=z1[0])
-    np.add(z1[1], np.einsum("nso,no->ns", l, r), out=z1[1])
-    outputs(c, z1, a_y, v, yr1, ym1)
+    if k is None:
+        np.multiply(b, steps[2], out=bu)
+    lr0, lr1 = lr[..., 0], lr[..., 1]
+    for z0, r, u, z1, yr1, y1, r1, ym1, a_y, v, bu_t, wlr_t, lr_t in zip(
+            *steps, bu, wlr, wlr[:, 1]):
+        if k is not None:
+            add_feedback(k, z0[1], u[..., 0])
+            np.multiply(b, u, out=bu_t)
+        np.matvec(a, z0, out=z1)
+        np.add(z1, bu_t, out=z1)
+        np.multiply(r, l, out=lr)
+        np.add(lr0, lr1, out=lr_t)
+        np.add(z1, wlr_t, out=z1)
+        np.matvec(c, z1, out=yr1)
+        np.add(y1, a_y, out=ym1)
+        np.add(ym1, v, out=ym1)
+        np.subtract(ym1, r1, out=r1)
 
 
 def buffers(n, n_steps):
@@ -88,7 +98,8 @@ def valid_counts(z, yr):
     return np.where(ok.all(axis=1), ok.shape[1], ok.argmin(axis=1))
 
 
-# Steps between step_loop's checks for a stack whose rows are all non-finite.
+# Steps in one step_block() call of step_loop, which checks between blocks
+# for a stack whose rows are all non-finite.
 STOP_CHECK_STEPS = 64
 
 
@@ -105,28 +116,33 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
     u = [u_act, u_bel] (n, steps, 2); buffers() allocates them all.  The
     horizon runs with floating-point warnings off, so a row that goes
     non-finite does not stop the others; its records past its valid count
-    are meaningless.  Every STOP_CHECK_STEPS steps the loop stops if no row
-    is finite any more, which leaves every valid count as it was.
+    are meaningless.  After every block of STOP_CHECK_STEPS steps the loop
+    stops if no row is finite any more, which leaves every valid count as
+    it was.
     """
-    n_steps = z.shape[1]
+    rows, n_steps = z.shape[:2]
     zs, yrs, us = z.transpose(1, 2, 0, 3), yr.transpose(1, 2, 0, 3), u.transpose(1, 2, 0)
     yms, ws, ays, vs = (np.moveaxis(arr, 1, 0) for arr in (ym, w, a_y, v))
+    views = step_views(zs, yrs, yms, us, ays, vs)
+    block = min(STOP_CHECK_STEPS, n_steps - 1)
+    bu, wlr, lr = *np.empty((2, block, 2, rows, 4)), np.empty((rows, 4, 2))
 
     zs[0, 0] = x0
     zs[0, 1] = xhat0
     with np.errstate(all="ignore"):
-        outputs(c, zs[0], ays[0], vs[0], yrs[0], yms[0])
+        np.matvec(c, zs[0], out=yrs[0])   # record 0's [y; r] and y_meas, as in step_block
+        np.add(yrs[0, 0], ays[0], out=yms[0])
+        np.add(yms[0], vs[0], out=yms[0])
+        np.subtract(yms[0], yrs[0, 1], out=yrs[0, 1])
         np.add(u_sched, u_laa, out=u[:, :, 0])
         u[:, :, 1] = u_sched
         for t0 in range(0, n_steps - 1, STOP_CHECK_STEPS):
             if t0 and not row_finite(zs[t0], yrs[t0, 1]).any():
                 break
-            for t in range(t0, min(t0 + STOP_CHECK_STEPS, n_steps - 1)):
-                z0, z1 = zs[t], zs[t + 1]
-                if use_k:
-                    add_feedback(k, z0[1], us[t])
-                closed_loop_step(a, c, l, z0, yrs[t, 1], b * us[t][..., None], ws[t],
-                                 ays[t + 1], vs[t + 1], z1, yrs[t + 1], yms[t + 1])
+            t1 = min(t0 + STOP_CHECK_STEPS, n_steps - 1)
+            wlr[:t1 - t0, 0] = ws[t0:t1]
+            step_block(a, b, c, l, k if use_k else None, [s[t0:t1] for s in views],
+                       bu[:t1 - t0], wlr[:t1 - t0], lr)
         else:
             if use_k:
                 add_feedback(k, zs[-1, 1], us[-1])

@@ -448,6 +448,20 @@ def _covariance(value, path, dim):
     return _matrix(value, path, (dim, dim))
 
 
+def noise_factors(q_noise, r_noise, path="$.generators"):
+    """The Cholesky factors, one generator's or stacked, that the noise draw
+    scales its normals by: of q_noise + 1e-300 I, so a zero variance factors,
+    and of r_noise, each read from its lower triangle.  A failure is a
+    ConfigError at path.noise.process or path.noise.measurement."""
+    factors = []
+    for key, cov in (("process", q_noise + 1e-300 * np.eye(N_STATES)), ("measurement", r_noise)):
+        try:
+            factors.append(np.linalg.cholesky(cov))
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError(f"{path}.noise.{key}", f"no Cholesky factor: {exc}") from None
+    return factors
+
+
 def _load_generator(doc, path, ts):
     """One generator's params and loop arrays, keyed by GridModel field, its
     estimator gain l None when it is left to design_kalman_gain."""
@@ -458,8 +472,7 @@ def _load_generator(doc, path, ts):
     require_keys(noise, f"{path}.noise", [], ["process", "measurement"])
     q_n = _covariance(noise.get("process", 1e-6), f"{path}.noise.process", N_STATES)
     r_n = _covariance(noise.get("measurement", 1e-6), f"{path}.noise.measurement", N_OUTPUTS)
-    if np.min(np.linalg.eigvalsh(q_n)) < 0:   # its lower triangle, all the noise draw reads
-        raise ConfigError(f"{path}.noise.process", "must be positive semidefinite")
+    noise_factors(q_n, r_n, path)
     if np.min(np.linalg.eigvalsh(0.5 * (r_n + r_n.T))) <= 0:
         raise ConfigError(f"{path}.noise.measurement", "must be positive definite")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import add_feedback, closed_loop_step
+from .kernels import step_block, step_views
 from .model import ConfigError, GridModel, choice, require_keys
 from .sim import TWO_PI, BreakerSchedule, residue_norm
 
@@ -284,9 +284,21 @@ class GridEnv:
         self.m = grid.n_breakers
         self.obs_dim = 3 * self.n + self.m
         self.act_dim = self.m
-        self._a, self._b, self._c, self._l, self._k = grid.a, grid.b, grid.c, grid.l, grid.k
-        self._use_k = bool(np.any(grid.k != 0.0))
         self._nominal, self._droop = grid.nominal_hz, grid.droop
+        # A step runs its action_repeat sub-steps as one block from record 0,
+        # a copy of the last record.  _x, _xhat and _r view that last record,
+        # which every step overwrites, so a caller copies what it keeps.
+        n, repeat = self.n, episode_config.action_repeat
+        z, yr = np.zeros((repeat + 1, 2, n, 4)), np.zeros((repeat + 1, 2, n, 2))
+        u, zeros = np.zeros((repeat + 1, 2, n)), np.zeros((repeat + 1, n, 2))
+        steps = step_views(z, yr, np.empty((repeat + 1, n, 2)), u,
+                           zeros, zeros)   # no false data, no measurement noise
+        self._block = (grid.a, grid.b, grid.c, grid.l, grid.k if np.any(grid.k) else None,
+                       steps, np.empty((repeat, 2, n, 4)), np.zeros((repeat, 2, n, 4)),
+                       np.empty((n, 4, 2)))
+        self._z0, self._z_end, self._yr0, self._yr_end = z[0], z[-1], yr[0], yr[-1]
+        self._u_act, self._u_bel = u[:-1, 0], u[:-1, 1]
+        self._x, self._xhat, self._r = z[-1, 0], z[-1, 1], yr[-1, 1]
         self._init_range = episode_config.init_range(self.n)
         self._done = True
 
@@ -300,20 +312,6 @@ class GridEnv:
                                 np.ones(self.m)])
         self._center, self._scale = center, scale
 
-    # The loop state is z = [x; x_hat] and yr = [y; r]; each step makes new
-    # arrays, so a caller may keep the views below across steps.
-    @property
-    def _x(self):
-        return self._z[0]
-
-    @property
-    def _xhat(self):
-        return self._z[1]
-
-    @property
-    def _r(self):
-        return self._yr[1]
-
     def normalize(self, obs):
         return (obs - self._center) / self._scale
 
@@ -324,8 +322,8 @@ class GridEnv:
                 raise ValueError("uniform init requires an rng")
             lo, hi = self._init_range
             x0 = rng.uniform(size=(self.n, 4)) * (hi - lo) + lo
-        self._z = np.stack([x0, x0])
-        self._yr = np.zeros((2, self.n, 2))
+        self._z_end[...] = x0
+        self._yr_end[...] = 0.0
         self._k_step = 0
         self._env_step = 0
         self._prev_action = np.zeros(self.m)
@@ -349,17 +347,15 @@ class GridEnv:
         breakers = (action > 0.0).astype(float)
         self._offset = self.grid.load_map.offsets(breakers)
 
-        for sched in self.grid.schedule(self._k_step, self.cfg.action_repeat).T:
-            u = np.array([sched + self._offset, sched])
-            if self._use_k:
-                add_feedback(self._k, self._xhat, u)
-            z1, yr1 = np.empty_like(self._z), np.empty_like(self._yr)
-            closed_loop_step(self._a, self._c, self._l, self._z, self._r,
-                             self._b * u[..., None], 0.0, 0.0, 0.0,
-                             z1, yr1, np.empty((self.n, 2)))
-            self._z, self._yr = z1, yr1
-            self._k_step += 1
-            self._executed.append(breakers.copy())
+        repeat = self.cfg.action_repeat
+        sched = self.grid.schedule(self._k_step, repeat).T
+        np.add(sched, self._offset, out=self._u_act)
+        self._u_bel[...] = sched
+        self._z0[...] = self._z_end
+        self._yr0[...] = self._yr_end
+        step_block(*self._block)
+        self._k_step += repeat
+        self._executed += [breakers] * repeat
 
         self._prev_action = action
         self._env_step += 1
@@ -529,28 +525,3 @@ def save_weights(path, mlp: MLP):
         fh.write(struct.pack("<I", len(mlp.sizes)))
         fh.write(struct.pack(f"<{len(mlp.sizes)}I", *mlp.sizes))
         fh.write(mlp.flat.astype("<f8", copy=False).tobytes())
-
-
-def _header_u32(blob, offset, count=1):
-    """count little-endian uint32 of a GSRL header, read at offset."""
-    if len(blob) < offset + 4 * count:
-        raise ValueError("weights file header is truncated")
-    return struct.unpack_from(f"<{count}I", blob, offset)
-
-
-def load_weights(path, out_squash=None) -> MLP:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise ValueError("not a GSRL weights file")
-    version, = _header_u32(blob, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported weights format version {version}")
-    n_sizes, = _header_u32(blob, 8)
-    sizes = _header_u32(blob, 12, n_sizes)
-    off = 12 + 4 * n_sizes
-    mlp = MLP(list(sizes), out_squash=out_squash)
-    if len(blob) != off + 8 * mlp.flat.size:
-        raise ValueError("weights file has trailing or missing bytes")
-    mlp.flat[...] = np.frombuffer(blob, dtype="<f8", offset=off)
-    return mlp

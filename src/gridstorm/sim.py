@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import buffers, step_loop, valid_counts
-from .model import GridModel
+from .model import GridModel, noise_factors
 
 TWO_PI = 2.0 * math.pi
 SIGNAL_BASES = ("measured", "true")
@@ -227,8 +227,7 @@ def simulate_many(grid: GridModel, attacks, horizon: int, init=None, noise=False
             a_y[j * n:(j + 1) * n, :attack.d] = attack.false_data.values
 
     if noise:
-        chol_q = np.linalg.cholesky(grid.q_noise + 1e-300 * np.eye(4))
-        chol_r = np.linalg.cholesky(grid.r_noise)
+        chol_q, chol_r = noise_factors(grid.q_noise, grid.r_noise)
         for j, rng in enumerate(rngs):
             for i in range(n):
                 w[j * n + i] = rng.normal(size=(horizon, 4)) @ chol_q[i].T

@@ -73,6 +73,15 @@ def test_simulate_missing_config(tmp_path):
     ("envelope", "f_lo", "a", "$.envelope.f_lo"),
     ("noise", "process", np.diag([1e-4, -1e-6, 1e-8, 1e-8]).tolist(),
      "$.generators[0].noise.process"),
+    # positive semidefinite, but no Cholesky factor even with 1e-300 I added
+    ("noise", "process", (1e-4 * np.ones((4, 4))).tolist(),
+     "$.generators[0].noise.process"),
+    ("noise", "process", (1e-6 * np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0],
+                                           [0, 0, 0, 1]])).tolist(),
+     "$.generators[0].noise.process"),
+    # its symmetric part is positive definite, its lower triangle's is not
+    ("noise", "measurement", (1e-6 * np.array([[1, -3], [3, 1]])).tolist(),
+     "$.generators[0].noise.measurement"),
 ])
 def test_simulate_malformed_grid_config_exit_2(tmp_path, capsys, section, key, value,
                                                field):

@@ -1,6 +1,9 @@
-"""The closed-loop kernels against their einsum transcription, bit for bit,
-and step_loop's early stop on a stack that is non-finite everywhere."""
+"""The closed-loop kernels against their per-step einsum transcription, bit
+for bit, step_loop's early stop on a stack that is non-finite everywhere, and
+the step_loop arguments perfbench/tracer.py reads."""
 
+import importlib.util
+import pathlib
 import warnings
 
 import numpy as np
@@ -18,7 +21,7 @@ from test_sim import assert_same_records, random_attack
 
 
 # ---------------------------------------------------------------------------
-# bitwise oracle: A z and C z as the 4-wide einsums they replaced
+# bitwise oracle: one einsum step per call, A z, C z and L r as einsums
 
 
 def einsum_outputs(c, z, a_y, v, yr, ym):
@@ -36,13 +39,24 @@ def einsum_closed_loop_step(a, c, l, z, r, bu, w, a_y, v, z1, yr1, ym1):
     einsum_outputs(c, z1, a_y, v, yr1, ym1)
 
 
+def einsum_step_block(a, b, c, l, k, steps, bu, wlr, lr):
+    """step_block() as one einsum_closed_loop_step per step."""
+    for z0, r, u, z1, yr1, _, _, ym1, a_y, v, w in zip(*steps, wlr[:, 0]):
+        u = u[..., 0]
+        if k is not None:
+            np.add(u, np.einsum("ns,ns->n", k, z0[1]), out=u)
+        einsum_closed_loop_step(a, c, l, z0, r[:, 0], b * u[..., None], w, a_y, v,
+                                z1, yr1, ym1)
+
+
 @pytest.fixture()
 def einsum_kernels(monkeypatch):
-    """Swap the einsum steps into kernels and rl while the fixture is used."""
+    """Swap the einsum steps into kernels and rl while the fixture is used.
+    step_loop measures record 0 with np.matvec still, which has einsum's
+    bits (test_matvec_contractions_match_einsum_bits)."""
     def install():
-        monkeypatch.setattr(kernels, "outputs", einsum_outputs)
-        monkeypatch.setattr(kernels, "closed_loop_step", einsum_closed_loop_step)
-        monkeypatch.setattr(rl, "closed_loop_step", einsum_closed_loop_step)
+        monkeypatch.setattr(kernels, "step_block", einsum_step_block)
+        monkeypatch.setattr(rl, "step_block", einsum_step_block)
     return install
 
 
@@ -59,6 +73,52 @@ def test_matvec_contractions_match_einsum_bits():
             assert got.tobytes() == want.tobytes()
 
 
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                     1e-310, -2.2e-308, 1e308, -1e308])
+
+
+def test_lr_contraction_matches_einsum_bits():
+    """step_block forms L r as r_0 l_0 + r_1 l_1.  Over stacks whose l and r
+    hold +-0, +-inf, NaN and subnormals, the sum is einsum's bits up to the
+    sign of a zero (einsum sums from +0, so -0 + -0 gives it +0), and one
+    step from those l and r writes the einsum step's bits: A z + b u is
+    never -0, so adding either zero to it gives the same sum."""
+    rng = np.random.default_rng(7)
+
+    def sprinkle(arr):
+        hit = rng.random(arr.shape) < 0.3
+        arr[hit] = rng.choice(SPECIALS, size=hit.sum())
+        return arr
+
+    zeros_differ = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 25))
+        a, b, c = rng.normal(size=(n, 4, 4)), rng.normal(size=(n, 4)), rng.normal(size=(n, 2, 4))
+        l = sprinkle(rng.normal(size=(n, 4, 2)) * 10.0 ** rng.uniform(-3, 3, size=(n, 4, 2)))
+        z, yr, ym = np.zeros((2, 2, n, 4)), np.zeros((2, 2, n, 2)), np.zeros((2, n, 2))
+        u, a_y, v = rng.normal(size=(2, 2, n)), *rng.normal(size=(2, 2, n, 2))
+        wlr = np.zeros((1, 2, n, 4))
+        z[0], wlr[0, 0] = rng.normal(size=(2, n, 4)), rng.normal(size=(n, 4))
+        yr[0, 1] = sprinkle(rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-3, 3, size=(n, 2)))
+        z0, r0 = z[0].copy(), yr[0, 1].copy()
+
+        with np.errstate(all="ignore"):
+            products = r0[:, None, :] * l
+            got = products[..., 0] + products[..., 1]
+            want = np.einsum("nso,no->ns", l, r0)
+            kernels.step_block(a, b, c, l, None, kernels.step_views(z, yr, ym, u, a_y, v),
+                               np.empty((1, 2, n, 4)), wlr, np.empty((n, 4, 2)))
+            z1, yr1, ym1 = np.empty((2, n, 4)), np.empty((2, n, 2)), np.empty((n, 2))
+            einsum_closed_loop_step(a, c, l, z0, r0, b * u[0][..., None], wlr[0, 0],
+                                    a_y[1], v[1], z1, yr1, ym1)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert np.all((got[differ] == 0.0) & (want[differ] == 0.0))
+        zeros_differ += int(differ.sum())
+        assert (z[1].tobytes(), yr[1].tobytes(), ym[1].tobytes()) == (
+            z1.tobytes(), yr1.tobytes(), ym1.tobytes())
+    assert zeros_differ > 0   # the stacks do reach the -0 + -0 case
+
+
 def grid_case(case):
     doc = load_config_doc("default_grid.json")
     gains = {"feedback_gain": {"k": [[0.0, 0.0, 0.0, 0.1]]},
@@ -72,19 +132,24 @@ def grid_case(case):
 
 @pytest.mark.parametrize("case", ["plain", "noisy", "feedback_gain", "lqr"])
 def test_simulate_matches_einsum_kernels(case, einsum_kernels):
+    """Stacks of 1, 3 and 20 runs, at horizons on both sides of the block
+    edges at STOP_CHECK_STEPS and twice it."""
     grid = grid_case(case)
     rng = np.random.default_rng(3)
-    attacks = [None] + [random_attack(grid, d, rng) for d in (30, 12)]   # a 3-run stack
     noise = case == "noisy"
+    cases = [([None] + [random_attack(grid, min(int(d), horizon), rng)
+                        for d in rng.integers(1, 30, runs - 1)], horizon)
+             for runs in (1, 3, 20) for horizon in (1, 63, 64, 65, 130)]
 
-    def run():
-        rngs = [RngStream(9, 1).split(j) for j in range(3)] if noise else None
-        return simulate_many(grid, attacks, horizon=80, noise=noise, rngs=rngs)
+    def run(attacks, horizon):
+        rngs = [RngStream(9, 1).split(j) for j in range(len(attacks))] if noise else None
+        return simulate_many(grid, attacks, horizon=horizon, noise=noise, rngs=rngs)
 
-    got = run()
+    got = [run(*c) for c in cases]
     einsum_kernels()
-    for j, (tr, want) in enumerate(zip(got, run())):
-        assert_same_records(tr, want, j)
+    for i, (c, traces) in enumerate(zip(cases, got)):
+        for j, (tr, want) in enumerate(zip(traces, run(*c))):
+            assert_same_records(tr, want, (i, j))
 
 
 @pytest.mark.parametrize("case", ["plain", "lqr"])
@@ -92,16 +157,17 @@ def test_env_step_matches_einsum_kernels(case, einsum_kernels):
     grid = grid_case(case)
     actions = RngStream(5, 0).uniform(-1.0, 1.0, size=(15, grid.n_breakers))
 
-    def run():
+    def run(repeat):
         env = GridEnv(grid, EpisodeConfig(steps_per_episode=15, episodes=1,
-                                          action_repeat=2))
+                                          action_repeat=repeat))
         env.reset()
         steps = [env.step(act) for act in actions]
         return np.concatenate([np.append(obs, rew) for obs, rew, _ in steps])
 
-    got = run()
+    got = [run(repeat) for repeat in (1, 2, 3)]
     einsum_kernels()
-    assert got.tobytes() == run().tobytes()
+    for repeat, obs in zip((1, 2, 3), got):
+        assert obs.tobytes() == run(repeat).tobytes(), repeat
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +185,14 @@ def blown_attack(grid, steps, rng):
 
 
 def counted_steps(monkeypatch):
+    """The steps simulate stepped, one entry per step, through step_block."""
     calls = []
-    step = kernels.closed_loop_step
+    block = kernels.step_block
 
-    def counting(*args):
-        calls.append(1)
-        step(*args)
-    monkeypatch.setattr(kernels, "closed_loop_step", counting)
+    def counting(a, b, c, l, k, steps, *scratch):
+        calls.extend([1] * len(steps[0]))
+        block(a, b, c, l, k, steps, *scratch)
+    monkeypatch.setattr(kernels, "step_block", counting)
     return calls
 
 
@@ -155,3 +222,26 @@ def test_stack_with_one_finite_row_runs_the_full_horizon(monkeypatch):
     traces = simulate_many(grid, attacks, horizon=300)
     assert len(calls) == 300
     assert [tr.n_steps for tr in traces] == [1, 10]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer reads step_loop's arguments by position
+
+
+def test_tracer_counts_every_generator_step():
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    importlib.import_module("gridstorm.cli")   # the tracer patches every traced module
+    grid = grid_case("plain")
+    rng = np.random.default_rng(6)
+    attacks = [None, random_attack(grid, 20, rng), random_attack(grid, 40, rng)]
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        traces = simulate_many(grid, attacks, horizon=100)
+    rows, records = len(attacks) * grid.n_generators, 101
+    assert [tr.n_steps for tr in traces] == [records] * len(attacks)
+    assert tracer.counters["kernels.step_loop.gen_steps"] == rows * records
+    assert tracer.counters["kernels.step_loop.truncated"] == 0
+    assert tracer.summary()["kernels.step_loop"]["calls"] == 1

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import gridstorm.rl
 from gridstorm.model import SafetyEnvelope, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.rl import (MLP, Adam, EpisodeConfig, GridEnv, ReplayBuffer,
-                          RewardWeights, TrainConfig, ddpg_train, load_weights,
-                          reward, rollout_policy, save_weights, soft_update)
+                          RewardWeights, TrainConfig, ddpg_train, reward,
+                          rollout_policy, save_weights, soft_update)
 from gridstorm.sim import AttackVector, BreakerSchedule, FalseDataSchedule, simulate
 
 from conftest import load_config_doc, make_plain_grid
@@ -411,12 +413,12 @@ def test_env_matches_simulate_over_executed_schedule(case):
                                       init=init, action_repeat=repeat))
     env.reset(RngStream(4, 0))
     x0 = env._x.copy()
-    states = [(env._x, env._xhat, env._r)]
+    states = [(env._x.copy(), env._xhat.copy(), env._r.copy())]
     observations = []
     actions = RngStream(5, 0).uniform(-1.0, 1.0, size=(steps, grid.n_breakers))
     for act in actions:
         observations.append(env.step(act)[0])
-        states.append((env._x, env._xhat, env._r))
+        states.append((env._x.copy(), env._xhat.copy(), env._r.copy()))
 
     schedule = env.executed_schedule()
     attack = AttackVector(schedule, FalseDataSchedule(
@@ -534,7 +536,32 @@ def test_critic_fits_immediate_reward_when_gamma_zero():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: save_weights against a reader of the GSRL layout
+
+
+def header_u32(blob, offset, count=1):
+    """count little-endian uint32 of a GSRL header, read at offset."""
+    if len(blob) < offset + 4 * count:
+        raise ValueError("weights file header is truncated")
+    return struct.unpack_from(f"<{count}I", blob, offset)
+
+
+def load_weights(path, out_squash=None) -> MLP:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != gridstorm.rl.MAGIC:
+        raise ValueError("not a GSRL weights file")
+    version, = header_u32(blob, 4)
+    if version != gridstorm.rl.FORMAT_VERSION:
+        raise ValueError(f"unsupported weights format version {version}")
+    n_sizes, = header_u32(blob, 8)
+    sizes = header_u32(blob, 12, n_sizes)
+    off = 12 + 4 * n_sizes
+    mlp = MLP(list(sizes), out_squash=out_squash)
+    if len(blob) != off + 8 * mlp.flat.size:
+        raise ValueError("weights file has trailing or missing bytes")
+    mlp.flat[...] = np.frombuffer(blob, dtype="<f8", offset=off)
+    return mlp
 
 
 def test_weights_roundtrip_bit_exact(tmp_path):
