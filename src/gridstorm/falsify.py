@@ -7,12 +7,13 @@ simulated-annealing acceptance over a zero-order-hold control-point
 parameterization, with independent restarts.
 
 With the breaker schedule fixed and noise off, the trace signals that
-robustness reads are affine in the knots.  So the search scores candidates
-with an AffineModel built from 1 + q_att * P runs in one loop, not with
-one simulation each.  Each restart draws from its own stream, so the
-restarts anneal in lockstep: one round scores the next proposal of every
-active restart in one stacked call.  The zero screen and every reported
-rho come from simulation: the restarts' best model-scored candidates are
+robustness reads are affine in the knots.  So the search scores every
+candidate with an AffineModel built from 1 + q_att * P runs in one loop,
+not with one simulation each; a build run that blows up makes every model
+score +inf.  Each restart draws from its own stream, so the restarts
+anneal in lockstep: one round scores the next proposal of every active
+restart in one stacked call.  The zero screen and every reported rho come
+from simulation: the restarts' best model-scored candidates are
 re-simulated in one stacked run.  The winner is then simulated once more,
 and that one trace must give the same rho and satisfy the success
 predicate.
@@ -20,7 +21,6 @@ predicate.
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Literal, Optional
 
 import numpy as np
@@ -82,14 +82,6 @@ class FalsificationProblem:
     grid: GridModel
     laa: BreakerSchedule
     config: FalsifyConfig
-    init: Optional[np.ndarray] = None  # n x 4 initial state
-
-    def __post_init__(self):
-        if self.init is not None:
-            init = np.asarray(self.init, dtype=float)
-            if init.shape != (self.grid.n_generators, 4):
-                raise ValueError("init must be n x 4")
-            object.__setattr__(self, "init", init)
 
     @property
     def mask(self):
@@ -182,14 +174,14 @@ class AffineModel:
         return rho
 
 
-def affine_model(problem: FalsificationProblem):
+def affine_model(problem: FalsificationProblem) -> AffineModel:
     """Build the AffineModel of a problem from 1 + q_att * P runs in one loop.
 
     False data does not couple generators (each generator's plant and
     estimator step on their own), so one run with a knot set to 1 on every
-    generator gives that knot's response on all of them.  Returns (model,
-    runs simulated); the model is None when a run truncates, because the
-    trace is then not affine.
+    generator gives that knot's response on all of them.  A run that
+    truncates leaves NaN past its last record, so every score of the model
+    is +inf.
     """
     n, q_att = problem.grid.n_generators, problem.n_attacked
     p = problem.config.control_points
@@ -199,13 +191,12 @@ def affine_model(problem: FalsificationProblem):
         if unit >= 0:
             knots[:, unit] = 1.0
         attacks.append(_attack(problem, knots.reshape(n, q_att, p)))
-    traces = simulate_many(problem.grid, attacks, horizon=problem.d, init=problem.init)
-    if any(trace.truncated for trace in traces):
-        return None, len(traces)
-    # n x (1 + q_att * P) x steps x 3
-    sig = np.stack([_signals(problem, trace) for trace in traces], axis=1)
+    traces = simulate_many(problem.grid, attacks, horizon=problem.d)
+    sig = np.full((n, len(traces), problem.d + 1, 3), np.nan)
+    for j, trace in enumerate(traces):
+        sig[:, j, :trace.n_steps] = _signals(problem, trace)
     responses = (sig[:, 1:] - sig[:, :1]).reshape(n, q_att * p, -1)
-    return AffineModel(problem=problem, base=sig[:, 0], responses=responses), len(traces)
+    return AffineModel(problem=problem, base=sig[:, 0], responses=responses)
 
 
 def _knot_shape(problem: FalsificationProblem):
@@ -250,7 +241,7 @@ def _simulated_rhos(problem: FalsificationProblem, knots) -> np.ndarray:
     """The robustness of each candidate in a stack of knots, all simulated
     in one step loop; +inf where a run blows up."""
     attacks = [_attack(problem, k) for k in knots]
-    traces = simulate_many(problem.grid, attacks, horizon=problem.d, init=problem.init)
+    traces = simulate_many(problem.grid, attacks, horizon=problem.d)
     return np.array([_rho(problem, trace) for trace in traces])
 
 
@@ -317,7 +308,7 @@ class _Lockstep:
     resimulated: int    # best candidates re-simulated
 
 
-def _anneal_lockstep(problem, budgets, rng, score, resimulate) -> _Lockstep:
+def _anneal_lockstep(problem, budgets, rng, score) -> _Lockstep:
     """Anneal restart i from rng.split(i) for budgets[i] scores, all restarts
     in lockstep.
 
@@ -326,10 +317,9 @@ def _anneal_lockstep(problem, budgets, rng, score, resimulate) -> _Lockstep:
     budget left and no uncommitted restart below k holds a negative score,
     since a search that ran the restarts one by one would stop there if
     simulation confirms it.  Once no restart is active, the finished ones are
-    committed in index order up to the first negative score; with resimulate
-    their best candidates are simulated in one stacked run first.  A
-    simulated success ends the search; a refuted one resumes the restarts it
-    paused.
+    committed in index order up to the first negative score, their best
+    candidates simulated in one stacked run first.  A simulated success ends
+    the search; a refuted one resumes the restarts it paused.
     """
     lo, hi = problem.config.range
     rngs = [rng.split(i) for i in range(len(budgets))]
@@ -347,10 +337,8 @@ def _anneal_lockstep(problem, budgets, rng, score, resimulate) -> _Lockstep:
             run.scores += len(active)
             run.rounds += 1
         walk = list(_unpaused(pending))    # all finished
-        rhos = [chain.rho_best for chain in walk]
-        if resimulate:
-            rhos = _simulated_rhos(problem, np.stack([c.best for c in walk])).tolist()
-            run.resimulated += len(walk)
+        rhos = _simulated_rhos(problem, np.stack([c.best for c in walk])).tolist()
+        run.resimulated += len(walk)
         for chain, rho in zip(walk, rhos):
             run.committed.append((chain, rho))
             if rho < 0.0:
@@ -366,14 +354,12 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
     its own split rng stream.  The restarts anneal in lockstep, and the result
     is the one a search running them one after another gives: no restart
     counts once one has found a counter-example, and the lowest rho wins,
-    ties to the earliest restart.  The annealing scores candidates with the
-    problem's AffineModel when the search can make more scores than the
-    model's 1 + q_att * P build runs cost, and by simulation otherwise or when
-    a build run truncates.  Each restart's best model score is then replaced
-    by the simulated rho of its candidate, so only simulated values are
-    reported and compared.  The budget and the restart count are those of
-    problem.config; a budget below the restart count runs one restart per
-    evaluation.
+    ties to the earliest restart.  The annealing scores every candidate with
+    the problem's AffineModel, whatever the budget; each restart's best model
+    score is then replaced by the simulated rho of its candidate, so only
+    simulated values are reported and compared.  The budget and the restart
+    count are those of problem.config; a budget below the restart count runs
+    one restart per evaluation.
     """
     z = zero_candidate(problem)
     rho_zero = objective(problem, z)
@@ -388,16 +374,10 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
         restarts = min(problem.config.restarts, budget)
         budgets = [budget // restarts + (1 if i < budget % restarts else 0)
                    for i in range(restarts)]
-        # A zero-width box stops each restart after its first score.
-        lo, hi = problem.config.range
-        max_scores = budget if hi > lo else restarts
-        model = None
-        if max_scores > 1 + problem.n_attacked * problem.config.control_points:
-            model, built = affine_model(problem)
-            simulations += built
-        score = model.score_many if model is not None else partial(_simulated_rhos, problem)
-        run = _anneal_lockstep(problem, budgets, rng, score, resimulate=model is not None)
-        simulations += run.resimulated if model is not None else run.scores
+        model = affine_model(problem)
+        run = _anneal_lockstep(problem, budgets, rng, model.score_many)
+        # the 1 + q_att * P build runs and the restarts' re-simulated bests
+        simulations += 1 + model.responses.shape[1] + run.resimulated
         scores, rounds = run.scores, run.rounds
 
         for i, (chain, rho_i) in enumerate(run.committed):
@@ -430,7 +410,7 @@ class SynthesisOutcome:
 
 
 def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStream,
-                            config: FalsifyConfig, init=None) -> SynthesisOutcome:
+                            config: FalsifyConfig) -> SynthesisOutcome:
     """Run the search, then re-simulate the winner and assert it still wins.
 
     One noise-free re-simulation must reproduce the search's rho exactly and
@@ -439,7 +419,7 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
     budget) plus a Monte-Carlo success fraction under the grid's configured
     noise, as a robustness indicator for the deterministic result.
     """
-    problem = FalsificationProblem(grid=grid, laa=laa, config=config, init=init)
+    problem = FalsificationProblem(grid=grid, laa=laa, config=config)
     t0 = time.perf_counter()
     result = falsify_sa(problem, rng.split(0xFA15))
     t_search = time.perf_counter()
@@ -449,8 +429,7 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
                                 wall_s={"search": t_search - t0, "validation": 0.0})
 
     attack = AttackVector(breakers=laa, false_data=result.best_schedule)
-    trace = simulate(grid, attack, horizon=problem.d, init=problem.init,
-                     noise=False)
+    trace = simulate(grid, attack, horizon=problem.d, noise=False)
     rho_check = _rho(problem, trace)
     if rho_check != result.best_rho:
         raise ValidationMismatch(
@@ -464,8 +443,7 @@ def synthesize_and_validate(grid: GridModel, laa: BreakerSchedule, rng: RngStrea
     if config.noise_check_seeds:
         seeds = range(config.noise_check_seeds)
         noisy = simulate_many(grid, [attack] * len(seeds), horizon=problem.d,
-                              init=problem.init, noise=True,
-                              rngs=[rng.split(0xBEEF + s) for s in seeds])
+                              noise=True, rngs=[rng.split(0xBEEF + s) for s in seeds])
         wins = sum(check_success(trace, grid.envelope, grid.thresholds,
                                  config.signal_basis).success for trace in noisy)
         frac = wins / len(seeds)

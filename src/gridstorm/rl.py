@@ -299,6 +299,9 @@ class GridEnv:
         self._z0, self._z_end, self._yr0, self._yr_end = z[0], z[-1], yr[0], yr[-1]
         self._u_act, self._u_bel = u[:-1, 0], u[:-1, 1]
         self._x, self._xhat, self._r = z[-1, 0], z[-1, 1], yr[-1, 1]
+        # the scheduled load of every sub-step of an episode, step-major
+        self._sched = np.ascontiguousarray(
+            grid.schedule(0, episode_config.steps_per_episode * repeat).T)
         self._init_range = episode_config.init_range(self.n)
         self._done = True
 
@@ -348,7 +351,7 @@ class GridEnv:
         self._offset = self.grid.load_map.offsets(breakers)
 
         repeat = self.cfg.action_repeat
-        sched = self.grid.schedule(self._k_step, repeat).T
+        sched = self._sched[self._k_step:self._k_step + repeat]
         np.add(sched, self._offset, out=self._u_act)
         self._u_bel[...] = sched
         self._z0[...] = self._z_end

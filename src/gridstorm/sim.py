@@ -202,6 +202,9 @@ def simulate_many(grid: GridModel, attacks, horizon: int, init=None, noise=False
             continue
         if attack.breakers.m != grid.n_breakers:
             raise ValueError("attack breaker count does not match grid")
+        if len(attack.false_data.values) != grid.n_generators:
+            raise ValueError(f"attack false data covers {len(attack.false_data.values)} "
+                             f"generators, the grid has {grid.n_generators}")
         if attack.d > horizon:
             raise ValueError("attack length d must be <= horizon")
     if noise and (rngs is None or len(rngs) != len(attacks)):

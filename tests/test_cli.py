@@ -311,6 +311,25 @@ def test_attack_bad_range_exit_2(fast_toy_config, tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate", "compare"])
+@pytest.mark.parametrize("generators", [1, 2])
+def test_attack_generator_count_mismatch_exit_2(tmp_path, capsys, command, generators):
+    doc = load_config_doc("default_grid.json")
+    doc["thresholds"] = [0.9] * 3
+    config = write_json(tmp_path / "grid.json", doc)
+    attack = write_json(tmp_path / "attack.json", {
+        "d": 20, "breaker_schedule": [[1, 1, 1]] * 20,
+        "false_data": [[[0.01, 0.01]] * 20] * generators, "mask": [1, 1],
+        "range": [-0.05, 0.05]})
+    argv = [command, "--config", config, "--attack", attack]
+    argv += {"simulate": ["--out", str(tmp_path / "x")], "validate": [],
+             "compare": ["--laa-only", "--fdia-only", "--combined",
+                         "--out", str(tmp_path / "x")]}[command]
+    assert main(argv) == 2
+    assert (f"invalid input: attack false data covers {generators} generators, "
+            f"the grid has 3") in capsys.readouterr().err
+
+
 def train_toy(config, tmp_path, name, options):
     doc = {"episodes": 2, "steps_per_episode": 15, "batch_size": 8, **options}
     out = tmp_path / name
@@ -436,11 +455,10 @@ def test_falsify_no_counterexample_exit_code(fast_toy_config, tmp_path):
     assert not (out / "attack.json").exists()
     manifest = json.loads(read(out / "manifest.json"))
     # a zero-width box ends each restart after its first sample: 1 + 2
-    # evaluations.  Two scores cost less than the 1 + 10 model runs, so
-    # simulations are the screen and 2 simulated scores, whose values the
-    # restarts report without simulating again; both restarts score their
-    # one sample in one round.
-    assert manifest["counts"] == {"evaluations": 3, "simulations": 3,
+    # evaluations.  Simulations are the screen, the 1 + 10 model build runs
+    # and the 2 restarts' bests re-simulated; both restarts score their one
+    # sample in one round.
+    assert manifest["counts"] == {"evaluations": 3, "simulations": 1 + 11 + 2,
                                   "scores": 2, "rounds": 1}
     assert set(manifest["wall_s"]) == {"load_grid", "search", "validation"}
     assert manifest["wall_s"]["load_grid"] > 0.0

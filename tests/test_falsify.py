@@ -203,15 +203,58 @@ def test_falsify_blowup_reports_inf_without_success():
     grid = make_plain_grid(n=1, thresholds=[0.01], m=2,
                            sched=np.array([[np.inf]]))
     prob = make_problem(grid=grid)
-    assert affine_model(prob)[0] is None
+    knots = np.stack([zero_candidate(prob), sample_candidate(prob, RngStream(22, 1))])
+    assert affine_model(prob).score_many(knots).tolist() == [np.inf, np.inf]
     res = falsify_sa(with_config(prob, budget=30, restarts=3), RngStream(22, 0))
     assert not res.success
     assert res.best_rho == np.inf
     assert res.evaluations == 31
-    # screen + the 11 build runs, stacked in one loop, all truncated + 30
-    # objective() scores; each restart's best is one of those scores, so it
-    # is not simulated again
-    assert res.simulations == 42
+    # screen + the 11 build runs, stacked in one loop, all truncated + the 3
+    # restarts' bests, re-simulated in one stacked run
+    assert res.simulations == 15
+
+
+def overflowing_units_problem():
+    """Zero schedule, nominal breakers and an unstable gain on d_omega: the
+    base run stays at rest, and every unit-knot run overflows within d."""
+    grid = dataclasses.replace(make_plain_grid(n=1, thresholds=[0.01], m=2),
+                               k=np.array([[1e40, 0.0, 0.0, 0.0]]))
+    return make_problem(grid=grid, d=40, p=4)
+
+
+def test_model_with_finite_base_and_overflowing_units_scores_inf():
+    prob = with_config(overflowing_units_problem(), budget=30, restarts=3)
+    model = affine_model(prob)
+    assert np.all(model.base[..., 0] == 60.0) and np.all(model.base[..., 1:] == 0.0)
+    # each unit run's records past its truncation are NaN
+    assert np.all(np.isnan(model.responses).any(axis=2))
+    rng = RngStream(25, 0)
+    knots = np.stack([zero_candidate(prob)] + [sample_candidate(prob, rng) for _ in range(5)])
+    assert model.score_many(knots).tolist() == [np.inf] * 6
+    res = falsify_sa(prob, RngStream(26, 0))
+    assert not res.success
+    assert res.evaluations == 30 + 1
+    assert res.history[0].best_rho == objective(prob, zero_candidate(prob)) == 0.5
+    # no model score beats a restart's first sample, so that sample is its best
+    for i, h in enumerate(res.history[1:]):
+        assert h.best_rho == objective(prob, sample_candidate(prob, RngStream(26, 0).split(i)))
+
+
+def test_tiny_budget_search_builds_the_model(monkeypatch):
+    sizes = []
+    real_many = gridstorm.falsify.simulate_many
+
+    def many_spy(grid, attacks, *args, **kwargs):
+        sizes.append(len(attacks))
+        return real_many(grid, attacks, *args, **kwargs)
+
+    monkeypatch.setattr(gridstorm.falsify, "simulate_many", many_spy)
+    prob = with_config(make_problem(d=30, p=4), budget=5, restarts=3)   # 5 <= 1 + 1 * 4
+    res = falsify_sa(prob, RngStream(27, 0))
+    assert not res.success and res.evaluations == 1 + 5
+    # the zero screen, the 1 + 4 build runs, then the 3 restarts' bests
+    assert sizes == [1, 1 + 4, 3]
+    assert res.simulations == 1 + 5 + 3
 
 
 @pytest.mark.parametrize("mask", [(0, 1), (1, 0), (1, 1)])
@@ -228,17 +271,16 @@ def test_affine_model_agrees_with_objective(mask, basis, stealth, gain):
         grid = dataclasses.replace(grid, k=[
             -design_lqr_gain(a, b[:, None], np.eye(4), np.eye(1))[0]
             for a, b in zip(grid.a, grid.b)])
-    init = np.array([[0.02, -0.01, 0.005, 0.0], [-0.01, 0.005, 0.0, 0.002],
-                     [0.04, -0.02, 0.01, 0.0]])
     laa = BreakerSchedule(signals=np.zeros((30, 2), dtype=int))
     config = FalsifyConfig(range=(-0.05, 0.08), mask=mask, control_points=5,
                            signal_basis=basis, stealth_mode=stealth)
-    prob = FalsificationProblem(grid=grid, laa=laa, config=config, init=init)
-    model, built = affine_model(prob)
-    assert built == 1 + prob.n_attacked * config.control_points
+    prob = FalsificationProblem(grid=grid, laa=laa, config=config)
+    model = affine_model(prob)
+    units = prob.n_attacked * config.control_points
+    assert model.responses.shape == (3, units, 31 * 3)
     if basis == "true":
         # the plant's frequency responds to false data iff there is a gain
-        moved = np.any(model.responses.reshape(3, built - 1, *model.base.shape[1:])[..., 0] != 0.0)
+        moved = np.any(model.responses.reshape(3, units, *model.base.shape[1:])[..., 0] != 0.0)
         assert moved == (gain == "lqr")
     rng = RngStream(23, 0)
     knots = np.stack([sample_candidate(prob, rng) for _ in range(50)])
@@ -250,7 +292,7 @@ def test_affine_model_agrees_with_objective(mask, basis, stealth, gain):
         rhos.append(rho)
         # the frequency too, which need not bind rho
         trace = simulate(grid, AttackVector(laa, decode_control_points(cand, mask, 30)),
-                         horizon=30, init=init)
+                         horizon=30)
         assert np.max(np.abs(sig[:, :, 0] - trace.frequency(basis))) <= 1e-12
         assert np.max(np.abs(sig[:, :, 1:] - trace.residue)) <= 1e-12
     assert len(set(rhos)) > 1     # the candidates move rho
@@ -279,8 +321,7 @@ def lp_optimum(problem):
 
     def run(knots):
         sched = decode_control_points(knots, problem.mask, problem.d)
-        return simulate(problem.grid, AttackVector(problem.laa, sched),
-                        horizon=problem.d, init=problem.init)
+        return simulate(problem.grid, AttackVector(problem.laa, sched), horizon=problem.d)
 
     base = run(np.zeros((n, 1, p)))
     resp = []
@@ -415,37 +456,29 @@ def one_model_score(model, knots):
 def sequential_falsify(problem, rng, negative=frozenset()):
     """falsify_sa with its restarts run one after another, one candidate
     scored at a time.  Model scores of knots whose bytes are in `negative`
-    are forced to -1.  Returns (result, whether the model scored)."""
+    are forced to -1."""
     z = zero_candidate(problem)
     rho_zero = objective(problem, z)
     evaluations = 1
     best_rho, best_knots = rho_zero, z
     history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
                               success=rho_zero < 0.0)]
-    model = None
     if rho_zero >= 0.0:
         budget = problem.config.budget
         restarts = min(problem.config.restarts, budget)
         budgets = [budget // restarts + (1 if i < budget % restarts else 0)
                    for i in range(restarts)]
-        lo, hi = problem.config.range
-        max_scores = budget if hi > lo else restarts
-        if max_scores > 1 + problem.n_attacked * problem.config.control_points:
-            model = affine_model(problem)[0]
-        if model is not None:
-            def score(knots):
-                if knots.tobytes() in negative:
-                    return -1.0
-                return one_model_score(model, knots)
-        else:
-            def score(knots):
-                return objective(problem, knots)
+        model = affine_model(problem)
+
+        def score(knots):
+            if knots.tobytes() in negative:
+                return -1.0
+            return one_model_score(model, knots)
 
         for i in range(restarts):
             rho_i, knots_i, evals_i = _anneal_restart(problem, budgets[i], rng.split(i),
                                                       score)
-            if model is not None:
-                rho_i = objective(problem, knots_i)
+            rho_i = objective(problem, knots_i)
             evaluations += evals_i
             history.append(RestartHistory(restart=i, evaluations=evals_i,
                                           best_rho=rho_i, success=rho_i < 0.0))
@@ -453,12 +486,11 @@ def sequential_falsify(problem, rng, negative=frozenset()):
                 best_rho, best_knots = rho_i, knots_i
             if rho_i < 0.0:
                 break
-    result = FalsifyResult(best_knots=best_knots,
-                           best_schedule=decode_control_points(best_knots, problem.mask,
-                                                               problem.d),
-                           best_rho=float(best_rho), evaluations=evaluations,
-                           success=best_rho < 0.0, history=history)
-    return result, model is not None
+    return FalsifyResult(best_knots=best_knots,
+                         best_schedule=decode_control_points(best_knots, problem.mask,
+                                                             problem.d),
+                         best_rho=float(best_rho), evaluations=evaluations,
+                         success=best_rho < 0.0, history=history)
 
 
 def assert_same_search(got, want):
@@ -496,33 +528,32 @@ def blowup_problem():
                                              sched=np.array([[np.inf]])))
 
 
-# id: (problem, budget, restarts, seed, scored by the model, winning restart)
+# id: (problem, budget, restarts, seed, winning restart); the tiny-budget
+# searches score fewer candidates than the model's 1 + q_att * P build runs
 SEARCHES = {
-    "model-no-success": (lambda: make_problem(d=30, p=4), 200, 3, 8, True, None),
-    "model-both-outputs-no-success": (three_generator_problem, 300, 2, 0, True, None),
-    "model-middle-success": (lambda: open_toy_problem(40), 150, 4, 1, True, 1),
+    "model-no-success": (lambda: make_problem(d=30, p=4), 200, 3, 8, None),
+    "model-both-outputs-no-success": (three_generator_problem, 300, 2, 0, None),
+    "model-middle-success": (lambda: open_toy_problem(40), 150, 4, 1, 1),
     "model-middle-success-all_steps-true": (
         lambda: open_toy_problem(40, stealth_mode="all_steps", signal_basis="true"),
-        150, 4, 1, True, 2),
-    "simulated-no-success": (lambda: make_problem(p=10), 11, 3, 8, False, None),
-    "simulated-middle-success": (lambda: open_toy_problem(60), 5, 4, 30, False, 2),
-    "zero-width": (lambda: make_problem(lo=0.0, hi=0.0), 300, 3, 7, False, None),
-    "zero-width-model": (lambda: make_problem(p=1, lo=0.02, hi=0.02), 300, 3, 7,
-                         True, None),
-    "budget-below-restarts": (lambda: make_problem(d=30, p=4), 3, 5, 21, False, None),
-    "blowup": (blowup_problem, 30, 3, 22, False, None),
+        150, 4, 1, 2),
+    "tiny-budget-no-success": (lambda: make_problem(p=10), 11, 3, 8, None),
+    "tiny-budget-middle-success": (lambda: open_toy_problem(60), 5, 4, 30, 2),
+    "zero-width": (lambda: make_problem(lo=0.0, hi=0.0), 300, 3, 7, None),
+    "zero-width-model": (lambda: make_problem(p=1, lo=0.02, hi=0.02), 300, 3, 7, None),
+    "budget-below-restarts": (lambda: make_problem(d=30, p=4), 3, 5, 21, None),
+    "blowup": (blowup_problem, 30, 3, 22, None),
     "all_steps-true": (lambda: with_config(make_problem(d=30, p=4), stealth_mode="all_steps",
-                                           signal_basis="true"), 120, 3, 9, True, None),
+                                           signal_basis="true"), 120, 3, 9, None),
 }
 
 
 @pytest.mark.parametrize("case", list(SEARCHES))
 def test_lockstep_search_equals_sequential_search(case):
-    make, budget, restarts, seed, modelled, winner = SEARCHES[case]
+    make, budget, restarts, seed, winner = SEARCHES[case]
     prob = with_config(make(), budget=budget, restarts=restarts)
-    want, used_model = sequential_falsify(prob, RngStream(seed, 0))
+    want = sequential_falsify(prob, RngStream(seed, 0))
     got = falsify_sa(prob, RngStream(seed, 0))
-    assert used_model == modelled
     assert_same_search(got, want)
     wins = [h.restart for h in got.history if h.success]
     assert wins == ([] if winner is None else [winner])
@@ -530,7 +561,7 @@ def test_lockstep_search_equals_sequential_search(case):
 
 @pytest.mark.parametrize("case", list(SEARCHES))
 def test_speculative_scores_stay_within_the_winners_evaluations(case):
-    make, budget, restarts, seed, _, winner = SEARCHES[case]
+    make, budget, restarts, seed, winner = SEARCHES[case]
     res = falsify_sa(with_config(make(), budget=budget, restarts=restarts), RngStream(seed, 0))
     speculative = res.scores - res.evaluations + 1
     if winner is None:
@@ -543,7 +574,7 @@ def test_speculative_scores_stay_within_the_winners_evaluations(case):
 
 def test_model_score_reads_both_residues():
     prob = open_toy_problem(40)   # the residue binds rho
-    model = affine_model(prob)[0]
+    model = affine_model(prob)
     # the two residue channels swapped: the inf-norm, so rho, is the same
     swap = [0, 2, 1]
     swapped = AffineModel(problem=prob, base=model.base[..., swap],
@@ -556,7 +587,7 @@ def test_model_score_reads_both_residues():
 
 def test_model_score_is_inf_where_signals_overflow():
     prob = open_toy_problem(40)
-    model = affine_model(prob)[0]
+    model = affine_model(prob)
     huge = AffineModel(problem=prob, base=model.base,
                        responses=np.full_like(model.responses, 1e308))
     knots = np.stack([np.ones((1, 1, 4)), np.zeros((1, 1, 4))])   # 4e308, 0
@@ -603,7 +634,7 @@ def test_refuted_model_success_resumes_paused_restarts(monkeypatch):
         return rhos
 
     monkeypatch.setattr(AffineModel, "score_many", disagreeing)
-    want, _ = sequential_falsify(prob, rng, negative={fake})
+    want = sequential_falsify(prob, rng, negative={fake})
     got = falsify_sa(prob, rng)
     assert_same_search(got, want)
     assert not got.success
