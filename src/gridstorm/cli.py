@@ -314,12 +314,12 @@ def cmd_validate(args):
 # compare
 
 
-def _mode_attack(mode, attack, n, b_nom):
+def _mode_attack(mode, attack, b_nom):
     d = attack.d
     if mode == "combined":
         return attack
     if mode == "laa-only":
-        zero_fd = FalseDataSchedule(values=np.zeros((n, d, 2)),
+        zero_fd = FalseDataSchedule(values=np.zeros_like(attack.false_data.values),
                                     mask=attack.false_data.mask.copy())
         return AttackVector(breakers=attack.breakers, false_data=zero_fd)
     if mode == "fdia-only":
@@ -340,7 +340,7 @@ def cmd_compare(args):
     out_dir = _ensure_out(args.out)
     manifest = _Manifest(out_dir, args.config, args.seed, load_s)
 
-    mode_attacks = [_mode_attack(mode, attack, grid.n_generators, grid.load_map.b_nom)
+    mode_attacks = [_mode_attack(mode, attack, grid.load_map.b_nom)
                     for mode in modes]
     with manifest.timed("simulate"):
         traces = dict(zip(modes, simulate_many(grid, mode_attacks, horizon=args.horizon)))

@@ -47,20 +47,37 @@ class MLP:
         self.flat, self.grad = np.zeros(size), np.zeros(size)
         self.params = _views(self.flat, shapes)
         self.grads = _views(self.grad, shapes)
+        self._work = {}
         if rng is not None:
             for w in self.params[::2]:
                 bound = 1.0 / np.sqrt(w.shape[0])
                 w[...] = rng.uniform(-bound, bound, size=w.shape)
 
+    def _arrays(self, rows):
+        """z1 h1 z2 h2 z3 out, dz3 dz2 dz1 dx and the ReLU masks of z1 and
+        z2 for a batch of `rows`, made on the first pass of that size."""
+        work = self._work.get(rows)
+        if work is None:
+            n_in, n1, n2, n_out = self.sizes
+            work = [np.empty((rows, w)) for w in (n1, n1, n2, n2, n_out, n_out,
+                                                  n_out, n2, n1, n_in)]
+            work += [np.empty((rows, n1), dtype=bool), np.empty((rows, n2), dtype=bool)]
+            self._work[rows] = work
+        return work
+
     def forward(self, x, with_cache=False):
+        """The output for a batch x, and with_cache what backward reads: views
+        of work arrays that the next forward of the same batch size
+        overwrites, so a caller copies what it keeps."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         w1, b1, w2, b2, w3, b3 = self.params
-        z1 = x @ w1 + b1
-        h1 = np.maximum(z1, 0.0)
-        z2 = h1 @ w2 + b2
-        h2 = np.maximum(z2, 0.0)
-        z3 = h2 @ w3 + b3
-        out = np.tanh(z3) if self.out_squash == "tanh" else z3
+        z1, h1, z2, h2, z3, out = self._arrays(len(x))[:6]
+        np.add(np.matmul(x, w1, out=z1), b1, out=z1)
+        np.maximum(z1, 0.0, out=h1)
+        np.add(np.matmul(h1, w2, out=z2), b2, out=z2)
+        np.maximum(z2, 0.0, out=h2)
+        np.add(np.matmul(h2, w3, out=z3), b3, out=z3)
+        out = np.tanh(z3, out=out) if self.out_squash == "tanh" else z3
         if not with_cache:
             return out
         return out, (x, z1, h1, z2, h2, z3, out)
@@ -68,26 +85,31 @@ class MLP:
     def backward(self, cache, dout, input_grad=False):
         """Gradients of sum(dout * out) w.r.t. the parameters, written into
         `grad`; with input_grad, only the gradient w.r.t. the input, which
-        is returned."""
+        is returned as a work array."""
         x, z1, h1, z2, h2, z3, out = cache
         w1, b1, w2, b2, w3, b3 = self.params
         gw1, gb1, gw2, gb2, gw3, gb3 = self.grads
-        if self.out_squash == "tanh":
-            dz3 = dout * (1.0 - out * out)
+        dz3, dz2, dz1, dx, mask1, mask2 = self._arrays(len(x))[6:]
+        if self.out_squash == "tanh":   # dz3 = dout * (1 - out^2)
+            np.multiply(out, out, out=dz3)
+            np.subtract(1.0, dz3, out=dz3)
+            np.multiply(dout, dz3, out=dz3)
         else:
             dz3 = dout
         if not input_grad:
             np.matmul(h2.T, dz3, out=gw3)
-            np.sum(dz3, axis=0, out=gb3)
-        dz2 = (dz3 @ w3.T) * (z2 > 0.0)
+            np.add.reduce(dz3, axis=0, out=gb3)
+        np.matmul(dz3, w3.T, out=dz2)
+        dz2 *= np.greater(z2, 0.0, out=mask2)
         if not input_grad:
             np.matmul(h1.T, dz2, out=gw2)
-            np.sum(dz2, axis=0, out=gb2)
-        dz1 = (dz2 @ w2.T) * (z1 > 0.0)
+            np.add.reduce(dz2, axis=0, out=gb2)
+        np.matmul(dz2, w2.T, out=dz1)
+        dz1 *= np.greater(z1, 0.0, out=mask1)
         if input_grad:
-            return dz1 @ w1.T
+            return np.matmul(dz1, w1.T, out=dx)
         np.matmul(x.T, dz1, out=gw1)
-        np.sum(dz1, axis=0, out=gb1)
+        np.add.reduce(dz1, axis=0, out=gb1)
 
     def copy(self):
         dup = MLP(self.sizes, self.out_squash)
@@ -106,12 +128,13 @@ def _views(buffer, shapes):
 
 
 def soft_update(target: MLP, source: MLP, tau):
-    """target <- tau*source + (1-tau)*target; tau=1 is an exact hard copy."""
+    """target <- tau*source + (1-tau)*target; tau=1 is an exact hard copy.
+    A target is never trained, so its `grad` holds tau*source."""
     if tau == 1.0:
         target.flat[...] = source.flat
         return
     target.flat *= 1.0 - tau
-    target.flat += tau * source.flat
+    target.flat += np.multiply(tau, source.flat, out=target.grad)
 
 
 class Adam:
@@ -121,18 +144,25 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        self._s1, self._s2 = np.empty_like(params), np.empty_like(params)
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        m, v = self.m, self.v
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
         m *= self.beta1
-        m += (1.0 - self.beta1) * grads
+        m += np.multiply(1.0 - self.beta1, grads, out=s1)
         v *= self.beta2
-        v += (1.0 - self.beta2) * grads * grads
-        params -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        np.multiply(1.0 - self.beta2, grads, out=s1)
+        v += np.multiply(s1, grads, out=s1)
+        # params -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
+        np.divide(m, b1c, out=s1)
+        s1 *= self.lr
+        np.sqrt(np.divide(v, b2c, out=s2), out=s2)
+        s2 += self.eps
+        params -= np.divide(s1, s2, out=s1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +170,23 @@ class Adam:
 
 
 class ReplayBuffer:
+    """A ring of transitions, one row [obs | act | rew | nxt | done] each.
+    `obs`, `act`, `rew`, `nxt` and `done` are column views of `rows`; sample
+    returns the same views of a batch, which the next sample overwrites.
+    ddpg_train stores normalized observations."""
+
     def __init__(self, capacity, obs_dim, act_dim):
         self.capacity = int(capacity)
-        self.obs = np.zeros((capacity, obs_dim))
-        self.act = np.zeros((capacity, act_dim))
-        self.rew = np.zeros(capacity)
-        self.nxt = np.zeros((capacity, obs_dim))
-        self.done = np.zeros(capacity)
+        self._dims = (obs_dim, act_dim)
+        self.rows = np.zeros((self.capacity, 2 * obs_dim + act_dim + 2))
+        self.obs, self.act, self.rew, self.nxt, self.done = self._columns(self.rows)
+        self._batch = self.rows[:0]
         self.size = 0
         self.idx = 0
+
+    def _columns(self, rows):
+        o, a = self._dims
+        return rows[:, :o], rows[:, o:o + a], rows[:, o + a], rows[:, o + a + 1:-1], rows[:, -1]
 
     def add(self, obs, act, rew, nxt, done):
         i = self.idx
@@ -163,8 +201,10 @@ class ReplayBuffer:
     def sample(self, batch, rng):
         """Uniform without replacement within the batch."""
         idx = rng.choice(self.size, size=batch, replace=False)
-        return (self.obs[idx], self.act[idx], self.rew[idx],
-                self.nxt[idx], self.done[idx])
+        if len(self._batch) != batch:
+            self._batch = np.empty((batch, self.rows.shape[1]))
+        # the indices are in range; mode "raise" would gather into a copy first
+        return self._columns(np.take(self.rows, idx, axis=0, out=self._batch, mode="clip"))
 
     def __len__(self):
         return self.size
@@ -429,7 +469,9 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
     critic_t = critic.copy()
     opt_a = Adam(actor.flat, cfg.actor_lr)
     opt_c = Adam(critic.flat, cfg.critic_lr)
-    buffer = ReplayBuffer(cfg.buffer_capacity, env.obs_dim, env.act_dim)
+    buffer = ReplayBuffer(min(cfg.buffer_capacity, env.cfg.episodes * env.cfg.steps_per_episode),
+                          env.obs_dim, env.act_dim)
+    za = np.empty((cfg.batch_size, env.obs_dim + env.act_dim))   # the critic's input
 
     curve = np.zeros(env.cfg.episodes)
     best_reward = -np.inf
@@ -439,22 +481,22 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
     env_steps = updates = 0
 
     for ep in range(env.cfg.episodes):
-        obs = env.reset(rng)
+        z = env.normalize(env.reset(rng))
         total = 0.0
         done = False
         while not done:
-            z = env.normalize(obs)
             act = actor.forward(z)[0] + rng.normal(scale=sigma, size=env.act_dim)
             act = np.clip(act, -1.0, 1.0)
             nxt, rew, done = env.step(act)
             env_steps += 1
-            buffer.add(obs, act, rew, nxt, done)
+            zn = env.normalize(nxt)
+            buffer.add(z, act, rew, zn, done)
             total += rew
-            obs = nxt
+            z = zn
 
             if len(buffer) >= cfg.batch_size:
                 _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c,
-                        buffer, cfg, rng)
+                        buffer, za, cfg, rng)
                 updates += 1
         curve[ep] = total
         if total > best_reward:
@@ -470,16 +512,18 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
                           ddpg_updates=updates)
 
 
-def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, cfg, rng):
-    obs, act, rew, nxt, done = buffer.sample(cfg.batch_size, rng)
-    z = env.normalize(obs)
-    zn = env.normalize(nxt)
+def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, za, cfg, rng):
+    z, act, rew, zn, done = buffer.sample(cfg.batch_size, rng)
+    o = env.obs_dim
 
     # critic toward r + gamma * Q_target(s', actor_target(s'))
-    an = actor_t.forward(zn)
-    qn = critic_t.forward(np.concatenate([zn, an], axis=1))[:, 0]
+    za[:, :o] = zn
+    za[:, o:] = actor_t.forward(zn)
+    qn = critic_t.forward(za)[:, 0]
     target = rew + cfg.gamma * (1.0 - done) * qn
-    q, cache_c = critic.forward(np.concatenate([z, act], axis=1), with_cache=True)
+    za[:, :o] = z
+    za[:, o:] = act
+    q, cache_c = critic.forward(za, with_cache=True)
     err = q[:, 0] - target
     loss = float(np.mean(err ** 2))
     if not np.isfinite(loss):
@@ -492,9 +536,10 @@ def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, cfg, rn
 
     # actor along the critic's action gradient (ascent on Q)
     a_pi, cache_a = actor.forward(z, with_cache=True)
-    q_pi, cache_q = critic.forward(np.concatenate([z, a_pi], axis=1), with_cache=True)
+    za[:, o:] = a_pi
+    q_pi, cache_q = critic.forward(za, with_cache=True)
     dinput = critic.backward(cache_q, np.full_like(q_pi, -1.0 / cfg.batch_size), input_grad=True)
-    actor.backward(cache_a, dinput[:, env.obs_dim:])
+    actor.backward(cache_a, dinput[:, o:])
     if not np.isfinite(actor.grad).all():
         raise TrainingDiverged("actor gradients are non-finite", {"loss": loss})
     opt_a.step(actor.flat, actor.grad)

@@ -311,7 +311,7 @@ def test_attack_bad_range_exit_2(fast_toy_config, tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "validate", "compare"])
+@pytest.mark.parametrize("command", ["simulate", "validate", "compare", "compare-laa-only"])
 @pytest.mark.parametrize("generators", [1, 2])
 def test_attack_generator_count_mismatch_exit_2(tmp_path, capsys, command, generators):
     doc = load_config_doc("default_grid.json")
@@ -321,10 +321,12 @@ def test_attack_generator_count_mismatch_exit_2(tmp_path, capsys, command, gener
         "d": 20, "breaker_schedule": [[1, 1, 1]] * 20,
         "false_data": [[[0.01, 0.01]] * 20] * generators, "mask": [1, 1],
         "range": [-0.05, 0.05]})
-    argv = [command, "--config", config, "--attack", attack]
+    argv = [command.split("-")[0], "--config", config, "--attack", attack]
     argv += {"simulate": ["--out", str(tmp_path / "x")], "validate": [],
              "compare": ["--laa-only", "--fdia-only", "--combined",
-                         "--out", str(tmp_path / "x")]}[command]
+                         "--out", str(tmp_path / "x")],
+             # laa-only swaps in zero false data, which must keep the bad shape
+             "compare-laa-only": ["--laa-only", "--out", str(tmp_path / "x")]}[command]
     assert main(argv) == 2
     assert (f"invalid input: attack false data covers {generators} generators, "
             f"the grid has 3") in capsys.readouterr().err

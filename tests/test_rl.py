@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,7 +190,20 @@ def test_mlp_init_draws_weights_layer_by_layer():
         assert not np.any(b)
 
 
-# Per-array references: the list-based updates the flat ones replace.
+# Per-array references: the list-based updates the flat ones replace, and
+# the allocating forward pass the work arrays replace.
+
+
+def reference_forward(net, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    w1, b1, w2, b2, w3, b3 = net.params
+    z1 = x @ w1 + b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ w2 + b2
+    h2 = np.maximum(z2, 0.0)
+    z3 = h2 @ w3 + b3
+    out = np.tanh(z3) if net.out_squash == "tanh" else z3
+    return out, (x, z1, h1, z2, h2, z3, out)
 
 
 def reference_backward(net, cache, dout):
@@ -243,7 +257,7 @@ def test_flat_updates_bitwise_equal_per_array_references(squash, sizes):
         x = nprng.normal(size=(8, sizes[0]))
         dout = nprng.normal(size=(8, sizes[-1]))
         _, cache = net.forward(x, with_cache=True)
-        _, ref_cache = ref.forward(x, with_cache=True)
+        _, ref_cache = reference_forward(ref, x)
         net.backward(cache, dout)
         dx = net.backward(cache, dout, input_grad=True)
         ref_grads, ref_dx = reference_backward(ref, ref_cache, dout)
@@ -257,6 +271,15 @@ def test_flat_updates_bitwise_equal_per_array_references(squash, sizes):
         assert np.array_equal(target.flat, ref_target.flat)
     assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref_opt.m]))
     assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref_opt.v]))
+
+
+def test_forward_reuses_its_work_arrays_per_batch_size():
+    net = MLP([4, 8, 8, 2], out_squash="tanh", rng=RngStream(20, 0))
+    x = np.random.default_rng(20).normal(size=(5, 4))
+    out = net.forward(x)
+    assert np.array_equal(out, reference_forward(net, x)[0])
+    assert net.forward(x + 1.0) is out   # the next pass of 5 rows overwrites it
+    assert not np.shares_memory(net.forward(x[:1]), out)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +316,32 @@ def test_training_buffer_smaller_than_the_run_wraps(monkeypatch):
     for i, rew in enumerate(buf.added):
         ring[i % 16] = rew
     assert np.array_equal(buf.rew, ring)
+
+
+@pytest.mark.parametrize("capacity, rows", [(100_000, 60), (60, 60), (59, 59)])
+def test_training_ring_is_sized_to_the_run(monkeypatch, capacity, rows):
+    buffers = []
+
+    class Recorded(ReplayBuffer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.append(self)
+    monkeypatch.setattr(gridstorm.rl, "ReplayBuffer", Recorded)
+    cfg = TrainConfig(hidden=(8, 8), batch_size=8, buffer_capacity=capacity)
+    ddpg_train(toy_env(episodes=3, steps=20), cfg, RngStream(1, 0))
+    (buf,) = buffers
+    assert buf.capacity == len(buf.rows) == len(buf) == rows
+
+
+def test_buffer_columns_view_one_row_array():
+    buf = ReplayBuffer(4, 3, 2)
+    buf.add(np.arange(3.0), [10.0, 11.0], 20.0, np.arange(30.0, 33.0), True)
+    assert np.array_equal(buf.rows[0], [0, 1, 2, 10, 11, 20, 30, 31, 32, 1])
+    for col in (buf.obs, buf.act, buf.rew, buf.nxt, buf.done):
+        assert np.shares_memory(col, buf.rows)
+    obs, act, rew, nxt, done = buf.sample(1, RngStream(2, 0))
+    assert (obs.tolist(), act.tolist(), rew.tolist(), nxt.tolist(), done.tolist()) == (
+        [[0, 1, 2]], [[10, 11]], [20], [[30, 31, 32]], [1])
 
 
 def test_buffer_sample_unique_in_batch():
@@ -460,6 +509,136 @@ def test_training_deterministic_and_improving():
     assert art1.best_episode == art2.best_episode
     assert np.array_equal(art1.best_schedule.signals, art2.best_schedule.signals)
     assert len(art1.reward_curve) == 12
+
+
+class ReferenceReplayBuffer:
+    """The five-array ring of raw observations that the row ring replaces."""
+
+    def __init__(self, capacity, obs_dim, act_dim):
+        self.capacity = int(capacity)
+        self.obs = np.zeros((capacity, obs_dim))
+        self.act = np.zeros((capacity, act_dim))
+        self.rew = np.zeros(capacity)
+        self.nxt = np.zeros((capacity, obs_dim))
+        self.done = np.zeros(capacity)
+        self.size = self.idx = 0
+
+    def add(self, obs, act, rew, nxt, done):
+        i = self.idx
+        self.obs[i], self.act[i], self.rew[i] = obs, act, rew
+        self.nxt[i], self.done[i] = nxt, float(done)
+        self.idx = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch, rng):
+        idx = rng.choice(self.size, size=batch, replace=False)
+        return (self.obs[idx], self.act[idx], self.rew[idx],
+                self.nxt[idx], self.done[idx])
+
+
+def reference_update(env, nets, opts, buffer, cfg, rng):
+    actor, critic, actor_t, critic_t = nets
+    obs, act, rew, nxt, done = buffer.sample(cfg.batch_size, rng)
+    z, zn = env.normalize(obs), env.normalize(nxt)
+    an, _ = reference_forward(actor_t, zn)
+    qn = reference_forward(critic_t, np.concatenate([zn, an], axis=1))[0][:, 0]
+    target = rew + cfg.gamma * (1.0 - done) * qn
+    q, cache_c = reference_forward(critic, np.concatenate([z, act], axis=1))
+    dq = (2.0 / cfg.batch_size) * (q[:, 0] - target)[:, None]
+    grads, _ = reference_backward(critic, cache_c, dq)
+    opts[1].step(critic.params, grads)
+    a_pi, cache_a = reference_forward(actor, z)
+    q_pi, cache_q = reference_forward(critic, np.concatenate([z, a_pi], axis=1))
+    _, dinput = reference_backward(critic, cache_q, np.full_like(q_pi, -1.0 / cfg.batch_size))
+    grads, _ = reference_backward(actor, cache_a, dinput[:, env.obs_dim:])
+    opts[0].step(actor.params, grads)
+    reference_soft_update(actor_t, actor, cfg.tau)
+    reference_soft_update(critic_t, critic, cfg.tau)
+
+
+def reference_ddpg_train(env, cfg, rng):
+    """ddpg_train from the allocating references: the nets, the optimizers'
+    moments, the reward curve and each episode's executed schedule."""
+    h1, h2 = cfg.hidden
+    actor = MLP([env.obs_dim, h1, h2, env.act_dim], out_squash="tanh", rng=rng)
+    critic = MLP([env.obs_dim + env.act_dim, h1, h2, 1], rng=rng)
+    nets = (actor, critic, actor.copy(), critic.copy())
+    opts = (ReferenceAdam(actor.params, cfg.actor_lr), ReferenceAdam(critic.params, cfg.critic_lr))
+    buffer = ReferenceReplayBuffer(cfg.buffer_capacity, env.obs_dim, env.act_dim)
+    curve, schedules, sigma = [], [], cfg.noise_sigma
+    for _ in range(env.cfg.episodes):
+        obs, total, done = env.reset(rng), 0.0, False
+        while not done:
+            act = reference_forward(actor, env.normalize(obs))[0][0]
+            act = np.clip(act + rng.normal(scale=sigma, size=env.act_dim), -1.0, 1.0)
+            nxt, rew, done = env.step(act)
+            buffer.add(obs, act, rew, nxt, done)
+            total += rew
+            obs = nxt
+            if buffer.size >= cfg.batch_size:
+                reference_update(env, nets, opts, buffer, cfg, rng)
+        curve.append(total)
+        schedules.append(env.executed_schedule().signals)
+        sigma *= cfg.noise_decay
+    return nets, opts, np.array(curve), schedules
+
+
+@pytest.mark.parametrize("case", ["toy_wrapping_ring", "default_grid"])
+def test_training_bitwise_equal_allocating_references(monkeypatch, default_grid, case):
+    made = []
+
+    def recorded(cls):
+        class Recorded(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+        return Recorded
+    monkeypatch.setattr(gridstorm.rl, "MLP", recorded(MLP))
+    monkeypatch.setattr(gridstorm.rl, "Adam", recorded(Adam))
+    if case == "toy_wrapping_ring":   # 60 transitions in a 16-row ring
+        def env():
+            return toy_env(episodes=3, steps=20)
+        cfg = TrainConfig(hidden=(8, 8), batch_size=8, buffer_capacity=16)
+    else:                             # 37 updates at batch 64
+        def env():
+            return GridEnv(default_grid, EpisodeConfig(steps_per_episode=50, episodes=2))
+        cfg = TrainConfig()
+    art = ddpg_train(env(), cfg, RngStream(9, 0))
+    actor, critic, actor_t, critic_t, opt_a, opt_c = made
+    nets, opts, curve, schedules = reference_ddpg_train(env(), cfg, RngStream(9, 0))
+
+    def same_bits(a, b):   # unlike ==, tells -0.0 from 0.0
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert art.ddpg_updates > 0
+    assert actor is art.actor
+    for net, ref in zip((actor, critic, actor_t, critic_t), nets):
+        assert same_bits(net.flat, ref.flat)
+    for opt, ref in zip((opt_a, opt_c), opts):
+        assert same_bits(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+        assert same_bits(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+    assert same_bits(art.reward_curve, curve)
+    assert art.best_episode == np.argmax(curve)
+    assert np.array_equal(art.best_schedule.signals, schedules[art.best_episode])
+
+
+def test_update_allocates_little_once_warm(monkeypatch, default_grid):
+    """Below glibc's 128 KiB trim threshold, so the heap is not handed back
+    and faulted in again between updates."""
+    peaks = []
+    update = gridstorm.rl._update
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            update(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    monkeypatch.setattr(gridstorm.rl, "_update", traced)
+    env = GridEnv(default_grid, EpisodeConfig(steps_per_episode=70, episodes=1))
+    ddpg_train(env, TrainConfig(), RngStream(3, 0))
+    assert len(peaks) == 7
+    assert max(peaks[1:]) <= 128 * 1024, peaks
 
 
 def replay_schedule(env: GridEnv, schedule: BreakerSchedule):
