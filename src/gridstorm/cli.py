@@ -167,7 +167,7 @@ def cmd_simulate(args):
 
     report = check_success(trace, grid.envelope, grid.thresholds, args.signal_basis)
     write_json(manifest.add(os.path.join(out_dir, "success_report.json")),
-               report.to_dict())
+               dataclasses.asdict(report))
     manifest.write()
     print(f"simulate: wrote {out_dir} (detection={report.first_detection}, "
           f"k_prime={report.k_prime}, truncated={trace.truncated})")
@@ -300,7 +300,7 @@ def cmd_validate(args):
     horizon = args.horizon if args.horizon else attack.d
     trace = simulate(grid, attack, horizon=horizon, noise=False)
     reports = {
-        basis: check_success(trace, grid.envelope, grid.thresholds, basis).to_dict()
+        basis: dataclasses.asdict(check_success(trace, grid.envelope, grid.thresholds, basis))
         for basis in SIGNAL_BASES
     }
     payload = {"reports": reports, "basis": args.signal_basis,
@@ -352,7 +352,7 @@ def cmd_compare(args):
         in_band_end = bool(np.all((f[:, -1] >= grid.envelope.f_lo)
                                   & (f[:, -1] <= grid.envelope.f_hi)))
         ever_unsafe = bool(np.any((f < grid.envelope.f_lo) | (f > grid.envelope.f_hi)))
-        summary[mode] = dict(rep.to_dict(), in_band_at_end=in_band_end,
+        summary[mode] = dict(dataclasses.asdict(rep), in_band_at_end=in_band_end,
                              ever_unsafe=ever_unsafe)
 
     # plot the generator with the largest excursion under the most attacked mode

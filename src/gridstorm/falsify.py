@@ -13,10 +13,10 @@ not with one simulation each; a build run that blows up makes every model
 score +inf.  Each restart draws from its own stream, so the restarts
 anneal in lockstep: one round scores the next proposal of every active
 restart in one stacked call.  The zero screen and every reported rho come
-from simulation: the restarts' best model-scored candidates are
-re-simulated in one stacked run.  The winner is then simulated once more,
-and that one trace must give the same rho and satisfy the success
-predicate.
+from simulation: a restart whose model score turns negative is simulated
+as soon as it stops, the other restarts' best candidates in one stacked
+run at the end.  The winner is then simulated once more, and that one
+trace must give the same rho and satisfy the success predicate.
 """
 
 import time
@@ -25,13 +25,11 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .model import GridModel, config_value, read_json_file, write_json
+from .model import N_OUTPUTS, GridModel, config_value, read_json_file, write_json
 from .numerics import RngStream
 from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
                   FalseDataSchedule, SimTrace, SuccessReport, check_success, residue_norm,
                   robustness, robustness_terms, simulate, simulate_many)
-
-N_OUTPUTS = 2
 
 SIGMA_INIT = 0.10          # proposal scale, fraction of box width
 SIGMA_FLOOR = 0.005
@@ -291,59 +289,49 @@ class _Chain:
         self.done = self.evals >= self.budget
 
 
-def _unpaused(chains):
-    """The chains up to the first that holds a negative score; the later
-    ones pause until simulation refutes that score."""
-    for chain in chains:
-        yield chain
-        if chain.rho_best < 0.0:
-            return
-
-
-@dataclass
-class _Lockstep:
-    committed: list     # (chain, simulated rho) in restart order, to the first success
-    scores: int         # candidates scored, speculative ones included
-    rounds: int         # stacked score() calls
-    resimulated: int    # best candidates re-simulated
-
-
-def _anneal_lockstep(problem, budgets, rng, score) -> _Lockstep:
+def _anneal_lockstep(problem, budgets, rng, score):
     """Anneal restart i from rng.split(i) for budgets[i] scores, all restarts
-    in lockstep.
+    in lockstep; returns (ran, scores, rounds, simulations).
 
     Each round scores the next proposal of every active restart with one
-    score() call on the stacked knots.  Restart k is active while it has
-    budget left and no uncommitted restart below k holds a negative score,
-    since a search that ran the restarts one by one would stop there if
-    simulation confirms it.  Once no restart is active, the finished ones are
-    committed in index order up to the first negative score, their best
-    candidates simulated in one stacked run first.  A simulated success ends
-    the search; a refuted one resumes the restarts it paused.
+    score() call on the stacked knots.  A restart whose best model score
+    turns negative stops and is simulated at once.  A simulated success
+    drops every later restart, since a search that ran the restarts one by
+    one would never start them; a refuted one drops nothing.  Once every
+    restart has stopped, the others' best candidates are simulated in one
+    stacked run.  ran holds (chain, simulated rho) of every restart up to
+    the first success, in index order.
     """
     lo, hi = problem.config.range
     rngs = [rng.split(i) for i in range(len(budgets))]
     knots = np.stack([sample_candidate(problem, r) for r in rngs])
     chains = [_Chain(r, b, k, rho, hi - lo)
               for r, b, k, rho in zip(rngs, budgets, knots, score(knots).tolist())]
-    run = _Lockstep(committed=[], scores=len(chains), rounds=1, resimulated=0)
-    while len(run.committed) < len(chains):
-        pending = chains[len(run.committed):]
-        while active := [c for c in _unpaused(pending) if not c.done]:
-            proposals = np.clip(np.stack([c.current for c in active])
-                                + np.stack([c.step() for c in active]), lo, hi)
-            for chain, proposal, rho in zip(active, proposals, score(proposals).tolist()):
-                chain.update(proposal, rho)
-            run.scores += len(active)
-            run.rounds += 1
-        walk = list(_unpaused(pending))    # all finished
-        rhos = _simulated_rhos(problem, np.stack([c.best for c in walk])).tolist()
-        run.resimulated += len(walk)
-        for chain, rho in zip(walk, rhos):
-            run.committed.append((chain, rho))
-            if rho < 0.0:
-                return run
-    return run
+    rhos = {}     # restart -> simulated rho of its best candidate; each runs once
+
+    def simulate_bests(restarts):
+        if restarts:
+            sim = _simulated_rhos(problem, [chains[i].best for i in restarts])
+            rhos.update(zip(restarts, sim.tolist()))
+
+    end = len(chains)       # restarts past the first simulated success never count
+    updated = range(end)
+    scores, rounds = len(chains), 1
+    while True:
+        negative = [i for i in updated if chains[i].rho_best < 0.0]
+        simulate_bests(negative)
+        end = min([end] + [i + 1 for i in negative if rhos[i] < 0.0])
+        if not (updated := [i for i in range(end) if not chains[i].done]):
+            break
+        active = [chains[i] for i in updated]
+        proposals = np.clip(np.stack([c.current for c in active])
+                            + np.stack([c.step() for c in active]), lo, hi)
+        for chain, proposal, rho in zip(active, proposals, score(proposals).tolist()):
+            chain.update(proposal, rho)
+        scores += len(active)
+        rounds += 1
+    simulate_bests([i for i in range(end) if i not in rhos])
+    return [(chains[i], rhos[i]) for i in range(end)], scores, rounds, len(rhos)
 
 
 def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
@@ -356,10 +344,10 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
     counts once one has found a counter-example, and the lowest rho wins,
     ties to the earliest restart.  The annealing scores every candidate with
     the problem's AffineModel, whatever the budget; each restart's best model
-    score is then replaced by the simulated rho of its candidate, so only
-    simulated values are reported and compared.  The budget and the restart
-    count are those of problem.config; a budget below the restart count runs
-    one restart per evaluation.
+    score is then replaced by the simulated rho of its candidate, at once
+    when it is negative, so only simulated values are reported and compared.
+    The budget and the restart count are those of problem.config; a budget
+    below the restart count runs one restart per evaluation.
     """
     z = zero_candidate(problem)
     rho_zero = objective(problem, z)
@@ -375,12 +363,12 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
         budgets = [budget // restarts + (1 if i < budget % restarts else 0)
                    for i in range(restarts)]
         model = affine_model(problem)
-        run = _anneal_lockstep(problem, budgets, rng, model.score_many)
-        # the 1 + q_att * P build runs and the restarts' re-simulated bests
-        simulations += 1 + model.responses.shape[1] + run.resimulated
-        scores, rounds = run.scores, run.rounds
+        ran, scores, rounds, simulated = _anneal_lockstep(problem, budgets, rng,
+                                                          model.score_many)
+        # the 1 + q_att * P build runs and the restarts' simulated bests
+        simulations += 1 + model.responses.shape[1] + simulated
 
-        for i, (chain, rho_i) in enumerate(run.committed):
+        for i, (chain, rho_i) in enumerate(ran):
             evaluations += chain.evals
             history.append(RestartHistory(restart=i, evaluations=chain.evals,
                                           best_rho=rho_i, success=rho_i < 0.0))

@@ -18,9 +18,7 @@ from .sim import TWO_PI, BreakerSchedule, residue_norm
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """A DDPG update met a non-finite critic loss or actor gradient."""
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +448,6 @@ class TrainArtifacts:
     best_schedule: BreakerSchedule
     best_episode: int
     best_reward: float
-    seed: tuple
     env_steps: int       # GridEnv.step calls
     ddpg_updates: int    # critic and actor updates
 
@@ -507,8 +504,7 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
 
     return TrainArtifacts(actor=actor, reward_curve=curve,
                           best_schedule=best_schedule, best_episode=best_episode,
-                          best_reward=float(best_reward),
-                          seed=(rng.seed, rng.stream_id), env_steps=env_steps,
+                          best_reward=float(best_reward), env_steps=env_steps,
                           ddpg_updates=updates)
 
 
@@ -527,9 +523,7 @@ def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, za, cfg
     err = q[:, 0] - target
     loss = float(np.mean(err ** 2))
     if not np.isfinite(loss):
-        raise TrainingDiverged("critic loss is non-finite", {
-            "loss": loss, "q_head": q[:8, 0].tolist(), "target_head": target[:8].tolist(),
-        })
+        raise TrainingDiverged("critic loss is non-finite")
     dq = (2.0 / cfg.batch_size) * err[:, None]
     critic.backward(cache_c, dq)
     opt_c.step(critic.flat, critic.grad)
@@ -541,7 +535,7 @@ def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, za, cfg
     dinput = critic.backward(cache_q, np.full_like(q_pi, -1.0 / cfg.batch_size), input_grad=True)
     actor.backward(cache_a, dinput[:, o:])
     if not np.isfinite(actor.grad).all():
-        raise TrainingDiverged("actor gradients are non-finite", {"loss": loss})
+        raise TrainingDiverged("actor gradients are non-finite")
     opt_a.step(actor.flat, actor.grad)
 
     soft_update(actor_t, actor, cfg.tau)

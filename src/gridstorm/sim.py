@@ -162,15 +162,6 @@ class SuccessReport:
             assert self.k_prime is not None
             assert self.first_detection is None or self.first_detection >= self.k_prime
 
-    def to_dict(self):
-        return {
-            "success": self.success,
-            "k_prime": self.k_prime,
-            "first_detection": self.first_detection,
-            "stealthy_until_unsafe": self.stealthy_until_unsafe,
-            "signal_basis": self.signal_basis,
-        }
-
 
 def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
              init=None, noise=False, rng=None) -> SimTrace:

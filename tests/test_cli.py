@@ -11,7 +11,7 @@ from gridstorm.model import load_grid_config
 from gridstorm.sim import (AttackVector, BreakerSchedule, FalseDataSchedule,
                            check_success, robustness, simulate)
 
-from conftest import load_config_doc
+from conftest import config_path, load_config_doc
 
 
 def write_json(path, doc):
@@ -181,6 +181,19 @@ def test_train_laa_rejects_unknown_keys(fast_toy_config, tmp_path):
     rc = main(["train-laa", "--config", fast_toy_config, "--train-config",
                train_cfg, "--out", str(tmp_path / "t")])
     assert rc == 2
+
+
+# numpy warns of the overflow and its nan before the update sees them
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_laa_divergence_exit_4(tmp_path, capsys):
+    train_cfg = write_json(tmp_path / "train.json",
+                           {"episodes": 3, "steps_per_episode": 30, "batch_size": 8,
+                            "critic_lr": 1e300})
+    rc = main(["train-laa", "--config", config_path("toy_grid.json"), "--train-config",
+               train_cfg, "--seed", "3", "--out", str(tmp_path / "t")])
+    assert rc == 4
+    assert capsys.readouterr().err == ("gridstorm: internal invariant breach: "
+                                       "actor gradients are non-finite\n")
 
 
 @pytest.mark.parametrize("doc, field", [

@@ -614,12 +614,48 @@ def test_winners_are_simulated_in_one_stacked_run(monkeypatch):
     res = falsify_sa(open_toy_problem(40, budget=150, restarts=4), RngStream(1, 0))
     assert res.success and [h.restart for h in res.history] == [-1, 0, 1]
     assert calls["objective"] == 1        # the zero screen
-    # the zero screen, the 1 + 4 build runs, then restarts 0 and 1, the winner
-    assert calls["simulate_many"] == [1, 5, 2]
-    assert res.simulations == 1 + 5 + 2
+    # the zero screen, the 1 + 4 build runs, restarts 2 and then 1 as each
+    # turns negative, then restart 0's best
+    assert calls["simulate_many"] == [1, 5, 1, 1, 1]
+    assert res.simulations == 1 + 5 + 3
+    # the tiny-budget search: no restart turns negative before the last
+    # round, so the three that count are simulated in one stacked run
+    calls["simulate_many"].clear()
+    res = falsify_sa(open_toy_problem(60, budget=5, restarts=4), RngStream(30, 0))
+    assert [h.restart for h in res.history] == [-1, 0, 1, 2]
+    assert calls["simulate_many"] == [1, 5, 1, 2]
 
 
-def test_refuted_model_success_resumes_paused_restarts(monkeypatch):
+def test_later_restart_simulated_first_is_dropped_by_an_earlier_success(monkeypatch):
+    prob = open_toy_problem(40, budget=150, restarts=4)
+    simulated = []
+    real_many = gridstorm.falsify.simulate_many
+
+    def many_spy(grid, attacks, *args, **kwargs):
+        traces = real_many(grid, attacks, *args, **kwargs)
+        simulated.append([(a.false_data.values.tobytes(), gridstorm.falsify._rho(prob, t))
+                          for a, t in zip(attacks, traces)])
+        return traces
+
+    monkeypatch.setattr(gridstorm.falsify, "simulate_many", many_spy)
+    res = falsify_sa(prob, RngStream(1, 0))
+    model = affine_model(prob)
+    rho_2, knots_2, evals_2 = _anneal_restart(prob, 37, RngStream(1, 0).split(2),
+                                              lambda k: one_model_score(model, k))
+    # restart 2 turns negative after 27 scores, before restart 1 does after 35
+    assert rho_2 < 0.0 and evals_2 == 27 < res.history[2].evaluations == 35
+    [(values, rho)] = simulated[2]
+    assert values == decode_control_points(knots_2, prob.mask, prob.d).values.tobytes()
+    assert rho < 0.0
+    # restart 1 wins, so restarts 2 and 3 never count; restart 3 stopped
+    # with restart 2, after 27 scores
+    assert [h.restart for h in res.history] == [-1, 0, 1]
+    assert res.simulations == 1 + 5 + 3
+    assert res.scores == 38 + 35 + 27 + 27
+    assert_same_search(res, sequential_falsify(prob, RngStream(1, 0)))
+
+
+def test_refuted_model_success_drops_no_restart(monkeypatch):
     prob = with_config(make_problem(d=30, p=4), budget=200, restarts=4)
     rng = RngStream(8, 0)
     # restart 1's first sample scores -1 on the model, but not when simulated
@@ -640,8 +676,10 @@ def test_refuted_model_success_resumes_paused_restarts(monkeypatch):
     assert not got.success
     assert got.history[2].evaluations == 1 and got.history[2].best_rho >= 0.0
     assert [h.evaluations for h in got.history[3:]] == [50, 50]
-    # restarts 2 and 3 wait while restart 0 anneals alone, then resume
-    assert got.rounds == 1 + 49 + 49
+    # restart 1 is simulated once, after the first round, while the others
+    # anneal on; their bests are simulated together at the end
+    assert got.rounds == 1 + 49
+    assert got.simulations == 1 + 5 + 1 + 3
     assert got.scores == got.evaluations - 1
 
 

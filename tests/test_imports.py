@@ -1,9 +1,11 @@
 """Every name that a module of the package or of the test suite imports is
 used in that module, and every module-level name of the package, private or
 public, is read somewhere in the package; no linter is needed to catch a
-leftover import, a dead helper or a name only the tests use."""
+leftover import, a dead helper or a name only the tests use.  Every function
+and method that the benchmark's tracer patches exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,27 @@ def test_every_public_name_is_read(path):
     unread = {name for _, name in definitions(path.read_text(encoding="utf-8"))
               if not name.startswith("_") and name not in read}
     assert unread == {name for stem, name in UNREAD_PUBLIC if stem == path.stem}
+
+
+def traced_names():
+    """perfbench/tracer.py's TRACED list, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    [node] = [node for node in tree.body if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]]
+    return ast.literal_eval(node.value)
+
+
+def test_every_traced_name_resolves():
+    """The benchmark's tracer patches each module attribute where it is bound
+    and each method in its class __dict__, so a rename must fail here."""
+    missing = []
+    for name, module_name, attr in traced_names():
+        owner = importlib.import_module(module_name)
+        cls_name, _, meth = attr.rpartition(".")
+        if cls_name:
+            found = meth in vars(getattr(owner, cls_name, object))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(name)
+    assert missing == []
