@@ -300,7 +300,7 @@ def _anneal_lockstep(problem, budgets, rng, score):
     one would never start them; a refuted one drops nothing.  Once every
     restart has stopped, the others' best candidates are simulated in one
     stacked run.  ran holds (chain, simulated rho) of every restart up to
-    the first success, in index order.
+    the first simulated success, whichever run found it, in index order.
     """
     lo, hi = problem.config.range
     rngs = [rng.split(i) for i in range(len(budgets))]
@@ -331,6 +331,8 @@ def _anneal_lockstep(problem, budgets, rng, score):
         scores += len(active)
         rounds += 1
     simulate_bests([i for i in range(end) if i not in rhos])
+    # a best the model scored >= 0 may still simulate negative
+    end = next((i + 1 for i in range(end) if rhos[i] < 0.0), end)
     return [(chains[i], rhos[i]) for i in range(end)], scores, rounds, len(rhos)
 
 

@@ -683,6 +683,21 @@ def test_refuted_model_success_drops_no_restart(monkeypatch):
     assert got.scores == got.evaluations - 1
 
 
+def test_success_the_model_missed_drops_later_restarts(monkeypatch):
+    prob = open_toy_problem(40, budget=150, restarts=4)
+    # the model scores no candidate below 0, so no restart stops early and
+    # only the final stacked run finds restart 1's counter-example
+    real, real_one = AffineModel.score_many, one_model_score
+    monkeypatch.setattr(AffineModel, "score_many", lambda m, k: np.maximum(real(m, k), 0.0))
+    monkeypatch.setitem(globals(), "one_model_score", lambda m, k: max(real_one(m, k), 0.0))
+    got = falsify_sa(prob, RngStream(1, 0))
+    assert_same_search(got, sequential_falsify(prob, RngStream(1, 0)))
+    assert [(h.restart, h.evaluations, h.success) for h in got.history] == [
+        (-1, 1, False), (0, 38, False), (1, 38, True)]
+    assert got.rounds == 38 and got.scores == 150
+    assert got.simulations == 1 + 5 + 4
+
+
 # ---------------------------------------------------------------------------
 # synthesize-and-validate
 
