@@ -23,11 +23,11 @@ from . import __version__
 from .falsify import (FalsifyConfig, ValidationMismatch, load_attack_file,
                       load_schedule_file, save_attack, save_schedule,
                       synthesize_and_validate)
-from .model import (ConfigError, choice, config_object, load_grid_config_file,
-                    read_json_file, require_keys, write_json)
+from .model import (ConfigError, config_object, load_grid_config_file, read_json_file,
+                    require_keys, write_json)
 from .numerics import RngStream
-from .rl import (REWARD_VARIANTS, EpisodeConfig, GridEnv, RewardWeights, TrainConfig,
-                 TrainingDiverged, ddpg_train, save_weights)
+from .rl import (EpisodeConfig, GridEnv, RewardWeights, TrainConfig, TrainingDiverged,
+                 ddpg_train, save_weights)
 from .sim import (SIGNAL_BASES, AttackVector, BreakerSchedule,
                   FalseDataSchedule, check_success, detect, simulate, simulate_many,
                   write_trace_csv)
@@ -41,13 +41,13 @@ EXIT_INTERNAL = 4
 
 
 class _Manifest:
-    def __init__(self, out_dir, config_path, seed, load_grid_s):
+    def __init__(self, out_dir, args, load_grid_s):
         self.out_dir = out_dir
         self.data = {
             "version": __version__,
-            "command_line": list(sys.argv),
-            "config_sha256": _sha256_file(config_path) if config_path else None,
-            "seeds": {"master": seed},
+            "command_line": args.command_line,
+            "config_sha256": _sha256_file(args.config),
+            "seeds": {"master": args.seed},
             "started": _utc_now(),
             "finished": None,
             "outputs": [],
@@ -144,7 +144,7 @@ def cmd_simulate(args):
         raise ConfigError("--horizon", "must be >= 1")
     attack = load_attack_file(args.attack) if args.attack else None
     out_dir = _ensure_out(args.out)
-    manifest = _Manifest(out_dir, args.config, args.seed, load_s)
+    manifest = _Manifest(out_dir, args, load_s)
     manifest.stage_seed("simulate", 1)
     rng = RngStream(args.seed, 1)
 
@@ -184,20 +184,18 @@ def _train_setup(grid, doc):
     reward weights are its "weights" object."""
     names = {cls: {f.name for f in dataclasses.fields(cls)}
              for cls in (EpisodeConfig, TrainConfig)}
-    require_keys(doc, "$", [], {"weights", "reward_variant"}.union(*names.values()))
+    require_keys(doc, "$", [], {"weights"}.union(*names.values()))
     episode, train = (config_object(cls, {k: v for k, v in doc.items() if k in keys}, "$")
                       for cls, keys in names.items())
     weights = config_object(RewardWeights, doc.get("weights", {}), "$.weights")
-    variant = choice(doc.get("reward_variant", REWARD_VARIANTS[0]), REWARD_VARIANTS,
-                     "$.reward_variant")
-    return GridEnv(grid, episode, weights=weights, reward_variant=variant), train
+    return GridEnv(grid, episode, weights=weights), train
 
 
 def cmd_train_laa(args):
     grid, load_s = _load_grid(args.config)
     env, train_cfg = read_json_file(args.train_config, lambda doc: _train_setup(grid, doc))
     out_dir = _ensure_out(args.out)
-    manifest = _Manifest(out_dir, args.config, args.seed, load_s)
+    manifest = _Manifest(out_dir, args, load_s)
     manifest.stage_seed("train", 2)
 
     with manifest.timed("train"):
@@ -242,7 +240,7 @@ def cmd_falsify(args):
     config = FalsifyConfig() if args.falsify_config is None else read_json_file(
         args.falsify_config, lambda doc: config_object(FalsifyConfig, doc, "$"))
     out_dir = _ensure_out(args.out)
-    manifest = _Manifest(out_dir, args.config, args.seed, load_s)
+    manifest = _Manifest(out_dir, args, load_s)
     manifest.stage_seed("falsify", 3)
 
     outcome = synthesize_and_validate(grid, laa, RngStream(args.seed, 3), config)
@@ -279,7 +277,8 @@ def cmd_falsify(args):
         "evaluations": result.evaluations,
         "noise_success_fraction": outcome.noise_success_fraction,
         "control_points": config.control_points,
-        "signal_basis": config.signal_basis, "stealth_mode": config.stealth_mode,
+        # the one attack goal: unsafe before the first alarm
+        "signal_basis": config.signal_basis, "stealth_mode": "until_unsafe",
     }
     save_attack(manifest.add(os.path.join(out_dir, "attack.json")),
                 outcome.attack, *config.range, provenance)
@@ -338,7 +337,7 @@ def cmd_compare(args):
     grid, load_s = _load_grid(args.config)
     attack = load_attack_file(args.attack)
     out_dir = _ensure_out(args.out)
-    manifest = _Manifest(out_dir, args.config, args.seed, load_s)
+    manifest = _Manifest(out_dir, args, load_s)
 
     mode_attacks = [_mode_attack(mode, attack, grid.load_map.b_nom)
                     for mode in modes]
@@ -446,8 +445,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.command_line = ["gridstorm", *argv]
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -27,9 +27,9 @@ import numpy as np
 
 from .model import N_OUTPUTS, GridModel, config_value, read_json_file, write_json
 from .numerics import RngStream
-from .sim import (SIGNAL_BASES, STEALTH_MODES, AttackVector, BreakerSchedule,
-                  FalseDataSchedule, SimTrace, SuccessReport, check_success, residue_norm,
-                  robustness, robustness_terms, simulate, simulate_many)
+from .sim import (SIGNAL_BASES, AttackVector, BreakerSchedule, FalseDataSchedule,
+                  SimTrace, SuccessReport, check_success, residue_norm, robustness,
+                  robustness_terms, simulate, simulate_many)
 
 SIGMA_INIT = 0.10          # proposal scale, fraction of box width
 SIGMA_FLOOR = 0.005
@@ -55,7 +55,6 @@ class FalsifyConfig:
     budget: int = 2000
     restarts: int = 10
     signal_basis: Literal[SIGNAL_BASES] = "measured"
-    stealth_mode: Literal[STEALTH_MODES] = "until_unsafe"
     noise_check_seeds: int = 20
 
     def __post_init__(self):
@@ -120,7 +119,7 @@ def _rho(problem: FalsificationProblem, trace: SimTrace) -> float:
     if trace.truncated:
         return float("inf")
     return robustness(trace, problem.grid.envelope, problem.grid.thresholds,
-                      problem.config.signal_basis, problem.config.stealth_mode)
+                      problem.config.signal_basis)
 
 
 def objective(problem: FalsificationProblem, knots: np.ndarray) -> float:
@@ -167,8 +166,7 @@ class AffineModel:
             sig = sig if finite.all() else sig[finite]
             p = self.problem
             rho[finite] = robustness_terms(sig[..., 0], residue_norm(sig[..., 1:]),
-                                           p.grid.envelope, p.grid.thresholds,
-                                           p.config.stealth_mode)
+                                           p.grid.envelope, p.grid.thresholds)
         return rho
 
 

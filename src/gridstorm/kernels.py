@@ -7,8 +7,8 @@ which give einsum's bits at half its call cost.  step_block() advances the
 block through a run of step-major records, walking views made once by
 step_views(), with no per-step indexing or Python call.  step_loop() runs
 it over a whole horizon a block of STOP_CHECK_STEPS steps at a time,
-writing straight into the trace records; the RL environment runs it once
-per env step over its action_repeat sub-steps.  Within a step the
+writing straight into the trace records; the RL environment runs it over
+a one-step block per env step.  Within a step the
 [x; x_hat] (or [y; r]) stacking axis comes first, so each half is one
 contiguous (n, ...) array; the records are indexed [generator, step, ...].
 Rows never couple, so sim.simulate_many() stacks R runs of one grid as

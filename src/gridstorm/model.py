@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
-               bool: "a boolean", dict: "an object"}
+               bool: "a boolean"}
 
 
 def require_keys(doc, path, keys_required, keys_optional=()):
@@ -62,22 +62,18 @@ def require_keys(doc, path, keys_required, keys_optional=()):
         raise ConfigError(path, f"missing keys: {sorted(missing)}")
 
 
-def choice(value, choices, path):
-    if value not in tuple(choices):
-        raise ConfigError(path, f"expected one of {list(choices)}, got {value!r}")
-    return value
-
-
 def config_value(value, kind, path):
     """A config value read as a field of type kind.
 
-    kind is int, float (an integer is taken as a float), str, bool, dict,
+    kind is int, float (an integer is taken as a float), str, bool,
     Literal[...] of the allowed values, or tuple[...] of these for an array
     of that length, whose entries are reported at path[i].
     """
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is typing.Literal:
-        return choice(value, args, path)
+        if value not in args:
+            raise ConfigError(path, f"expected one of {list(args)}, got {value!r}")
+        return value
     if origin is tuple:
         if not isinstance(value, list) or len(value) != len(args):
             raise ConfigError(path, f"expected an array of {len(args)}, got {value!r}")

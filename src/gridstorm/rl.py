@@ -8,12 +8,12 @@ into binary breaker commands.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import step_block, step_views
-from .model import ConfigError, GridModel, choice, require_keys
+from .model import GridModel
 from .sim import TWO_PI, BreakerSchedule, residue_norm
 
 
@@ -225,16 +225,12 @@ class RewardWeights:
             raise ValueError("at least one weight must be positive")
 
 
-REWARD_VARIANTS = ("paired", "product")   # the first is the default
-
-
-def reward(f_hz, r_inf, p_e, weights, envelope, thresholds, variant="paired"):
+def reward(f_hz, r_inf, p_e, weights, envelope, thresholds):
     """Stealth-and-damage reward for one step.
 
     p_e is the electrical-power deviation relative to schedule; each term is
     gated by the per-generator stealth indicator, so a detected agent earns
-    nothing.  variant="product" couples the frequency term like the power
-    term, as a product of sums.
+    nothing.
     """
     f = np.asarray(f_hz, dtype=float)
     r = np.asarray(r_inf, dtype=float)
@@ -246,59 +242,22 @@ def reward(f_hz, r_inf, p_e, weights, envelope, thresholds, variant="paired"):
     unsafe_pe = ((pe < envelope.pe_lo) | (pe > envelope.pe_hi)).astype(float)
     unsafe_f = ((f < envelope.f_lo) | (f > envelope.f_hi)).astype(float)
     term1 = weights.w1 * unsafe_pe.sum() * stealth.sum()
-    if variant == "paired":
-        term2 = weights.w2 * float((unsafe_f * stealth).sum())
-    elif variant == "product":
-        term2 = weights.w2 * unsafe_f.sum() * stealth.sum()
-    else:
-        raise ValueError(f"unknown reward variant {variant!r}")
+    term2 = weights.w2 * float((unsafe_f * stealth).sum())
     term3 = weights.w3 * stealth.sum()
     return float(term1 + term2 + term3)
 
 
-# Keys each episode init type takes besides "type".
-INIT_KEYS = {"zero": (), "uniform": ("low", "high")}
-
-
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """The episode section of a train config, which is its top level: init
-    errors are ConfigErrors at $.init."""
+    """The episode section of a train config, which is its top level.
+    Every episode starts from the zero state."""
 
     steps_per_episode: int = 100
     episodes: int = 50
-    init: dict = field(default_factory=lambda: {"type": "zero"})
-    action_repeat: int = 1
 
     def __post_init__(self):
         if self.steps_per_episode < 1 or self.episodes < 1:
             raise ValueError("steps_per_episode and episodes must be >= 1")
-        if self.action_repeat < 1:
-            raise ValueError("action_repeat must be >= 1")
-        kind = choice(self.init.get("type", "zero"), INIT_KEYS, "$.init.type")
-        require_keys(self.init, "$.init", INIT_KEYS[kind], ["type"])
-        for key in INIT_KEYS[kind]:
-            try:
-                finite = np.all(np.isfinite(np.asarray(self.init[key], dtype=float)))
-            except (TypeError, ValueError):
-                finite = False
-            if not finite:
-                raise ConfigError(f"$.init.{key}",
-                                  f"expected finite numbers, got {self.init[key]!r}")
-
-    def init_range(self, n):
-        """[low, high] of the uniform initial state, each n x 4; None for
-        the zero state."""
-        if self.init.get("type", "zero") == "zero":
-            return None
-        bounds = []
-        for key in INIT_KEYS["uniform"]:
-            try:
-                bounds.append(np.broadcast_to(np.asarray(self.init[key], dtype=float), (n, 4)))
-            except ValueError:
-                raise ConfigError(f"$.init.{key}", f"shape {np.shape(self.init[key])} "
-                                  f"does not broadcast to ({n}, 4)") from None
-        return bounds
 
 
 class GridEnv:
@@ -313,34 +272,32 @@ class GridEnv:
     """
 
     def __init__(self, grid: GridModel, episode_config: EpisodeConfig,
-                 weights: RewardWeights = None, reward_variant=REWARD_VARIANTS[0]):
+                 weights: RewardWeights = None):
         self.grid = grid
         self.cfg = episode_config
         self.weights = weights or RewardWeights()
-        self.reward_variant = reward_variant
         self.n = grid.n_generators
         self.m = grid.n_breakers
         self.obs_dim = 3 * self.n + self.m
         self.act_dim = self.m
         self._nominal, self._droop = grid.nominal_hz, grid.droop
-        # A step runs its action_repeat sub-steps as one block from record 0,
-        # a copy of the last record.  _x, _xhat and _r view that last record,
+        # A step copies record 1 to record 0 and advances it through a
+        # one-step block back into record 1.  _x, _xhat and _r view record 1,
         # which every step overwrites, so a caller copies what it keeps.
-        n, repeat = self.n, episode_config.action_repeat
-        z, yr = np.zeros((repeat + 1, 2, n, 4)), np.zeros((repeat + 1, 2, n, 2))
-        u, zeros = np.zeros((repeat + 1, 2, n)), np.zeros((repeat + 1, n, 2))
-        steps = step_views(z, yr, np.empty((repeat + 1, n, 2)), u,
+        n = self.n
+        z, yr = np.zeros((2, 2, n, 4)), np.zeros((2, 2, n, 2))
+        u, zeros = np.zeros((2, 2, n)), np.zeros((2, n, 2))
+        steps = step_views(z, yr, np.empty((2, n, 2)), u,
                            zeros, zeros)   # no false data, no measurement noise
         self._block = (grid.a, grid.b, grid.c, grid.l, grid.k if np.any(grid.k) else None,
-                       steps, np.empty((repeat, 2, n, 4)), np.zeros((repeat, 2, n, 4)),
+                       steps, np.empty((1, 2, n, 4)), np.zeros((1, 2, n, 4)),
                        np.empty((n, 4, 2)))
-        self._z0, self._z_end, self._yr0, self._yr_end = z[0], z[-1], yr[0], yr[-1]
-        self._u_act, self._u_bel = u[:-1, 0], u[:-1, 1]
-        self._x, self._xhat, self._r = z[-1, 0], z[-1, 1], yr[-1, 1]
-        # the scheduled load of every sub-step of an episode, step-major
+        self._z0, self._z1, self._yr0, self._yr1 = z[0], z[1], yr[0], yr[1]
+        self._u_act, self._u_bel = u[0, 0], u[0, 1]
+        self._x, self._xhat, self._r = z[1, 0], z[1, 1], yr[1, 1]
+        # the scheduled load of every step of an episode, step-major
         self._sched = np.ascontiguousarray(
-            grid.schedule(0, episode_config.steps_per_episode * repeat).T)
-        self._init_range = episode_config.init_range(self.n)
+            grid.schedule(0, episode_config.steps_per_episode).T)
         self._done = True
 
         th = grid.thresholds
@@ -356,17 +313,10 @@ class GridEnv:
     def normalize(self, obs):
         return (obs - self._center) / self._scale
 
-    def reset(self, rng=None):
-        x0 = np.zeros((self.n, 4))
-        if self._init_range is not None:
-            if rng is None:
-                raise ValueError("uniform init requires an rng")
-            lo, hi = self._init_range
-            x0 = rng.uniform(size=(self.n, 4)) * (hi - lo) + lo
-        self._z_end[...] = x0
-        self._yr_end[...] = 0.0
-        self._k_step = 0
-        self._env_step = 0
+    def reset(self):
+        self._z1[...] = 0.0
+        self._yr1[...] = 0.0
+        self._step = 0
         self._prev_action = np.zeros(self.m)
         self._offset = np.zeros(self.n)   # load offset of the last breaker command
         self._done = False
@@ -388,26 +338,24 @@ class GridEnv:
         breakers = (action > 0.0).astype(float)
         self._offset = self.grid.load_map.offsets(breakers)
 
-        repeat = self.cfg.action_repeat
-        sched = self._sched[self._k_step:self._k_step + repeat]
+        sched = self._sched[self._step]
         np.add(sched, self._offset, out=self._u_act)
         self._u_bel[...] = sched
-        self._z0[...] = self._z_end
-        self._yr0[...] = self._yr_end
+        self._z0[...] = self._z1
+        self._yr0[...] = self._yr1
         step_block(*self._block)
-        self._k_step += repeat
-        self._executed += [breakers] * repeat
+        self._executed.append(breakers)
 
         self._prev_action = action
-        self._env_step += 1
+        self._step += 1
         blown = not np.all(np.isfinite(self._x))
-        self._done = blown or self._env_step >= self.cfg.steps_per_episode
+        self._done = blown or self._step >= self.cfg.steps_per_episode
 
         obs = self._observation()
         n = self.n
         rew = 0.0 if blown else reward(obs[:n], obs[n:2 * n], obs[2 * n:3 * n],
                                        self.weights, self.grid.envelope,
-                                       self.grid.thresholds, self.reward_variant)
+                                       self.grid.thresholds)
         return obs, rew, self._done
 
     def executed_schedule(self):
@@ -478,7 +426,7 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
     env_steps = updates = 0
 
     for ep in range(env.cfg.episodes):
-        z = env.normalize(env.reset(rng))
+        z = env.normalize(env.reset())
         total = 0.0
         done = False
         while not done:
@@ -540,17 +488,6 @@ def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, za, cfg
 
     soft_update(actor_t, actor, cfg.tau)
     soft_update(critic_t, critic, cfg.tau)
-
-
-def rollout_policy(actor: MLP, env: GridEnv, steps: int) -> BreakerSchedule:
-    """Deterministic noise-free rollout of the actor for `steps` env steps."""
-    obs = env.reset()
-    for _ in range(steps):
-        act = actor.forward(env.normalize(obs))[0]
-        obs, _, done = env.step(act)
-        if done:
-            break
-    return env.executed_schedule()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .model import GridModel, noise_factors
 
 TWO_PI = 2.0 * math.pi
 SIGNAL_BASES = ("measured", "true")
-STEALTH_MODES = ("until_unsafe", "all_steps")
 
 
 @dataclass(frozen=True)
@@ -282,22 +281,20 @@ def check_success(trace: SimTrace, envelope, thresholds,
     )
 
 
-def robustness(trace: SimTrace, envelope, thresholds, signal_basis="measured",
-               stealth_mode="until_unsafe") -> float:
+def robustness(trace: SimTrace, envelope, thresholds, signal_basis="measured") -> float:
     """Quantitative semantics of the stealthy-unsafe goal; negative iff the
     check_success predicate holds.
 
     rho = min over k' of max(s(k'), g(k')) where s is the worst signed
     frequency margin at k' (negative outside the band) and g is the largest
     residue excess over threshold at any step before k' (the empty maximum at
-    k'=0 is floored at -min(Th)).  stealth_mode="all_steps" instead requires
-    stealth over the whole trace.
+    k'=0 is floored at -min(Th)).
     """
     return robustness_terms(trace.frequency(signal_basis), trace.r_inf, envelope,
-                            thresholds, stealth_mode)
+                            thresholds)
 
 
-def robustness_terms(f, r_inf, envelope, thresholds, stealth_mode="until_unsafe"):
+def robustness_terms(f, r_inf, envelope, thresholds):
     """robustness() from its two signals, each generators x steps: the
     frequency on the chosen basis and the residue inf-norm.
 
@@ -308,18 +305,11 @@ def robustness_terms(f, r_inf, envelope, thresholds, stealth_mode="until_unsafe"
     margin = np.minimum(envelope.f_hi - f, f - envelope.f_lo)  # per gen, per step
     s = np.min(margin, axis=-2)
     worst_excess = np.max(r_inf - th[:, None], axis=-2)
-
-    if stealth_mode == "all_steps":
-        stealth, unsafe = np.max(worst_excess, axis=-1), np.min(s, axis=-1)
-        rho = np.where(unsafe > stealth, unsafe, stealth)   # max(stealth, unsafe)
-    elif stealth_mode == "until_unsafe":
-        # g[k'] = max excess over steps < k'; running maximum shifted by one.
-        g = np.empty_like(s)
-        g[..., 0] = -float(np.min(th))
-        np.maximum.accumulate(worst_excess[..., :-1], axis=-1, out=g[..., 1:])
-        rho = np.min(np.maximum(s, g), axis=-1)
-    else:
-        raise ValueError(f"unknown stealth_mode {stealth_mode!r}")
+    # g[k'] = max excess over steps < k'; running maximum shifted by one.
+    g = np.empty_like(s)
+    g[..., 0] = -float(np.min(th))
+    np.maximum.accumulate(worst_excess[..., :-1], axis=-1, out=g[..., 1:])
+    rho = np.min(np.maximum(s, g), axis=-1)
     return float(rho) if rho.ndim == 0 else rho
 
 

@@ -1,15 +1,14 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-import gridstorm.rl
 from gridstorm.cli import main
 from gridstorm.falsify import load_attack_file
 from gridstorm.model import load_grid_config
-from gridstorm.sim import (AttackVector, BreakerSchedule, FalseDataSchedule,
-                           check_success, robustness, simulate)
+from gridstorm.sim import check_success, robustness, simulate
 
 from conftest import config_path, load_config_doc
 
@@ -51,6 +50,22 @@ def test_simulate_writes_artifacts_and_manifest(fast_toy_config, tmp_path):
     rows = read(out / "trace.csv").decode().strip().split("\n")[1:]
     f = np.array([float(r.split(",")[20]) for r in rows])
     assert np.all(f > 59.5) and np.all(f < 60.5)
+
+
+def test_manifest_records_the_parsed_command_line(fast_toy_config, tmp_path,
+                                                  monkeypatch):
+    argv = ["simulate", "--config", fast_toy_config, "--horizon", "5",
+            "--out", str(tmp_path / "given")]
+    monkeypatch.setattr(sys, "argv", ["-c"])   # a python -c host
+    assert main(argv) == 0
+    manifest = json.loads(read(tmp_path / "given" / "manifest.json"))
+    assert manifest["command_line"] == ["gridstorm", *argv]
+    # without argv, main parses the process's own arguments
+    argv[-1] = str(tmp_path / "own")
+    monkeypatch.setattr(sys, "argv", ["/usr/bin/gridstorm", *argv])
+    assert main() == 0
+    manifest = json.loads(read(tmp_path / "own" / "manifest.json"))
+    assert manifest["command_line"] == ["gridstorm", *argv]
 
 
 def test_simulate_rejects_bad_horizon(fast_toy_config, tmp_path):
@@ -196,26 +211,37 @@ def test_train_laa_divergence_exit_4(tmp_path, capsys):
                                        "actor gradients are non-finite\n")
 
 
+# Options deleted from the train and falsify configs, each with the value
+# it defaulted to: a config that names one, with any value, exits 2 at $
+# and names it.
+DELETED_OPTIONS = {"action_repeat": 1, "init": {"type": "zero"},
+                   "reward_variant": "paired", "stealth_mode": "until_unsafe"}
+
+
+def assert_names_deleted_options(doc, err):
+    for key in DELETED_OPTIONS.keys() & doc:
+        assert f"unknown keys: [{key!r}]" in err
+
+
 @pytest.mark.parametrize("doc, field", [
-    ({"init": {"type": "uniform"}}, "$.init"),
-    ({"init": {"type": "zero", "extra": 1}}, "$.init"),
-    ({"init": {"type": "gaussian"}}, "$.init.type"),
-    ({"init": {"type": "uniform", "low": "x", "high": 1.0}}, "$.init.low"),
+    ({"init": DELETED_OPTIONS["init"]}, "$"),
+    ({"stealth_mode": DELETED_OPTIONS["stealth_mode"]}, "$"),
+    ({"init": {"type": "uniform", "low": 0.0, "high": 0.1}}, "$"),
+    ({"action_repeat": 2}, "$"),
     ({"weights": [1, 2]}, "$.weights"),
     ({"weights": {"w4": 1.0}}, "$.weights"),
     ({"weights": {"w1": "heavy"}}, "$.weights.w1"),
-    ({"reward_variant": "sum"}, "$.reward_variant"),
+    ({"reward_variant": DELETED_OPTIONS["reward_variant"]}, "$"),
     ({"episodes": "4"}, "$.episodes"),
     ({"hidden": [64, 6.5]}, "$.hidden[1]"),
-    ({"action_repeat": 0}, "$"),
+    ({"action_repeat": DELETED_OPTIONS["action_repeat"]}, "$"),
     ([4], "$"),
     ({"batch_size": 0}, "$"),
     ({"buffer_capacity": 4, "batch_size": 8}, "$"),
     ({"tau": -1.0}, "$"),
     ({"hidden": [64]}, "$.hidden"),
     ({"hidden": [64, 0]}, "$"),
-    ({"init": {"type": "uniform", "low": [0, 0, 0], "high": [1, 1, 1]}}, "$.init.low"),
-    ({"init": {"type": "uniform", "low": [0] * 4, "high": [[1] * 4] * 2}}, "$.init.high"),
+    ({"reward_variant": "product"}, "$"),
 ])
 def test_train_laa_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, doc,
                                            field):
@@ -226,7 +252,9 @@ def test_train_laa_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, do
     rc = main(["train-laa", "--config", fast_toy_config, "--train-config",
                train_cfg, "--out", str(out)])
     assert rc == 2
-    assert f"config error: {train_cfg}: {field}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {train_cfg}: {field}: " in err
+    assert_names_deleted_options(doc, err)
     assert not out.exists()
 
 
@@ -345,49 +373,6 @@ def test_attack_generator_count_mismatch_exit_2(tmp_path, capsys, command, gener
             f"the grid has 3") in capsys.readouterr().err
 
 
-def train_toy(config, tmp_path, name, options):
-    doc = {"episodes": 2, "steps_per_episode": 15, "batch_size": 8, **options}
-    out = tmp_path / name
-    rc = main(["train-laa", "--config", config, "--train-config",
-               write_json(tmp_path / f"{name}.json", doc), "--seed", "3",
-               "--out", str(out)])
-    return rc, out
-
-
-def test_train_laa_action_repeat_lengthens_schedule(fast_toy_config, tmp_path):
-    rc, out = train_toy(fast_toy_config, tmp_path, "repeat", {"action_repeat": 2})
-    assert rc == 0
-    schedule = json.loads(read(out / "best_schedule.json"))
-    assert schedule["d"] == 15 * 2 == len(schedule["signals"])
-
-
-def test_train_laa_uniform_init_moves_rewards(fast_toy_config, tmp_path):
-    # d_omega starts at 4..5 rad/s, 0.64..0.80 Hz above nominal: out of band
-    init = {"type": "uniform", "low": [4.0, 0.0, 0.0, 0.0], "high": [5.0, 0.0, 0.0, 0.0]}
-    rc, out = train_toy(fast_toy_config, tmp_path, "uniform", {"init": init})
-    assert rc == 0
-    rc_zero, out_zero = train_toy(fast_toy_config, tmp_path, "zero",
-                                  {"init": {"type": "zero"}})
-    assert rc_zero == 0
-    assert read(out / "reward_curve.csv") != read(out_zero / "reward_curve.csv")
-
-
-def test_train_laa_product_reward_variant_reaches_reward(fast_toy_config, tmp_path,
-                                                         monkeypatch):
-    variants = []
-    real_reward = gridstorm.rl.reward
-
-    def spy(*args, **kwargs):
-        variants.append(args[6])
-        return real_reward(*args, **kwargs)
-
-    monkeypatch.setattr(gridstorm.rl, "reward", spy)
-    rc, _ = train_toy(fast_toy_config, tmp_path, "product",
-                      {"reward_variant": "product"})
-    assert rc == 0
-    assert variants and set(variants) == {"product"}
-
-
 @pytest.mark.parametrize("doc, field", [
     ({"range": 0.05}, "$.range"),
     ({"range": [-0.05, "x"]}, "$.range[1]"),
@@ -395,12 +380,16 @@ def test_train_laa_product_reward_variant_reaches_reward(fast_toy_config, tmp_pa
     ({"budget": "many"}, "$.budget"),
     ({"restarts": 2.5}, "$.restarts"),
     ({"signal_basis": "model"}, "$.signal_basis"),
-    ({"stealth_mode": "never"}, "$.stealth_mode"),
+    ({"stealth_mode": DELETED_OPTIONS["stealth_mode"]}, "$"),
     ({"seed": 1}, "$"),
     ([0.05], "$"),
     ({"budget": 0}, "$"),
     pytest.param({"range": [-1e308, 1e308]}, "$", id="range_width_overflows"),
     pytest.param({"range": [-np.inf, np.inf]}, "non-finite number", id="range_infinite"),
+    ({"action_repeat": DELETED_OPTIONS["action_repeat"]}, "$"),
+    ({"init": DELETED_OPTIONS["init"]}, "$"),
+    ({"reward_variant": DELETED_OPTIONS["reward_variant"]}, "$"),
+    ({"stealth_mode": "all_steps"}, "$"),
 ])
 def test_falsify_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, doc, field):
     laa = write_json(tmp_path / "laa.json",
@@ -410,29 +399,10 @@ def test_falsify_malformed_config_exit_2(fast_toy_config, tmp_path, capsys, doc,
     rc = main(["falsify", "--config", fast_toy_config, "--laa", laa,
                "--falsify-config", fcfg, "--out", str(out)])
     assert rc == 2
-    assert f"config error: {fcfg}: {field}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {fcfg}: {field}: " in err
+    assert_names_deleted_options(doc, err)
     assert not out.exists()
-
-
-def test_falsify_all_steps_stealth_mode_scores_zero_screen(fast_toy_config, tmp_path):
-    d = 20
-    laa = write_json(tmp_path / "laa.json", {"d": d, "m": 2, "signals": [[0, 0]] * d})
-    fcfg = write_json(tmp_path / "f.json", {"stealth_mode": "all_steps", "budget": 50,
-                                            "restarts": 1, "noise_check_seeds": 0})
-    out = tmp_path / "f"
-    rc = main(["falsify", "--config", fast_toy_config, "--laa", laa,
-               "--falsify-config", fcfg, "--seed", "1", "--out", str(out)])
-    assert rc == 3
-    report = read(out / "falsify_report.txt").decode()
-    screen = [line for line in report.splitlines() if "zero-screen" in line][0]
-    rho_screen = float(screen.split("rho=")[1].split()[0])
-    grid = load_grid_config(json.loads(read(fast_toy_config)))
-    zero = AttackVector(BreakerSchedule(np.zeros((d, 2), dtype=int)),
-                        FalseDataSchedule(np.zeros((1, d, 2)), np.array([0, 1])))
-    trace = simulate(grid, zero, horizon=d)
-    want = {mode: robustness(trace, grid.envelope, grid.thresholds, "measured", mode)
-            for mode in ("all_steps", "until_unsafe")}
-    assert rho_screen == want["all_steps"] != want["until_unsafe"]
 
 
 def test_falsify_true_signal_basis_attack(tmp_path):

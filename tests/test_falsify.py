@@ -259,10 +259,8 @@ def test_tiny_budget_search_builds_the_model(monkeypatch):
 
 @pytest.mark.parametrize("mask", [(0, 1), (1, 0), (1, 1)])
 @pytest.mark.parametrize("basis", ["measured", "true"])
-@pytest.mark.parametrize("stealth, gain", [("until_unsafe", "zero"), ("all_steps", "zero"),
-                                           ("until_unsafe", "lqr")],
-                         ids=["until_unsafe", "all_steps", "until_unsafe-lqr"])
-def test_affine_model_agrees_with_objective(mask, basis, stealth, gain):
+@pytest.mark.parametrize("gain", ["zero", "lqr"], ids=["until_unsafe", "until_unsafe-lqr"])
+def test_affine_model_agrees_with_objective(mask, basis, gain):
     # three generators guard the one-knot-on-every-generator build
     grid = make_plain_grid(n=3, thresholds=[0.02, 0.03, 0.024], m=2, mcol=0.45,
                            inertia=0.02, regulation=20.0)
@@ -273,7 +271,7 @@ def test_affine_model_agrees_with_objective(mask, basis, stealth, gain):
             for a, b in zip(grid.a, grid.b)])
     laa = BreakerSchedule(signals=np.zeros((30, 2), dtype=int))
     config = FalsifyConfig(range=(-0.05, 0.08), mask=mask, control_points=5,
-                           signal_basis=basis, stealth_mode=stealth)
+                           signal_basis=basis)
     prob = FalsificationProblem(grid=grid, laa=laa, config=config)
     model = affine_model(prob)
     units = prob.n_attacked * config.control_points
@@ -450,7 +448,7 @@ def one_model_score(model, knots):
         return float("inf")
     p = model.problem
     return robustness_terms(sig[:, :, 0], np.max(np.abs(sig[:, :, 1:]), axis=2),
-                            p.grid.envelope, p.grid.thresholds, p.config.stealth_mode)
+                            p.grid.envelope, p.grid.thresholds)
 
 
 def sequential_falsify(problem, rng, negative=frozenset()):
@@ -534,17 +532,16 @@ SEARCHES = {
     "model-no-success": (lambda: make_problem(d=30, p=4), 200, 3, 8, None),
     "model-both-outputs-no-success": (three_generator_problem, 300, 2, 0, None),
     "model-middle-success": (lambda: open_toy_problem(40), 150, 4, 1, 1),
-    "model-middle-success-all_steps-true": (
-        lambda: open_toy_problem(40, stealth_mode="all_steps", signal_basis="true"),
-        150, 4, 1, 2),
+    "model-middle-success-true": (lambda: open_toy_problem(40, signal_basis="true"),
+                                  150, 4, 1, 1),
     "tiny-budget-no-success": (lambda: make_problem(p=10), 11, 3, 8, None),
     "tiny-budget-middle-success": (lambda: open_toy_problem(60), 5, 4, 30, 2),
     "zero-width": (lambda: make_problem(lo=0.0, hi=0.0), 300, 3, 7, None),
     "zero-width-model": (lambda: make_problem(p=1, lo=0.02, hi=0.02), 300, 3, 7, None),
     "budget-below-restarts": (lambda: make_problem(d=30, p=4), 3, 5, 21, None),
     "blowup": (blowup_problem, 30, 3, 22, None),
-    "all_steps-true": (lambda: with_config(make_problem(d=30, p=4), stealth_mode="all_steps",
-                                           signal_basis="true"), 120, 3, 9, None),
+    "true-basis": (lambda: with_config(make_problem(d=30, p=4), signal_basis="true"),
+                   120, 3, 9, None),
 }
 
 

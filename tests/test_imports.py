@@ -84,17 +84,12 @@ def test_every_private_helper_is_read(path):
     assert [(line, name) for line, name in dead if name not in read] == []
 
 
-# Public names that no package module reads yet, each with the reason it stays:
-# rl.rollout_policy gets its pipeline caller from ROADMAP item 6.
-UNREAD_PUBLIC = {("rl", "rollout_policy")}
-
-
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_public_name_is_read(path):
     read = names_read(p.read_text(encoding="utf-8") for p in PACKAGE)
     unread = {name for _, name in definitions(path.read_text(encoding="utf-8"))
               if not name.startswith("_") and name not in read}
-    assert unread == {name for stem, name in UNREAD_PUBLIC if stem == path.stem}
+    assert unread == set()
 
 
 def traced_names():

@@ -157,17 +157,15 @@ def test_env_step_matches_einsum_kernels(case, einsum_kernels):
     grid = grid_case(case)
     actions = RngStream(5, 0).uniform(-1.0, 1.0, size=(15, grid.n_breakers))
 
-    def run(repeat):
-        env = GridEnv(grid, EpisodeConfig(steps_per_episode=15, episodes=1,
-                                          action_repeat=repeat))
+    def run():
+        env = GridEnv(grid, EpisodeConfig(steps_per_episode=15, episodes=1))
         env.reset()
         steps = [env.step(act) for act in actions]
         return np.concatenate([np.append(obs, rew) for obs, rew, _ in steps])
 
-    got = [run(repeat) for repeat in (1, 2, 3)]
+    got = run()
     einsum_kernels()
-    for repeat, obs in zip((1, 2, 3), got):
-        assert obs.tobytes() == run(repeat).tobytes(), repeat
+    assert got.tobytes() == run().tobytes()
 
 
 # ---------------------------------------------------------------------------

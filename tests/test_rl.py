@@ -8,8 +8,8 @@ import gridstorm.rl
 from gridstorm.model import SafetyEnvelope, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.rl import (MLP, Adam, EpisodeConfig, GridEnv, ReplayBuffer,
-                          RewardWeights, TrainConfig, ddpg_train, reward,
-                          rollout_policy, save_weights, soft_update)
+                          RewardWeights, TrainConfig, ddpg_train, reward, save_weights,
+                          soft_update)
 from gridstorm.sim import AttackVector, BreakerSchedule, FalseDataSchedule, simulate
 
 from conftest import load_config_doc, make_plain_grid
@@ -43,13 +43,6 @@ def test_reward_power_term_is_product_of_sums():
     w = RewardWeights(w1=1.0, w2=0.0, w3=0.0)
     # two generators power-unsafe, three stealthy -> 2 * 3
     val = reward([60.0] * 3, [0.0] * 3, [0.2, 0.2, 0.0], w, ENV_BOUNDS, [0.1] * 3)
-    assert val == pytest.approx(6.0)
-
-
-def test_reward_product_variant():
-    w = RewardWeights(w1=0.0, w2=1.0, w3=0.0)
-    val = reward([61.0, 61.0, 60.0], [0.0] * 3, [0.0] * 3, w, ENV_BOUNDS,
-                 [0.1] * 3, variant="product")
     assert val == pytest.approx(6.0)
 
 
@@ -375,19 +368,6 @@ def test_env_reset_equilibrium_observation():
     assert np.all(obs[3:] == 0.0)
 
 
-def test_env_reset_uniform_init_readback():
-    grid = make_plain_grid(n=1, thresholds=[0.05], m=2)
-    cfg = EpisodeConfig(steps_per_episode=10, episodes=1,
-                        init={"type": "uniform",
-                              "low": [-0.1, 0.0, 0.0, 0.0],
-                              "high": [0.1, 0.0, 0.0, 0.0]})
-    env = GridEnv(grid, cfg)
-    obs1 = env.reset(RngStream(3, 0))
-    obs2 = env.reset(RngStream(3, 0))
-    assert np.array_equal(obs1, obs2)
-    assert obs1[0] != 60.0  # sampled rotor-speed deviation is visible
-
-
 def test_env_nominal_action_earns_stealth_reward():
     env = toy_env()
     env.reset()
@@ -425,20 +405,7 @@ def test_env_aggressive_action_loses_stealth():
     assert rewards[0] > 0.0
 
 
-def test_env_action_repeat():
-    grid = make_plain_grid(n=1, thresholds=[0.05], m=2)
-    env = GridEnv(grid, EpisodeConfig(steps_per_episode=5, episodes=1,
-                                      action_repeat=3))
-    env.reset()
-    for _ in range(5):
-        env.step(np.array([-1.0, 1.0]))
-    sched = env.executed_schedule()
-    assert sched.d == 15
-    assert np.array_equal(sched.signals[0], sched.signals[1])
-
-
-@pytest.mark.parametrize("case", ["zero_init", "uniform_init", "feedback_gain", "lqr",
-                                  "schedule"])
+@pytest.mark.parametrize("case", ["zero_init", "feedback_gain", "lqr", "schedule"])
 def test_env_matches_simulate_over_executed_schedule(case):
     doc = load_config_doc("default_grid.json")
     # five columns, shorter than the 36-step episode: both hold the last one
@@ -447,21 +414,15 @@ def test_env_matches_simulate_over_executed_schedule(case):
                       [-0.015, 0.0, 0.005, 0.01, 0.02]])
     if case == "schedule":
         doc["scheduled_load"] = sched.tolist()
-    init = {"type": "zero"}
-    if case == "uniform_init":
-        init = {"type": "uniform", "low": [-0.02, -0.01, -0.01, -0.01],
-                "high": [0.02, 0.01, 0.01, 0.01]}
     gains = {"feedback_gain": {"k": [[0.0, 0.0, 0.0, 0.1]]},
              "lqr": {"lqr": {"q": 1, "r": 1}}}.get(case)
     if gains:
         for gen in doc["generators"]:
             gen["gains"] = gains
     grid = load_grid_config(doc)
-    repeat, steps = 3, 12
-    env = GridEnv(grid, EpisodeConfig(steps_per_episode=steps, episodes=1,
-                                      init=init, action_repeat=repeat))
-    env.reset(RngStream(4, 0))
-    x0 = env._x.copy()
+    steps = 36
+    env = GridEnv(grid, EpisodeConfig(steps_per_episode=steps, episodes=1))
+    env.reset()
     states = [(env._x.copy(), env._xhat.copy(), env._r.copy())]
     observations = []
     actions = RngStream(5, 0).uniform(-1.0, 1.0, size=(steps, grid.n_breakers))
@@ -472,18 +433,18 @@ def test_env_matches_simulate_over_executed_schedule(case):
     schedule = env.executed_schedule()
     attack = AttackVector(schedule, FalseDataSchedule(
         np.zeros((grid.n_generators, schedule.d, 2)), np.array([0, 1])))
-    tr = simulate(grid, attack, horizon=schedule.d, init=x0)
+    tr = simulate(grid, attack, horizon=schedule.d)
     assert not tr.truncated
     for j, (x, xhat, r) in enumerate(states):
-        assert np.array_equal(x, tr.x[:, j * repeat]), j
-        assert np.array_equal(xhat, tr.xhat[:, j * repeat]), j
-        assert np.array_equal(r, tr.residue[:, j * repeat]), j
+        assert np.array_equal(x, tr.x[:, j]), j
+        assert np.array_equal(xhat, tr.xhat[:, j]), j
+        assert np.array_equal(r, tr.residue[:, j]), j
     # observed p_e: the last command's load offset plus droop times d_omega
     n = grid.n_generators
     droop = grid.droop
     offsets = grid.load_map.matrix @ (schedule.signals - grid.load_map.b_nom).T
     for j, obs in enumerate(observations, 1):
-        want = offsets[:, j * repeat - 1] + droop * tr.x[:, j * repeat, 0]
+        want = offsets[:, j - 1] + droop * tr.x[:, j, 0]
         assert np.array_equal(obs[2 * n:3 * n], want), j
     # K x_hat reaches plant and estimator alike: their inputs differ by the offset
     d = schedule.d
@@ -567,7 +528,7 @@ def reference_ddpg_train(env, cfg, rng):
     buffer = ReferenceReplayBuffer(cfg.buffer_capacity, env.obs_dim, env.act_dim)
     curve, schedules, sigma = [], [], cfg.noise_sigma
     for _ in range(env.cfg.episodes):
-        obs, total, done = env.reset(rng), 0.0, False
+        obs, total, done = env.reset(), 0.0, False
         while not done:
             act = reference_forward(actor, env.normalize(obs))[0][0]
             act = np.clip(act + rng.normal(scale=sigma, size=env.act_dim), -1.0, 1.0)
@@ -649,8 +610,8 @@ def replay_schedule(env: GridEnv, schedule: BreakerSchedule):
     """
     env.reset()
     total = 0.0
-    for t in range(0, schedule.d, env.cfg.action_repeat):
-        _, rew, done = env.step(2.0 * schedule.signals[t] - 1.0)
+    for bits in schedule.signals:
+        _, rew, done = env.step(2.0 * bits - 1.0)
         total += rew
         if done:
             break
@@ -663,6 +624,17 @@ def test_best_schedule_replay_reproduces_reward():
     env2 = toy_env(episodes=8, steps=40)
     replayed = replay_schedule(env2, art.best_schedule)
     assert replayed == pytest.approx(art.best_reward, abs=1e-9)
+
+
+def rollout_policy(actor: MLP, env: GridEnv, steps: int) -> BreakerSchedule:
+    """Deterministic noise-free rollout of the actor for `steps` env steps."""
+    obs = env.reset()
+    for _ in range(steps):
+        act = actor.forward(env.normalize(obs))[0]
+        obs, _, done = env.step(act)
+        if done:
+            break
+    return env.executed_schedule()
 
 
 def test_rollout_policy_deterministic():
@@ -689,7 +661,7 @@ def test_critic_fits_immediate_reward_when_gamma_zero():
     # collect transitions with random actions
     obs_list, act_list, rew_list = [], [], []
     for _ in range(env.cfg.episodes):
-        obs = env.reset(rng)
+        obs = env.reset()
         done = False
         while not done:
             act = rng.uniform(-1, 1, size=env.act_dim)

@@ -518,14 +518,11 @@ def test_robustness_matches_exhaustive_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def scalar_robustness_terms(f, r_inf, envelope, thresholds, stealth_mode):
-    """robustness_terms of one generators x steps trace, in Python scalars
-    where it reduces to two values."""
+def scalar_robustness_terms(f, r_inf, envelope, thresholds):
+    """robustness_terms of one generators x steps trace."""
     th = np.asarray(thresholds, dtype=float)
     s = np.min(np.minimum(envelope.f_hi - f, f - envelope.f_lo), axis=0)
     worst_excess = np.max(r_inf - th[:, None], axis=0)
-    if stealth_mode == "all_steps":
-        return float(max(np.max(worst_excess), np.min(s)))
     g = np.empty_like(s)
     g[0] = -float(np.min(th))
     if s.size > 1:
@@ -533,8 +530,7 @@ def scalar_robustness_terms(f, r_inf, envelope, thresholds, stealth_mode):
     return float(np.min(np.maximum(s, g)))
 
 
-@pytest.mark.parametrize("stealth_mode", ["until_unsafe", "all_steps"])
-def test_robustness_terms_stack_is_bitwise_each_trace(stealth_mode):
+def test_robustness_terms_stack_is_bitwise_each_trace():
     rng = np.random.default_rng(37)
     th = [0.3, 0.45, 0.2]
     for steps in (1, 2, 7, 40):
@@ -545,11 +541,11 @@ def test_robustness_terms_stack_is_bitwise_each_trace(stealth_mode):
         f[2], r_inf[2] = 59.5, 0.2       # both terms tie at 0.0
         f[3, 1, -1] = np.nan
         r_inf[4, 0, 0] = np.inf
-        stack = robustness_terms(f, r_inf, _env(), th, stealth_mode)
+        stack = robustness_terms(f, r_inf, _env(), th)
         assert stack.shape == (9,)
         for j in range(9):
-            want = scalar_robustness_terms(f[j], r_inf[j], _env(), th, stealth_mode)
-            alone = robustness_terms(f[j], r_inf[j], _env(), th, stealth_mode)
+            want = scalar_robustness_terms(f[j], r_inf[j], _env(), th)
+            alone = robustness_terms(f[j], r_inf[j], _env(), th)
             assert isinstance(alone, float)
             assert np.float64(alone).tobytes() == np.float64(want).tobytes(), (steps, j)
             assert stack[j].tobytes() == np.float64(want).tobytes(), (steps, j)
