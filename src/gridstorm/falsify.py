@@ -28,8 +28,8 @@ import numpy as np
 from .model import N_OUTPUTS, GridModel, config_value, read_json_file, write_json
 from .numerics import RngStream
 from .sim import (SIGNAL_BASES, AttackVector, BreakerSchedule, FalseDataSchedule,
-                  SimTrace, SuccessReport, check_success, residue_norm, robustness,
-                  robustness_terms, simulate, simulate_many)
+                  SimTrace, SuccessReport, check_success, frequency_margin, residue_norm,
+                  residue_term, robustness, robustness_terms, simulate, simulate_many)
 
 SIGMA_INIT = 0.10          # proposal scale, fraction of box width
 SIGMA_FLOOR = 0.005
@@ -148,26 +148,51 @@ class AffineModel:
     problem: FalsificationProblem
     base: np.ndarray        # n x steps x 3, from _signals at all-zero knots
     responses: np.ndarray   # n x (q_att * P) x (steps * 3), one row per knot
+    # s(k') when no knot moves the frequency, else None: each model frequency
+    # is then base + 0.0 (the einsum sums from +0), and a score forms only
+    # the residue channels, whose (base, responses) _scored holds
+    fixed_margin: Optional[np.ndarray] = field(init=False, repr=False)
+    _scored: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for arr in (self.base, self.responses):
+            arr.setflags(write=False)
+        n, k, _ = self.responses.shape
+        by_channel = self.responses.reshape(n, k, -1, 3)
+        f = self.base[..., 0] + 0.0
+        fixed = not by_channel[..., 0].any() and np.isfinite(f).all()
+        channels = slice(1, 3) if fixed else slice(0, 3)
+        object.__setattr__(self, "fixed_margin", frequency_margin(
+            f, self.problem.grid.envelope) if fixed else None)
+        base, resp = (np.ascontiguousarray(arr[..., channels]) for arr in (self.base, by_channel))
+        object.__setattr__(self, "_scored", (base, resp.reshape(n, k, -1)))
 
     def signals(self, knots: np.ndarray) -> np.ndarray:
         """_signals of each candidate in an R x n x q_att x P stack of knots,
         from the model: R x n x steps x 3."""
-        n, k, _ = self.responses.shape
-        delta = np.einsum("rnk,nkm->rnm", knots.reshape(len(knots), n, k), self.responses)
-        return self.base + delta.reshape(len(knots), *self.base.shape)
+        return _affine_signals(self.base, self.responses, knots)
 
     def score_many(self, knots: np.ndarray) -> np.ndarray:
         """objective() of each candidate in a stack of knots, from the model;
         +inf where its signals are non-finite."""
-        sig = self.signals(knots)
-        finite = np.all(np.isfinite(sig), axis=(1, 2, 3))
+        sig = _affine_signals(*self._scored, knots)
+        finite = np.logical_and.reduce(np.isfinite(sig), axis=(1, 2, 3))
         rho = np.full(len(sig), np.inf)
         if finite.any():
             sig = sig if finite.all() else sig[finite]
             p = self.problem
-            rho[finite] = robustness_terms(sig[..., 0], residue_norm(sig[..., 1:]),
-                                           p.grid.envelope, p.grid.thresholds)
+            s = (frequency_margin(sig[..., 0], p.grid.envelope)
+                 if self.fixed_margin is None else self.fixed_margin)
+            g = residue_term(residue_norm(sig[..., -2:]), p.grid.thresholds)
+            rho[finite] = robustness_terms(s, g)
         return rho
+
+
+def _affine_signals(base, responses, knots):
+    """base + each knot times its response row, per candidate: R x base.shape."""
+    n, k, _ = responses.shape
+    delta = np.einsum("rnk,nkm->rnm", knots.reshape(len(knots), n, k), responses)
+    return base + delta.reshape(len(knots), *base.shape)
 
 
 def affine_model(problem: FalsificationProblem) -> AffineModel:
@@ -322,8 +347,10 @@ def _anneal_lockstep(problem, budgets, rng, score):
         if not (updated := [i for i in range(end) if not chains[i].done]):
             break
         active = [chains[i] for i in updated]
-        proposals = np.clip(np.stack([c.current for c in active])
-                            + np.stack([c.step() for c in active]), lo, hi)
+        proposals = np.empty((len(active),) + knots.shape[1:])   # chains keep its rows
+        for chain, row in zip(active, proposals):
+            np.add(chain.current, chain.step(), out=row)
+        np.clip(proposals, lo, hi, out=proposals)
         for chain, proposal, rho in zip(active, proposals, score(proposals).tolist()):
             chain.update(proposal, rho)
         scores += len(active)

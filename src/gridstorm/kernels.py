@@ -18,10 +18,15 @@ The plant and the estimator apply the same control input u_sched + K x_hat;
 the plant's also carries the breaker load offset u_laa.  Bit-identity rests
 on the operation order, which stays u_act = (u_sched + u_laa) + K x_hat,
 u_bel = u_sched + K x_hat, (A z + b u) + [w; L r], L r = r_0 l_0 + r_1 l_1
-(each product rounded, as einsum rounds it), (y + a_y) + v and
-y_meas - C x_hat.  Without a gain (K = 0) the K x_hat terms are skipped.
-L r can be a zero of the other sign than einsum's, but A z + b u is never
--0 (np.matvec sums from +0), so the sum is einsum's bits all the same.
+(each product rounded, as einsum rounds it; L is copied to (2, n, 4) so
+that both terms are contiguous), (y + a_y) + v and y_meas - C x_hat.
+Without a gain (K = 0) the K x_hat terms are skipped.  L r can be a zero
+of the other sign than einsum's, but A z + b u is never -0 (np.matvec sums
+from +0), so the sum is einsum's bits all the same.  So too an input that
+is all zero over a block (a_y outside the attack, v and w without noise)
+is skipped: x + 0 is x for every x but -0, and none of A z + b u, y = C z
+and y + a_y is ever -0.  With a_y and v both skipped, r = y - C x_hat and
+y_meas is copied from y after the block.
 """
 
 import numpy as np
@@ -37,37 +42,46 @@ def step_views(z, yr, ym, u, a_y, v):
     record t to t + 1, from step-major records: z (steps, 2, n, 4),
     yr (steps, 2, n, 2), u = [u_act; u_bel] (steps, 2, n) and ym, a_y, v
     (steps, n, 2).  Slicing each view by steps gives a block's views."""
-    return (z[:-1], yr[:-1, 1, :, None, :], u[:-1, :, :, None],
+    return (z[:-1], yr[:-1, 1].swapaxes(-1, -2)[..., None], u[:-1, :, :, None],
             z[1:], yr[1:], yr[1:, 0], yr[1:, 1], ym[1:], a_y[1:], v[1:])
 
 
-def step_block(a, b, c, l, k, steps, bu, wlr, lr):
+def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
     """Advance every loop through one block of steps, in place.
 
     Step t writes record t + 1: z = (A z + b u) + [w; L r] from record t,
-    then [y; r] and y_meas from C z, a_y and v.  steps are step_views() cut
-    to the block; bu and wlr (steps, 2, n, 4) and lr (n, 4, 2) are scratch,
-    and wlr[:, 0] must hold each step's process noise w.  Without a gain
-    (k None) b u is formed once for the block, else per step after
-    add_feedback has added K x_hat into u.
+    then [y; r] and y_meas from C z, a_y and v.  lt is L as (2, n, 4), with
+    lt[o] = L[..., o]; steps are step_views() cut to the block; bu and wlr
+    (steps, 2, n, 4) and lr (2, n, 4) are scratch, and wlr[:, 0] must hold
+    each step's process noise w.  inputs flags whether the block's a_y, v
+    and w may be nonzero; one flagged False must be all zero and is not
+    added.  Without a gain (k None) b u is formed once for the block, else
+    per step after add_feedback has added K x_hat into u.
     """
     if k is None:
         np.multiply(b, steps[2], out=bu)
-    lr0, lr1 = lr[..., 0], lr[..., 1]
-    for z0, r, u, z1, yr1, y1, r1, ym1, a_y, v, bu_t, wlr_t, lr_t in zip(
-            *steps, bu, wlr, wlr[:, 1]):
+    # [w; L r] goes into z, or into x_hat alone without w; y_meas adds the
+    # flagged measurement inputs in order
+    zw, wlr_w = (steps[3], wlr) if inputs[2] else (steps[3][:, 1], wlr[:, 1])
+    meas = [x for x, nonzero in zip(steps[8:], inputs) if nonzero]
+    lr0, lr1 = lr
+    for z0, r, u, z1, yr1, y1, r1, ym1, bu_t, zw_t, wlr_t, lr_t, *meas_t in zip(
+            *steps[:8], bu, zw, wlr_w, wlr[:, 1], *meas):
         if k is not None:
             add_feedback(k, z0[1], u[..., 0])
             np.multiply(b, u, out=bu_t)
         np.matvec(a, z0, out=z1)
         np.add(z1, bu_t, out=z1)
-        np.multiply(r, l, out=lr)
+        np.multiply(r, lt, out=lr)
         np.add(lr0, lr1, out=lr_t)
-        np.add(z1, wlr_t, out=z1)
+        np.add(zw_t, wlr_t, out=zw_t)
         np.matvec(c, z1, out=yr1)
-        np.add(y1, a_y, out=ym1)
-        np.add(ym1, v, out=ym1)
-        np.subtract(ym1, r1, out=r1)
+        for m in meas_t:
+            np.add(y1, m, out=ym1)
+            y1 = ym1
+        np.subtract(y1, r1, out=r1)
+    if not meas:
+        np.copyto(steps[7], steps[5])
 
 
 def buffers(n, n_steps):
@@ -125,7 +139,8 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
     yms, ws, ays, vs = (np.moveaxis(arr, 1, 0) for arr in (ym, w, a_y, v))
     views = step_views(zs, yrs, yms, us, ays, vs)
     block = min(STOP_CHECK_STEPS, n_steps - 1)
-    bu, wlr, lr = *np.empty((2, block, 2, rows, 4)), np.empty((rows, 4, 2))
+    bu, wlr, lr = *np.empty((2, block, 2, rows, 4)), np.empty((2, rows, 4))
+    lt = np.ascontiguousarray(np.moveaxis(l, -1, 0))
 
     zs[0, 0] = x0
     zs[0, 1] = xhat0
@@ -140,9 +155,10 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
             if t0 and not row_finite(zs[t0], yrs[t0, 1]).any():
                 break
             t1 = min(t0 + STOP_CHECK_STEPS, n_steps - 1)
+            inputs = (ays[t0 + 1:t1 + 1].any(), vs[t0 + 1:t1 + 1].any(), ws[t0:t1].any())
             wlr[:t1 - t0, 0] = ws[t0:t1]
-            step_block(a, b, c, l, k if use_k else None, [s[t0:t1] for s in views],
-                       bu[:t1 - t0], wlr[:t1 - t0], lr)
+            step_block(a, b, c, lt, k if use_k else None, [s[t0:t1] for s in views],
+                       bu[:t1 - t0], wlr[:t1 - t0], lr, inputs)
         else:
             if use_k:
                 add_feedback(k, zs[-1, 1], us[-1])

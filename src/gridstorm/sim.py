@@ -290,26 +290,34 @@ def robustness(trace: SimTrace, envelope, thresholds, signal_basis="measured") -
     residue excess over threshold at any step before k' (the empty maximum at
     k'=0 is floored at -min(Th)).
     """
-    return robustness_terms(trace.frequency(signal_basis), trace.r_inf, envelope,
-                            thresholds)
+    return robustness_terms(frequency_margin(trace.frequency(signal_basis), envelope),
+                            residue_term(trace.r_inf, thresholds))
 
 
-def robustness_terms(f, r_inf, envelope, thresholds):
-    """robustness() from its two signals, each generators x steps: the
-    frequency on the chosen basis and the residue inf-norm.
+def frequency_margin(f, envelope):
+    """s(k'), from the frequency (..., generators, steps): the worst signed
+    margin to the band at each step."""
+    return np.minimum.reduce(np.minimum(envelope.f_hi - f, f - envelope.f_lo), axis=-2)
+
+
+def residue_term(r_inf, thresholds):
+    """g(k'), from the residue inf-norm (..., generators, steps): the largest
+    excess over threshold at any step before k', -min(Th) at k' = 0."""
+    th = np.asarray(thresholds, dtype=float)
+    worst_excess = np.maximum.reduce(r_inf - th[:, None], axis=-2)
+    g = np.empty_like(worst_excess)
+    g[..., 0] = -float(np.min(th))
+    np.maximum.accumulate(worst_excess[..., :-1], axis=-1, out=g[..., 1:])
+    return g
+
+
+def robustness_terms(s, g):
+    """robustness() from its per-step terms s(k') and g(k').
 
     Leading axes stack independent traces and give an array of rhos; each is
     bitwise the float its trace alone gives, since min and max are exact.
     """
-    th = np.asarray(thresholds, dtype=float)
-    margin = np.minimum(envelope.f_hi - f, f - envelope.f_lo)  # per gen, per step
-    s = np.min(margin, axis=-2)
-    worst_excess = np.max(r_inf - th[:, None], axis=-2)
-    # g[k'] = max excess over steps < k'; running maximum shifted by one.
-    g = np.empty_like(s)
-    g[..., 0] = -float(np.min(th))
-    np.maximum.accumulate(worst_excess[..., :-1], axis=-1, out=g[..., 1:])
-    rho = np.min(np.maximum(s, g), axis=-1)
+    rho = np.minimum.reduce(np.maximum(s, g), axis=-1)
     return float(rho) if rho.ndim == 0 else rho
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import pathlib
 import re
 
 import numpy as np
@@ -17,10 +19,10 @@ from gridstorm.falsify import (COOLING_FACTOR, COOLING_WINDOW, REJECTION_WINDOW,
                                load_schedule_file, objective, sample_candidate,
                                save_attack, save_schedule, synthesize_and_validate,
                                zero_candidate)
-from gridstorm.model import ConfigError, design_lqr_gain, load_grid_config
+from gridstorm.model import ConfigError, config_object, design_lqr_gain, load_grid_config
 from gridstorm.numerics import RngStream
-from gridstorm.sim import (AttackVector, BreakerSchedule, check_success, robustness_terms,
-                           simulate)
+from gridstorm.sim import (AttackVector, BreakerSchedule, check_success, frequency_margin,
+                           residue_norm, residue_term, robustness_terms, simulate)
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -257,10 +259,17 @@ def test_tiny_budget_search_builds_the_model(monkeypatch):
     assert res.simulations == 1 + 5 + 3
 
 
-@pytest.mark.parametrize("mask", [(0, 1), (1, 0), (1, 1)])
-@pytest.mark.parametrize("basis", ["measured", "true"])
-@pytest.mark.parametrize("gain", ["zero", "lqr"], ids=["until_unsafe", "until_unsafe-lqr"])
-def test_affine_model_agrees_with_objective(mask, basis, gain):
+def model_grid(test):
+    """Run test over the (mask, basis, gain) grid of model_grid_problem."""
+    for mark in (pytest.mark.parametrize("gain", ["zero", "lqr"],
+                                         ids=["until_unsafe", "until_unsafe-lqr"]),
+                 pytest.mark.parametrize("basis", ["measured", "true"]),
+                 pytest.mark.parametrize("mask", [(0, 1), (1, 0), (1, 1)])):
+        test = mark(test)
+    return test
+
+
+def model_grid_problem(mask, basis, gain):
     # three generators guard the one-knot-on-every-generator build
     grid = make_plain_grid(n=3, thresholds=[0.02, 0.03, 0.024], m=2, mcol=0.45,
                            inertia=0.02, regulation=20.0)
@@ -272,7 +281,13 @@ def test_affine_model_agrees_with_objective(mask, basis, gain):
     laa = BreakerSchedule(signals=np.zeros((30, 2), dtype=int))
     config = FalsifyConfig(range=(-0.05, 0.08), mask=mask, control_points=5,
                            signal_basis=basis)
-    prob = FalsificationProblem(grid=grid, laa=laa, config=config)
+    return FalsificationProblem(grid=grid, laa=laa, config=config)
+
+
+@model_grid
+def test_affine_model_agrees_with_objective(mask, basis, gain):
+    prob = model_grid_problem(mask, basis, gain)
+    grid, laa, config = prob.grid, prob.laa, prob.config
     model = affine_model(prob)
     units = prob.n_attacked * config.control_points
     assert model.responses.shape == (3, units, 31 * 3)
@@ -294,6 +309,53 @@ def test_affine_model_agrees_with_objective(mask, basis, gain):
         assert np.max(np.abs(sig[:, :, 0] - trace.frequency(basis))) <= 1e-12
         assert np.max(np.abs(sig[:, :, 1:] - trace.residue)) <= 1e-12
     assert len(set(rhos)) > 1     # the candidates move rho
+
+
+def signals_rho(problem, sig):
+    """robustness_terms of the terms of model signals (..., n, steps, 3)."""
+    return robustness_terms(frequency_margin(sig[..., 0], problem.grid.envelope),
+                            residue_term(residue_norm(sig[..., 1:]), problem.grid.thresholds))
+
+
+@model_grid
+def test_fixed_frequency_score_is_the_full_composition(mask, basis, gain):
+    """The model fixes s(k') exactly where the false data cannot move the
+    frequency: without a gain, on the true basis or with the frequency
+    output unattacked.  Either way its scores are robustness_terms of its
+    signals, bit for bit."""
+    prob = model_grid_problem(mask, basis, gain)
+    model = affine_model(prob)
+    assert (model.fixed_margin is not None) == (gain == "zero" and (basis == "true" or
+                                                                   mask[0] == 0))
+    rng = RngStream(24, 0)
+    knots = np.stack([sample_candidate(prob, rng) for _ in range(50)])
+    assert model.score_many(knots).tobytes() == signals_rho(prob, model.signals(knots)).tobytes()
+
+
+@functools.cache
+def shipped_problem():
+    """The shipped falsify config on the default grid and the frozen seed-3
+    breaker schedule."""
+    root = pathlib.Path(__file__).parents[1]
+    with open(root / "configs" / "falsify_default.json", encoding="utf-8") as fh:
+        config = config_object(FalsifyConfig, json.load(fh), "$")
+    return FalsificationProblem(
+        grid=load_grid_config(load_config_doc("default_grid.json")),
+        laa=load_schedule_file(root / "perfbench" / "inputs" / "best_schedule_seed3.json"),
+        config=config)
+
+
+def test_shipped_problem_fixes_the_frequency_margin():
+    model = affine_model(shipped_problem())
+    assert model.fixed_margin is not None
+    assert model.fixed_margin.shape == (shipped_problem().d + 1,)
+
+
+def test_model_arrays_are_read_only():
+    model = affine_model(open_toy_problem(40))
+    for arr in (model.base, model.responses):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
 
 
 def toy_problem(breakers):
@@ -447,8 +509,8 @@ def one_model_score(model, knots):
     if not np.all(np.isfinite(sig)):
         return float("inf")
     p = model.problem
-    return robustness_terms(sig[:, :, 0], np.max(np.abs(sig[:, :, 1:]), axis=2),
-                            p.grid.envelope, p.grid.thresholds)
+    return robustness_terms(frequency_margin(sig[:, :, 0], p.grid.envelope),
+                            residue_term(np.max(np.abs(sig[:, :, 1:]), axis=2), p.grid.thresholds))
 
 
 def sequential_falsify(problem, rng, negative=frozenset()):
@@ -542,6 +604,8 @@ SEARCHES = {
     "blowup": (blowup_problem, 30, 3, 22, None),
     "true-basis": (lambda: with_config(make_problem(d=30, p=4), signal_basis="true"),
                    120, 3, 9, None),
+    # the shipped problem, on the fixed-frequency path
+    **{f"shipped-seed{seed}": (shipped_problem, 300, 4, seed, None) for seed in (1, 2, 3)},
 }
 
 
@@ -592,6 +656,23 @@ def test_model_score_is_inf_where_signals_overflow():
     rhos = huge.score_many(knots)
     assert rhos[0] == np.inf
     assert rhos[1:].tobytes() == model.score_many(knots[1:]).tobytes()
+
+
+def test_fixed_path_score_is_inf_where_residues_overflow():
+    prob = open_toy_problem(40)
+    model = affine_model(prob)
+    responses = np.full((1, 4, 41, 3), 1e308)
+    responses[..., 0] = 0.0
+    huge = AffineModel(problem=prob, base=model.base, responses=responses.reshape(1, 4, -1))
+    assert huge.fixed_margin is not None
+    knots = np.stack([np.ones((1, 1, 4)), np.zeros((1, 1, 4)), np.full((1, 1, 4), 1e-9),
+                      np.array([[[0.0, 0.0, 0.0, 0.5]]])])   # 4e308, 0, 4e299, 5e307
+    rhos = huge.score_many(knots)
+    assert rhos[0] == np.inf
+    want = signals_rho(prob, huge.signals(knots[1:]))
+    assert np.all(np.isfinite(want))
+    assert rhos[1:].tobytes() == want.tobytes()
+    assert rhos[1:2].tobytes() == model.score_many(knots[1:2]).tobytes()
 
 
 def test_winners_are_simulated_in_one_stacked_run(monkeypatch):

@@ -39,13 +39,15 @@ def einsum_closed_loop_step(a, c, l, z, r, bu, w, a_y, v, z1, yr1, ym1):
     einsum_outputs(c, z1, a_y, v, yr1, ym1)
 
 
-def einsum_step_block(a, b, c, l, k, steps, bu, wlr, lr):
-    """step_block() as one einsum_closed_loop_step per step."""
+def einsum_step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
+    """step_block() as one einsum_closed_loop_step per step, which adds
+    every input whatever inputs says."""
+    l = np.moveaxis(lt, 0, -1)
     for z0, r, u, z1, yr1, _, _, ym1, a_y, v, w in zip(*steps, wlr[:, 0]):
         u = u[..., 0]
         if k is not None:
             np.add(u, np.einsum("ns,ns->n", k, z0[1]), out=u)
-        einsum_closed_loop_step(a, c, l, z0, r[:, 0], b * u[..., None], w, a_y, v,
+        einsum_closed_loop_step(a, c, l, z0, r[..., 0].T, b * u[..., None], w, a_y, v,
                                 z1, yr1, ym1)
 
 
@@ -77,12 +79,20 @@ SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-32
                      1e-310, -2.2e-308, 1e308, -1e308])
 
 
+def by_output(l):
+    """L (n, 4, 2) as the (2, n, 4) copy step_block takes."""
+    return np.ascontiguousarray(np.moveaxis(l, -1, 0))
+
+
 def test_lr_contraction_matches_einsum_bits():
     """step_block forms L r as r_0 l_0 + r_1 l_1.  Over stacks whose l and r
     hold +-0, +-inf, NaN and subnormals, the sum is einsum's bits up to the
     sign of a zero (einsum sums from +0, so -0 + -0 gives it +0), and one
     step from those l and r writes the einsum step's bits: A z + b u is
-    never -0, so adding either zero to it gives the same sum."""
+    never -0, so adding either zero to it gives the same sum.  Each of a_y,
+    v and w is zero in some steps, and such a step is told so half the time:
+    skipping an all-zero input gives the bits of adding it, since y and
+    A z + b u are never -0 either."""
     rng = np.random.default_rng(7)
 
     def sprinkle(arr):
@@ -90,7 +100,7 @@ def test_lr_contraction_matches_einsum_bits():
         arr[hit] = rng.choice(SPECIALS, size=hit.sum())
         return arr
 
-    zeros_differ = 0
+    zeros_differ, skipped = 0, np.zeros(3, dtype=int)
     for _ in range(500):
         n = int(rng.integers(1, 25))
         a, b, c = rng.normal(size=(n, 4, 4)), rng.normal(size=(n, 4)), rng.normal(size=(n, 2, 4))
@@ -100,14 +110,20 @@ def test_lr_contraction_matches_einsum_bits():
         wlr = np.zeros((1, 2, n, 4))
         z[0], wlr[0, 0] = rng.normal(size=(2, n, 4)), rng.normal(size=(n, 4))
         yr[0, 1] = sprinkle(rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-3, 3, size=(n, 2)))
+        zero = rng.random(3) < 0.5
+        for arr, off in zip((a_y[1], v[1], wlr[0, 0]), zero):
+            arr[...] = 0.0 if off else arr
+        inputs = tuple(bool(not off or rng.random() < 0.5) for off in zero)
+        skipped += ~np.array(inputs)
         z0, r0 = z[0].copy(), yr[0, 1].copy()
 
         with np.errstate(all="ignore"):
             products = r0[:, None, :] * l
             got = products[..., 0] + products[..., 1]
             want = np.einsum("nso,no->ns", l, r0)
-            kernels.step_block(a, b, c, l, None, kernels.step_views(z, yr, ym, u, a_y, v),
-                               np.empty((1, 2, n, 4)), wlr, np.empty((n, 4, 2)))
+            kernels.step_block(a, b, c, by_output(l), None,
+                               kernels.step_views(z, yr, ym, u, a_y, v),
+                               np.empty((1, 2, n, 4)), wlr, np.empty((2, n, 4)), inputs)
             z1, yr1, ym1 = np.empty((2, n, 4)), np.empty((2, n, 2)), np.empty((n, 2))
             einsum_closed_loop_step(a, c, l, z0, r0, b * u[0][..., None], wlr[0, 0],
                                     a_y[1], v[1], z1, yr1, ym1)
@@ -117,6 +133,37 @@ def test_lr_contraction_matches_einsum_bits():
         assert (z[1].tobytes(), yr[1].tobytes(), ym[1].tobytes()) == (
             z1.tobytes(), yr1.tobytes(), ym1.tobytes())
     assert zeros_differ > 0   # the stacks do reach the -0 + -0 case
+    assert np.all(skipped > 50)
+
+
+@pytest.mark.parametrize("use_k", [False, True])
+def test_blocks_with_and_without_inputs_match_einsum_kernels(use_k, einsum_kernels):
+    """step_loop over three blocks: false data in the first only, process
+    noise in the second only, measurement noise in the last only."""
+    rng = np.random.default_rng(8)
+    grid = grid_case("lqr" if use_k else "plain")
+    runs, horizon, edge = 4, 150, kernels.STOP_CHECK_STEPS
+    rows = runs * grid.n_generators
+    a, b, c, l, k = (np.concatenate([m] * runs) for m in (grid.a, grid.b, grid.c, grid.l, grid.k))
+    x0 = rng.normal(scale=1e-3, size=(rows, 4))
+    u_sched = rng.normal(scale=0.01, size=(rows, horizon + 1))
+    u_laa = rng.normal(scale=0.01, size=(rows, horizon + 1))
+
+    def run():
+        a_y, w, v, *records = kernels.buffers(rows, horizon + 1)
+        a_y[:, :edge + 1] = rng.normal(scale=0.01, size=(rows, edge + 1, 2))
+        w[:, edge:2 * edge] = rng.normal(scale=1e-3, size=(rows, edge, 4))
+        v[:, 2 * edge + 1:] = rng.normal(scale=1e-3, size=(rows, horizon - 2 * edge, 2))
+        valid = kernels.step_loop(None, a, b, c, l, k, use_k, x0, x0, u_sched, u_laa,
+                                  a_y, w, v, *records)
+        assert valid == horizon + 1
+        return [r.tobytes() for r in records]
+
+    state = rng.bit_generator.state
+    got = run()
+    einsum_kernels()
+    rng.bit_generator.state = state
+    assert got == run()
 
 
 def grid_case(case):

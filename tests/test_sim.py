@@ -9,8 +9,9 @@ from gridstorm.model import LoadMap, design_lqr_gain, load_grid_config, spectral
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (CSV_CHUNK_STEPS, CSV_COLUMNS, AttackVector,
                            BreakerSchedule, FalseDataSchedule, SimTrace,
-                           check_success, detect, residue_norm, robustness,
-                           robustness_terms, simulate, simulate_many, write_trace_csv)
+                           check_success, detect, frequency_margin, residue_norm,
+                           residue_term, robustness, robustness_terms, simulate,
+                           simulate_many, write_trace_csv)
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -519,7 +520,7 @@ def test_robustness_matches_exhaustive_oracle():
 
 
 def scalar_robustness_terms(f, r_inf, envelope, thresholds):
-    """robustness_terms of one generators x steps trace."""
+    """robustness_terms of the terms of one generators x steps trace."""
     th = np.asarray(thresholds, dtype=float)
     s = np.min(np.minimum(envelope.f_hi - f, f - envelope.f_lo), axis=0)
     worst_excess = np.max(r_inf - th[:, None], axis=0)
@@ -541,11 +542,11 @@ def test_robustness_terms_stack_is_bitwise_each_trace():
         f[2], r_inf[2] = 59.5, 0.2       # both terms tie at 0.0
         f[3, 1, -1] = np.nan
         r_inf[4, 0, 0] = np.inf
-        stack = robustness_terms(f, r_inf, _env(), th)
+        stack = robustness_terms(frequency_margin(f, _env()), residue_term(r_inf, th))
         assert stack.shape == (9,)
         for j in range(9):
             want = scalar_robustness_terms(f[j], r_inf[j], _env(), th)
-            alone = robustness_terms(f[j], r_inf[j], _env(), th)
+            alone = robustness_terms(frequency_margin(f[j], _env()), residue_term(r_inf[j], th))
             assert isinstance(alone, float)
             assert np.float64(alone).tobytes() == np.float64(want).tobytes(), (steps, j)
             assert stack[j].tobytes() == np.float64(want).tobytes(), (steps, j)
