@@ -12,8 +12,9 @@ candidate with an AffineModel built from 1 + q_att * P runs in one loop,
 not with one simulation each; a build run that blows up makes every model
 score +inf.  Each restart draws from its own stream, so the restarts
 anneal in lockstep: one round scores the next proposal of every active
-restart in one stacked call.  The zero screen and every reported rho come
-from simulation: a restart whose model score turns negative is simulated
+restart in one stacked call.  Every reported rho comes from simulation.
+The zero screen is the build's all-zero base run when the box holds 0, else
+a run of its own; a restart whose model score turns negative is simulated
 as soon as it stops, the other restarts' best candidates in one stacked
 run at the end.  The winner is then simulated once more, and that one
 trace must give the same rho and satisfy the success predicate.
@@ -148,6 +149,7 @@ class AffineModel:
     problem: FalsificationProblem
     base: np.ndarray        # n x steps x 3, from _signals at all-zero knots
     responses: np.ndarray   # n x (q_att * P) x (steps * 3), one row per knot
+    base_rho: float         # the simulated rho at all-zero knots, _rho of the base run
     # s(k') when no knot moves the frequency, else None: each model frequency
     # is then base + 0.0 (the einsum sums from +0), and a score forms only
     # the residue channels, whose (base, responses) _scored holds
@@ -217,7 +219,8 @@ def affine_model(problem: FalsificationProblem) -> AffineModel:
     for j, trace in enumerate(traces):
         sig[:, j, :trace.n_steps] = _signals(problem, trace)
     responses = (sig[:, 1:] - sig[:, :1]).reshape(n, q_att * p, -1)
-    return AffineModel(problem=problem, base=sig[:, 0], responses=responses)
+    return AffineModel(problem=problem, base=sig[:, 0], responses=responses,
+                       base_rho=_rho(problem, traces[0]))
 
 
 def _knot_shape(problem: FalsificationProblem):
@@ -365,9 +368,12 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
     """Monte-Carlo sampled, simulated-annealing driven robustness minimization.
 
     The zero injection (the search's natural starting assignment) is screened
-    first; each restart then anneals from an independent uniform sample with
-    its own split rng stream.  The restarts anneal in lockstep, and the result
-    is the one a search running them one after another gives: no restart
+    first: when the box holds 0 its rho is the AffineModel's base_rho, from
+    the build's all-zero run, and the model is built even if that screen
+    succeeds; else one simulation screens the clipped candidate.  Each
+    restart then anneals from an independent uniform sample with its own
+    split rng stream.  The restarts anneal in lockstep, and the result is the
+    one a search running them one after another gives: no restart
     counts once one has found a counter-example, and the lowest rho wins,
     ties to the earliest restart.  The annealing scores every candidate with
     the problem's AffineModel, whatever the budget; each restart's best model
@@ -377,8 +383,12 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
     below the restart count runs one restart per evaluation.
     """
     z = zero_candidate(problem)
-    rho_zero = objective(problem, z)
-    evaluations = simulations = 1
+    lo, hi = problem.config.range
+    # with 0 in the box, z is the build's all-zero knots: stacked runs are
+    # bitwise lone runs, so the base run's rho is objective(problem, z)
+    model = affine_model(problem) if lo <= 0.0 <= hi else None
+    rho_zero = objective(problem, z) if model is None else model.base_rho
+    evaluations, simulations = 1, int(model is None)   # a lone zero screen
     scores = rounds = 0
     best_rho, best_knots = rho_zero, z
     history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
@@ -389,11 +399,10 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
         restarts = min(problem.config.restarts, budget)
         budgets = [budget // restarts + (1 if i < budget % restarts else 0)
                    for i in range(restarts)]
-        model = affine_model(problem)
+        model = model or affine_model(problem)
         ran, scores, rounds, simulated = _anneal_lockstep(problem, budgets, rng,
                                                           model.score_many)
-        # the 1 + q_att * P build runs and the restarts' simulated bests
-        simulations += 1 + model.responses.shape[1] + simulated
+        simulations += simulated      # the restarts' simulated bests
 
         for i, (chain, rho_i) in enumerate(ran):
             evaluations += chain.evals
@@ -402,6 +411,8 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
             if rho_i < best_rho:   # ties keep the earliest restart
                 best_rho, best_knots = rho_i, chain.best.copy()
 
+    if model is not None:
+        simulations += 1 + model.responses.shape[1]   # the 1 + q_att * P build runs
     return FalsifyResult(
         best_knots=best_knots,
         best_schedule=decode_control_points(best_knots, problem.mask, problem.d),

@@ -26,7 +26,10 @@ from +0), so the sum is einsum's bits all the same.  So too an input that
 is all zero over a block (a_y outside the attack, v and w without noise)
 is skipped: x + 0 is x for every x but -0, and none of A z + b u, y = C z
 and y + a_y is ever -0.  With a_y and v both skipped, r = y - C x_hat and
-y_meas is copied from y after the block.
+y_meas is copied from y after the block.  Without a gain, a block whose
+load input u is all zero (a zero schedule with nominal breakers, as in every
+threshold calibration) skips b u as well: b is finite, so b u is +-0, and
+A z is never -0.
 """
 
 import numpy as np
@@ -53,12 +56,14 @@ def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
     then [y; r] and y_meas from C z, a_y and v.  lt is L as (2, n, 4), with
     lt[o] = L[..., o]; steps are step_views() cut to the block; bu and wlr
     (steps, 2, n, 4) and lr (2, n, 4) are scratch, and wlr[:, 0] must hold
-    each step's process noise w.  inputs flags whether the block's a_y, v
-    and w may be nonzero; one flagged False must be all zero and is not
-    added.  Without a gain (k None) b u is formed once for the block, else
-    per step after add_feedback has added K x_hat into u.
+    each step's process noise w.  inputs flags whether the block's a_y, v,
+    w and u may be nonzero; one flagged False must be all zero and is not
+    added, but for u under a gain, which carries K x_hat.  Without a gain
+    (k None) b u is formed once for the block, else per step after
+    add_feedback has added K x_hat into u.
     """
-    if k is None:
+    load = k is not None or inputs[3]
+    if k is None and inputs[3]:
         np.multiply(b, steps[2], out=bu)
     # [w; L r] goes into z, or into x_hat alone without w; y_meas adds the
     # flagged measurement inputs in order
@@ -71,7 +76,8 @@ def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
             add_feedback(k, z0[1], u[..., 0])
             np.multiply(b, u, out=bu_t)
         np.matvec(a, z0, out=z1)
-        np.add(z1, bu_t, out=z1)
+        if load:
+            np.add(z1, bu_t, out=z1)
         np.multiply(r, lt, out=lr)
         np.add(lr0, lr1, out=lr_t)
         np.add(zw_t, wlr_t, out=zw_t)
@@ -155,7 +161,8 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
             if t0 and not row_finite(zs[t0], yrs[t0, 1]).any():
                 break
             t1 = min(t0 + STOP_CHECK_STEPS, n_steps - 1)
-            inputs = (ays[t0 + 1:t1 + 1].any(), vs[t0 + 1:t1 + 1].any(), ws[t0:t1].any())
+            inputs = (ays[t0 + 1:t1 + 1].any(), vs[t0 + 1:t1 + 1].any(), ws[t0:t1].any(),
+                      us[t0:t1].any())
             wlr[:t1 - t0, 0] = ws[t0:t1]
             step_block(a, b, c, lt, k if use_k else None, [s[t0:t1] for s in views],
                        bu[:t1 - t0], wlr[:t1 - t0], lr, inputs)

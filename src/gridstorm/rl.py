@@ -291,7 +291,7 @@ class GridEnv:
         self._block = (grid.a, grid.b, grid.c, np.ascontiguousarray(np.moveaxis(grid.l, -1, 0)),
                        grid.k if np.any(grid.k) else None, steps, np.empty((1, 2, n, 4)),
                        np.zeros((1, 2, n, 4)), np.empty((2, n, 4)),
-                       (False, False, False))   # no false data, no noise
+                       (False, False, False, True))   # no false data, no noise, a load
         self._z0, self._z1, self._yr0, self._yr1 = z[0], z[1], yr[0], yr[1]
         self._u_act, self._u_bel = u[0, 0], u[0, 1]
         self._x, self._xhat, self._r = z[1, 0], z[1, 1], yr[1, 1]

@@ -46,7 +46,9 @@ def _nice_ticks(lo, hi, target=6):
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-12 * step:
+    # step >= (hi - lo) / target leaves room for target + 1 ticks; the count
+    # also ends a step below the ulp of t, where t += step stands still
+    while t <= hi + 1e-12 * step and len(ticks) <= target:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks

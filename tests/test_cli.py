@@ -440,10 +440,10 @@ def test_falsify_no_counterexample_exit_code(fast_toy_config, tmp_path):
     assert not (out / "attack.json").exists()
     manifest = json.loads(read(out / "manifest.json"))
     # a zero-width box ends each restart after its first sample: 1 + 2
-    # evaluations.  Simulations are the screen, the 1 + 10 model build runs
-    # and the 2 restarts' bests re-simulated; both restarts score their one
-    # sample in one round.
-    assert manifest["counts"] == {"evaluations": 3, "simulations": 1 + 11 + 2,
+    # evaluations.  Simulations are the 1 + 10 model build runs, whose base
+    # run is the zero screen, and the 2 restarts' bests re-simulated; both
+    # restarts score their one sample in one round.
+    assert manifest["counts"] == {"evaluations": 3, "simulations": 11 + 2,
                                   "scores": 2, "rounds": 1}
     assert set(manifest["wall_s"]) == {"load_grid", "search", "validation"}
     assert manifest["wall_s"]["load_grid"] > 0.0

@@ -211,9 +211,9 @@ def test_falsify_blowup_reports_inf_without_success():
     assert not res.success
     assert res.best_rho == np.inf
     assert res.evaluations == 31
-    # screen + the 11 build runs, stacked in one loop, all truncated + the 3
-    # restarts' bests, re-simulated in one stacked run
-    assert res.simulations == 15
+    # the 11 build runs, stacked in one loop, all truncated (the base run is
+    # the zero screen) + the 3 restarts' bests, re-simulated in one stacked run
+    assert res.simulations == 14
 
 
 def overflowing_units_problem():
@@ -254,9 +254,52 @@ def test_tiny_budget_search_builds_the_model(monkeypatch):
     prob = with_config(make_problem(d=30, p=4), budget=5, restarts=3)   # 5 <= 1 + 1 * 4
     res = falsify_sa(prob, RngStream(27, 0))
     assert not res.success and res.evaluations == 1 + 5
-    # the zero screen, the 1 + 4 build runs, then the 3 restarts' bests
+    # the 1 + 4 build runs, whose base run is the zero screen, then the 3
+    # restarts' bests
+    assert sizes == [1 + 4, 3]
+    assert res.simulations == 5 + 3
+
+
+def test_box_without_zero_screens_its_clipped_candidate_first(monkeypatch):
+    sizes, screened = [], []
+    real_many, real_objective = gridstorm.falsify.simulate_many, gridstorm.falsify.objective
+
+    def many_spy(grid, attacks, *args, **kwargs):
+        sizes.append(len(attacks))
+        return real_many(grid, attacks, *args, **kwargs)
+
+    def objective_spy(problem, knots):
+        screened.append(knots.copy())
+        return real_objective(problem, knots)
+
+    monkeypatch.setattr(gridstorm.falsify, "simulate_many", many_spy)
+    monkeypatch.setattr(gridstorm.falsify, "objective", objective_spy)
+    prob = with_config(make_problem(d=30, p=4, lo=0.01, hi=0.05), budget=5, restarts=3)
+    res = falsify_sa(prob, RngStream(27, 0))
+    assert not res.success and res.evaluations == 1 + 5
+    # the screen of the knots clipped to 0.01, then the 1 + 4 build runs and
+    # the 3 restarts' bests
+    assert [k.tolist() for k in screened] == [[[[0.01] * 4]]]
     assert sizes == [1, 1 + 4, 3]
     assert res.simulations == 1 + 5 + 3
+    assert res.history[0].best_rho == real_objective(prob, screened[0])
+
+
+def test_zero_screen_success_still_builds_the_model():
+    """A zero screen that succeeds ends the search after one evaluation,
+    with the base run's rho; the build's runs are made all the same."""
+    grid, laa = validating_problem()
+    prob = FalsificationProblem(grid=grid, laa=laa, config=FalsifyConfig(
+        control_points=4, budget=200, restarts=2))
+    rho = objective(prob, zero_candidate(prob))
+    assert rho < 0.0
+    res = falsify_sa(prob, RngStream(12, 0))
+    assert res.success and res.evaluations == 1
+    assert np.float64(res.best_rho).tobytes() == np.float64(rho).tobytes()
+    assert res.best_knots.tobytes() == zero_candidate(prob).tobytes()
+    assert [h.restart for h in res.history] == [-1]
+    assert res.simulations == 1 + prob.n_attacked * prob.config.control_points
+    assert res.scores == res.rounds == 0
 
 
 def model_grid(test):
@@ -349,6 +392,12 @@ def test_shipped_problem_fixes_the_frequency_margin():
     model = affine_model(shipped_problem())
     assert model.fixed_margin is not None
     assert model.fixed_margin.shape == (shipped_problem().d + 1,)
+
+
+def test_shipped_model_base_rho_is_the_zero_screen():
+    prob = shipped_problem()
+    rho = objective(prob, zero_candidate(prob))
+    assert np.float64(affine_model(prob).base_rho).tobytes() == np.float64(rho).tobytes()
 
 
 def test_model_arrays_are_read_only():
@@ -640,7 +689,7 @@ def test_model_score_reads_both_residues():
     swap = [0, 2, 1]
     swapped = AffineModel(problem=prob, base=model.base[..., swap],
                           responses=model.responses.reshape(1, 4, 41, 3)[..., swap]
-                          .reshape(1, 4, -1))
+                          .reshape(1, 4, -1), base_rho=model.base_rho)
     rng = RngStream(31, 0)
     knots = np.stack([sample_candidate(prob, rng) for _ in range(20)])
     assert model.score_many(knots).tobytes() == swapped.score_many(knots).tobytes()
@@ -650,7 +699,7 @@ def test_model_score_is_inf_where_signals_overflow():
     prob = open_toy_problem(40)
     model = affine_model(prob)
     huge = AffineModel(problem=prob, base=model.base,
-                       responses=np.full_like(model.responses, 1e308))
+                       responses=np.full_like(model.responses, 1e308), base_rho=model.base_rho)
     knots = np.stack([np.ones((1, 1, 4)), np.zeros((1, 1, 4))])   # 4e308, 0
     assert huge.score_many(knots[:1]).tolist() == [np.inf]
     rhos = huge.score_many(knots)
@@ -663,7 +712,8 @@ def test_fixed_path_score_is_inf_where_residues_overflow():
     model = affine_model(prob)
     responses = np.full((1, 4, 41, 3), 1e308)
     responses[..., 0] = 0.0
-    huge = AffineModel(problem=prob, base=model.base, responses=responses.reshape(1, 4, -1))
+    huge = AffineModel(problem=prob, base=model.base, responses=responses.reshape(1, 4, -1),
+                       base_rho=model.base_rho)
     assert huge.fixed_margin is not None
     knots = np.stack([np.ones((1, 1, 4)), np.zeros((1, 1, 4)), np.full((1, 1, 4), 1e-9),
                       np.array([[[0.0, 0.0, 0.0, 0.5]]])])   # 4e308, 0, 4e299, 5e307
@@ -691,17 +741,17 @@ def test_winners_are_simulated_in_one_stacked_run(monkeypatch):
     monkeypatch.setattr(gridstorm.falsify, "simulate_many", many_spy)
     res = falsify_sa(open_toy_problem(40, budget=150, restarts=4), RngStream(1, 0))
     assert res.success and [h.restart for h in res.history] == [-1, 0, 1]
-    assert calls["objective"] == 1        # the zero screen
-    # the zero screen, the 1 + 4 build runs, restarts 2 and then 1 as each
-    # turns negative, then restart 0's best
-    assert calls["simulate_many"] == [1, 5, 1, 1, 1]
-    assert res.simulations == 1 + 5 + 3
+    assert calls["objective"] == 0        # the zero screen is the base run
+    # the 1 + 4 build runs, restarts 2 and then 1 as each turns negative,
+    # then restart 0's best
+    assert calls["simulate_many"] == [5, 1, 1, 1]
+    assert res.simulations == 5 + 3
     # the tiny-budget search: no restart turns negative before the last
     # round, so the three that count are simulated in one stacked run
     calls["simulate_many"].clear()
     res = falsify_sa(open_toy_problem(60, budget=5, restarts=4), RngStream(30, 0))
     assert [h.restart for h in res.history] == [-1, 0, 1, 2]
-    assert calls["simulate_many"] == [1, 5, 1, 2]
+    assert calls["simulate_many"] == [5, 1, 2]
 
 
 def test_later_restart_simulated_first_is_dropped_by_an_earlier_success(monkeypatch):
@@ -722,13 +772,13 @@ def test_later_restart_simulated_first_is_dropped_by_an_earlier_success(monkeypa
                                               lambda k: one_model_score(model, k))
     # restart 2 turns negative after 27 scores, before restart 1 does after 35
     assert rho_2 < 0.0 and evals_2 == 27 < res.history[2].evaluations == 35
-    [(values, rho)] = simulated[2]
+    [(values, rho)] = simulated[1]
     assert values == decode_control_points(knots_2, prob.mask, prob.d).values.tobytes()
     assert rho < 0.0
     # restart 1 wins, so restarts 2 and 3 never count; restart 3 stopped
     # with restart 2, after 27 scores
     assert [h.restart for h in res.history] == [-1, 0, 1]
-    assert res.simulations == 1 + 5 + 3
+    assert res.simulations == 5 + 3
     assert res.scores == 38 + 35 + 27 + 27
     assert_same_search(res, sequential_falsify(prob, RngStream(1, 0)))
 
@@ -757,7 +807,7 @@ def test_refuted_model_success_drops_no_restart(monkeypatch):
     # restart 1 is simulated once, after the first round, while the others
     # anneal on; their bests are simulated together at the end
     assert got.rounds == 1 + 49
-    assert got.simulations == 1 + 5 + 1 + 3
+    assert got.simulations == 5 + 1 + 3
     assert got.scores == got.evaluations - 1
 
 
@@ -773,7 +823,7 @@ def test_success_the_model_missed_drops_later_restarts(monkeypatch):
     assert [(h.restart, h.evaluations, h.success) for h in got.history] == [
         (-1, 1, False), (0, 38, False), (1, 38, True)]
     assert got.rounds == 38 and got.scores == 150
-    assert got.simulations == 1 + 5 + 4
+    assert got.simulations == 5 + 4
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def einsum_closed_loop_step(a, c, l, z, r, bu, w, a_y, v, z1, yr1, ym1):
 
 def einsum_step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
     """step_block() as one einsum_closed_loop_step per step, which adds
-    every input whatever inputs says."""
+    every input, the load b u too, whatever the four inputs flags say."""
     l = np.moveaxis(lt, 0, -1)
     for z0, r, u, z1, yr1, _, _, ym1, a_y, v, w in zip(*steps, wlr[:, 0]):
         u = u[..., 0]
@@ -79,6 +79,9 @@ SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-32
                      1e-310, -2.2e-308, 1e308, -1e308])
 
 
+SIGN_BIT = np.uint64(1 << 63)
+
+
 def by_output(l):
     """L (n, 4, 2) as the (2, n, 4) copy step_block takes."""
     return np.ascontiguousarray(np.moveaxis(l, -1, 0))
@@ -90,9 +93,12 @@ def test_lr_contraction_matches_einsum_bits():
     sign of a zero (einsum sums from +0, so -0 + -0 gives it +0), and one
     step from those l and r writes the einsum step's bits: A z + b u is
     never -0, so adding either zero to it gives the same sum.  Each of a_y,
-    v and w is zero in some steps, and such a step is told so half the time:
-    skipping an all-zero input gives the bits of adding it, since y and
-    A z + b u are never -0 either."""
+    v, w and the load u is zero in some steps, and such a step is told so
+    half the time: skipping an all-zero input gives the bits of adding it,
+    since y, A z and A z + b u are never -0 either.  Only a NaN may differ,
+    in its sign: IEEE 754 leaves the sign of a NaN result open, and on two
+    NaNs numpy's contiguous add loop can return the second while einsum
+    returns the first.  A record with a NaN in z or r is never valid."""
     rng = np.random.default_rng(7)
 
     def sprinkle(arr):
@@ -100,7 +106,7 @@ def test_lr_contraction_matches_einsum_bits():
         arr[hit] = rng.choice(SPECIALS, size=hit.sum())
         return arr
 
-    zeros_differ, skipped = 0, np.zeros(3, dtype=int)
+    zeros_differ, skipped = 0, np.zeros(4, dtype=int)
     for _ in range(500):
         n = int(rng.integers(1, 25))
         a, b, c = rng.normal(size=(n, 4, 4)), rng.normal(size=(n, 4)), rng.normal(size=(n, 2, 4))
@@ -110,8 +116,8 @@ def test_lr_contraction_matches_einsum_bits():
         wlr = np.zeros((1, 2, n, 4))
         z[0], wlr[0, 0] = rng.normal(size=(2, n, 4)), rng.normal(size=(n, 4))
         yr[0, 1] = sprinkle(rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-3, 3, size=(n, 2)))
-        zero = rng.random(3) < 0.5
-        for arr, off in zip((a_y[1], v[1], wlr[0, 0]), zero):
+        zero = rng.random(4) < 0.5
+        for arr, off in zip((a_y[1], v[1], wlr[0, 0], u[0]), zero):
             arr[...] = 0.0 if off else arr
         inputs = tuple(bool(not off or rng.random() < 0.5) for off in zero)
         skipped += ~np.array(inputs)
@@ -130,40 +136,72 @@ def test_lr_contraction_matches_einsum_bits():
         differ = got.view(np.uint64) != want.view(np.uint64)
         assert np.all((got[differ] == 0.0) & (want[differ] == 0.0))
         zeros_differ += int(differ.sum())
-        assert (z[1].tobytes(), yr[1].tobytes(), ym[1].tobytes()) == (
-            z1.tobytes(), yr1.tobytes(), ym1.tobytes())
+        for kernel, oracle in ((z[1], z1), (yr[1], yr1), (ym[1], ym1)):
+            signs = kernel.view(np.uint64) ^ oracle.view(np.uint64)
+            assert np.all((signs == 0) | (signs == SIGN_BIT) & np.isnan(kernel))
     assert zeros_differ > 0   # the stacks do reach the -0 + -0 case
     assert np.all(skipped > 50)
 
 
-@pytest.mark.parametrize("use_k", [False, True])
-def test_blocks_with_and_without_inputs_match_einsum_kernels(use_k, einsum_kernels):
-    """step_loop over three blocks: false data in the first only, process
-    noise in the second only, measurement noise in the last only."""
-    rng = np.random.default_rng(8)
-    grid = grid_case("lqr" if use_k else "plain")
-    runs, horizon, edge = 4, 150, kernels.STOP_CHECK_STEPS
-    rows = runs * grid.n_generators
-    a, b, c, l, k = (np.concatenate([m] * runs) for m in (grid.a, grid.b, grid.c, grid.l, grid.k))
-    x0 = rng.normal(scale=1e-3, size=(rows, 4))
-    u_sched = rng.normal(scale=0.01, size=(rows, horizon + 1))
-    u_laa = rng.normal(scale=0.01, size=(rows, horizon + 1))
+def recorded_flags(monkeypatch):
+    """(k is None, inputs) of every step_block call, in order."""
+    flags, block = [], kernels.step_block
 
-    def run():
+    def recording(a, b, c, lt, k, *rest):
+        flags.append((k is None, tuple(map(bool, rest[-1]))))
+        block(a, b, c, lt, k, *rest)
+    monkeypatch.setattr(kernels, "step_block", recording)
+    return flags
+
+
+@pytest.mark.parametrize("use_k", [False, True])
+def test_blocks_with_and_without_inputs_match_einsum_kernels(use_k, einsum_kernels,
+                                                            monkeypatch):
+    """step_loop over four blocks: false data in the first only, process
+    noise in the second only, measurement noise in the third only, and no
+    load input in the second and the last.  With a gain (an LQR design or a
+    supplied gains.k) u carries K x_hat in those blocks too, and is added."""
+    runs, edge = 4, kernels.STOP_CHECK_STEPS
+    horizon = 4 * edge - 10
+    cases = ["lqr", "feedback_gain"] if use_k else ["plain"]
+
+    def run(case):
+        grid = grid_case(case)
+        rng = np.random.default_rng(8)
+        rows = runs * grid.n_generators
+        a, b, c, l, k = (np.concatenate([m] * runs)
+                         for m in (grid.a, grid.b, grid.c, grid.l, grid.k))
+        x0 = rng.normal(scale=1e-3, size=(rows, 4))
+        u_sched, u_laa = rng.normal(scale=0.01, size=(2, rows, horizon + 1))
+        for load in (u_sched, u_laa):
+            load[:, edge:2 * edge] = load[:, 3 * edge:] = 0.0
         a_y, w, v, *records = kernels.buffers(rows, horizon + 1)
         a_y[:, :edge + 1] = rng.normal(scale=0.01, size=(rows, edge + 1, 2))
         w[:, edge:2 * edge] = rng.normal(scale=1e-3, size=(rows, edge, 4))
-        v[:, 2 * edge + 1:] = rng.normal(scale=1e-3, size=(rows, horizon - 2 * edge, 2))
+        v[:, 2 * edge + 1:3 * edge + 1] = rng.normal(scale=1e-3, size=(rows, edge, 2))
         valid = kernels.step_loop(None, a, b, c, l, k, use_k, x0, x0, u_sched, u_laa,
                                   a_y, w, v, *records)
         assert valid == horizon + 1
         return [r.tobytes() for r in records]
 
-    state = rng.bit_generator.state
-    got = run()
+    flags = recorded_flags(monkeypatch)
+    got = [run(case) for case in cases]
+    assert flags == [(not use_k, (True, False, False, True)),
+                     (not use_k, (False, False, True, False)),
+                     (not use_k, (False, True, False, True)),
+                     (not use_k, (False, False, False, False))] * len(cases)
     einsum_kernels()
-    rng.bit_generator.state = state
-    assert got == run()
+    assert got == [run(case) for case in cases]
+
+
+def test_calibration_skips_the_zero_load_on_the_default_grid(monkeypatch):
+    """Every block of the default grid's threshold calibration (zero
+    schedule, nominal breakers, K = 0, noise on) is told its load is zero."""
+    flags = recorded_flags(monkeypatch)
+    grid = load_grid_config(load_config_doc("default_grid.json"))
+    assert grid.noise_enabled
+    assert len(flags) == -(-1000 // kernels.STOP_CHECK_STEPS)
+    assert {(no_gain, inputs[3]) for no_gain, inputs in flags} == {(True, False)}
 
 
 def grid_case(case):

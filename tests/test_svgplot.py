@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gridstorm.svgplot import CHUNK_POINTS, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, LinePlot
+from gridstorm.svgplot import (CHUNK_POINTS, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, LinePlot,
+                               _nice_ticks)
 
 # ---------------------------------------------------------------------------
 # reference renderer: the per-point writer, kept as the byte-equality oracle
@@ -34,8 +35,6 @@ def reference_limits(plot):
 def reference_render(plot):
     """LinePlot.render() as it was written before the chunked point writer:
     every point through sx, sy and _f, one at a time."""
-    from gridstorm.svgplot import _nice_ticks
-
     x_lo, x_hi, y_lo, y_hi = reference_limits(plot)
     pw = plot.width - MARGIN_L - MARGIN_R
     ph = plot.height - MARGIN_T - MARGIN_B
@@ -184,3 +183,13 @@ def test_save_writes_render(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text == reference_render(plot)
     assert text.count("<polyline") == 3
+
+
+def test_render_ends_when_values_differ_in_their_last_bits():
+    """A y span of one ulp of 0.3 gives a tick step below that ulp, so
+    t += step stands still; the tick loop stops at target + 1 ticks."""
+    plot = LinePlot("r", "x", "y")
+    plot.add_series("s", [0, 1], [0.1 + 0.2, 0.3])
+    svg = plot.render()
+    assert svg.endswith("</svg>\n") and svg.count("<polyline") == 1
+    assert _nice_ticks(*reference_limits(plot)[2:]) == [0.3] * 7
