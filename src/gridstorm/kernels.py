@@ -58,11 +58,9 @@ def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
     (steps, 2, n, 4) and lr (2, n, 4) are scratch, and wlr[:, 0] must hold
     each step's process noise w.  inputs flags whether the block's a_y, v,
     w and u may be nonzero; one flagged False must be all zero and is not
-    added, but for u under a gain, which carries K x_hat.  Without a gain
-    (k None) b u is formed once for the block, else per step after
-    add_feedback has added K x_hat into u.
+    added.  Without a gain (k None) b u is formed once for the block, else
+    per step after add_feedback has added K x_hat into u.
     """
-    load = k is not None or inputs[3]
     if k is None and inputs[3]:
         np.multiply(b, steps[2], out=bu)
     # [w; L r] goes into z, or into x_hat alone without w; y_meas adds the
@@ -76,7 +74,7 @@ def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
             add_feedback(k, z0[1], u[..., 0])
             np.multiply(b, u, out=bu_t)
         np.matvec(a, z0, out=z1)
-        if load:
+        if inputs[3]:
             np.add(z1, bu_t, out=z1)
         np.multiply(r, lt, out=lr)
         np.add(lr0, lr1, out=lr_t)
@@ -162,7 +160,7 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
                 break
             t1 = min(t0 + STOP_CHECK_STEPS, n_steps - 1)
             inputs = (ays[t0 + 1:t1 + 1].any(), vs[t0 + 1:t1 + 1].any(), ws[t0:t1].any(),
-                      us[t0:t1].any())
+                      use_k or us[t0:t1].any())
             wlr[:t1 - t0, 0] = ws[t0:t1]
             step_block(a, b, c, lt, k if use_k else None, [s[t0:t1] for s in views],
                        bu[:t1 - t0], wlr[:t1 - t0], lr, inputs)
