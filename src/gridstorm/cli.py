@@ -23,8 +23,8 @@ from . import __version__
 from .falsify import (FalsifyConfig, ValidationMismatch, load_attack_file,
                       load_schedule_file, save_attack, save_schedule,
                       synthesize_and_validate)
-from .model import (ConfigError, config_object, load_grid_config_file, read_json_file,
-                    require_keys, write_json)
+from .model import (NOMINAL_HZ, ConfigError, config_object, load_grid_config_file,
+                    read_json_file, require_keys, write_json)
 from .numerics import RngStream
 from .rl import (EpisodeConfig, GridEnv, RewardWeights, TrainConfig, TrainingDiverged,
                  ddpg_train, save_weights)
@@ -357,8 +357,7 @@ def cmd_compare(args):
     # plot the generator with the largest excursion under the most attacked mode
     ref_mode = modes[-1]
     ref_f = traces[ref_mode].frequency(args.signal_basis)
-    nominal = traces[ref_mode].nominal_hz
-    gen = int(np.argmax(np.max(np.abs(ref_f - nominal[:, None]), axis=1)))
+    gen = int(np.argmax(np.max(np.abs(ref_f - NOMINAL_HZ), axis=1)))
 
     fplot = LinePlot(f"Frequency under attack (gen {gen + 1})", "time [s]", "f [Hz]")
     fplot.set_band(grid.envelope.f_lo, grid.envelope.f_hi)

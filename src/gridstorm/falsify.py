@@ -13,11 +13,12 @@ not with one simulation each; a build run that blows up makes every model
 score +inf.  Each restart draws from its own stream, so the restarts
 anneal in lockstep: one round scores the next proposal of every active
 restart in one stacked call.  Every reported rho comes from simulation.
-The zero screen is the build's all-zero base run when the box holds 0, else
-a run of its own; a restart whose model score turns negative is simulated
-as soon as it stops, the other restarts' best candidates in one stacked
-run at the end.  The winner is then simulated once more, and that one
-trace must give the same rho and satisfy the success predicate.
+The model is built first; the zero screen is its all-zero base run when
+the box holds 0, else a run of its own; a restart whose model score turns
+negative is simulated as soon as it stops, the other restarts' best
+candidates in one stacked run at the end.  The winner is then simulated
+once more, and that one trace must give the same rho and satisfy the
+success predicate.
 """
 
 import time
@@ -367,13 +368,13 @@ def _anneal_lockstep(problem, budgets, rng, score):
 def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
     """Monte-Carlo sampled, simulated-annealing driven robustness minimization.
 
-    The zero injection (the search's natural starting assignment) is screened
-    first: when the box holds 0 its rho is the AffineModel's base_rho, from
-    the build's all-zero run, and the model is built even if that screen
-    succeeds; else one simulation screens the clipped candidate.  Each
-    restart then anneals from an independent uniform sample with its own
-    split rng stream.  The restarts anneal in lockstep, and the result is the
-    one a search running them one after another gives: no restart
+    The problem's AffineModel is built first, whatever the screen finds.
+    The zero injection (the search's natural starting assignment) is then
+    screened: when the box holds 0 its rho is the model's base_rho, from the
+    build's all-zero run; else one simulation screens the clipped candidate.
+    Each restart then anneals from an independent uniform sample with its
+    own split rng stream.  The restarts anneal in lockstep, and the result
+    is the one a search running them one after another gives: no restart
     counts once one has found a counter-example, and the lowest rho wins,
     ties to the earliest restart.  The annealing scores every candidate with
     the problem's AffineModel, whatever the budget; each restart's best model
@@ -382,13 +383,15 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
     The budget and the restart count are those of problem.config; a budget
     below the restart count runs one restart per evaluation.
     """
+    model = affine_model(problem)
     z = zero_candidate(problem)
     lo, hi = problem.config.range
     # with 0 in the box, z is the build's all-zero knots: stacked runs are
     # bitwise lone runs, so the base run's rho is objective(problem, z)
-    model = affine_model(problem) if lo <= 0.0 <= hi else None
-    rho_zero = objective(problem, z) if model is None else model.base_rho
-    evaluations, simulations = 1, int(model is None)   # a lone zero screen
+    zero_in_box = lo <= 0.0 <= hi
+    rho_zero = model.base_rho if zero_in_box else objective(problem, z)
+    # the 1 + q_att * P build runs, and a lone zero screen
+    evaluations, simulations = 1, 1 + model.responses.shape[1] + (not zero_in_box)
     scores = rounds = 0
     best_rho, best_knots = rho_zero, z
     history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
@@ -399,7 +402,6 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
         restarts = min(problem.config.restarts, budget)
         budgets = [budget // restarts + (1 if i < budget % restarts else 0)
                    for i in range(restarts)]
-        model = model or affine_model(problem)
         ran, scores, rounds, simulated = _anneal_lockstep(problem, budgets, rng,
                                                           model.score_many)
         simulations += simulated      # the restarts' simulated bests
@@ -411,8 +413,6 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
             if rho_i < best_rho:   # ties keep the earliest restart
                 best_rho, best_knots = rho_i, chain.best.copy()
 
-    if model is not None:
-        simulations += 1 + model.responses.shape[1]   # the 1 + q_att * P build runs
     return FalsifyResult(
         best_knots=best_knots,
         best_schedule=decode_control_points(best_knots, problem.mask, problem.d),

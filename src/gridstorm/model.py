@@ -1,14 +1,15 @@
 """AGC plant construction, discretization, gain design, and grid assembly.
 
 A generator loop is the four-state system (rotor-speed deviation, mechanical
-power, valve position, power reference) driven by the load deviation.  The
-grid holds n such loops as arrays stacked along a leading generator axis,
-with an m-breaker load topology, safety envelopes, and per-generator
-residue-detector thresholds.
+power, valve position, power reference) driven by the load deviation; its
+physical parameters are the six keys of AgcParams, and its droop is
+1/regulation.  The grid holds n such loops as arrays stacked along a leading
+generator axis, with an m-breaker load topology, safety envelopes, and
+per-generator residue-detector thresholds.
 
 Conventions: power quantities are per-unit on each generator's rating; the
 rotor-speed deviation state is rad/s and is reported as
-f = nominal_hz + dw / (2*pi).
+f = NOMINAL_HZ + dw / (2*pi), every loop at 60 Hz.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from .numerics import RiccatiDivergence, RngStream, mat_exp, solve_dare
 
 N_STATES = 4
 N_OUTPUTS = 2
+NOMINAL_HZ = 60.0
 
 # The output map of every generator loop: y = (d_omega, d_p_ref).
 C_OUT = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
@@ -150,19 +152,16 @@ def write_json(path, doc):
 class AgcParams:
     """Physical parameters of one generator's AGC loop.
 
-    droop must equal 1/regulation; governor_sign picks the sign of the
-    rotor-speed coupling into the valve equation (-1 is the physical
-    convention, +1 the alternate printed-matrix variant).
+    governor_sign picks the sign of the rotor-speed coupling into the valve
+    equation (-1 is the physical convention, +1 the alternate printed-matrix
+    variant).
     """
 
     inertia: float                  # H, seconds
-    droop: float                    # D = 1/R, per-unit
     regulation: float               # R, per-unit
     turbine_delay: float            # T_TR, seconds
     governor_delay: float           # T_G, seconds
     integrator_gain: float          # K_ref, per-unit
-    nominal_frequency_hz: float = 60.0
-    rated_power_mw: float = 100.0
     governor_sign: int = -1
 
     def __post_init__(self):
@@ -174,15 +173,13 @@ class AgcParams:
             raise ValueError("governor_delay must be > 0")
         if not self.regulation > 0:
             raise ValueError("regulation must be > 0")
-        if not self.nominal_frequency_hz > 0:
-            raise ValueError("nominal_frequency_hz must be > 0")
-        if abs(self.droop - 1.0 / self.regulation) > 1e-12:
-            raise ValueError(
-                f"droop ({self.droop}) must equal 1/regulation "
-                f"({1.0 / self.regulation})"
-            )
         if self.governor_sign not in (-1, 1):
             raise ValueError("governor_sign must be -1 or +1")
+
+    @property
+    def droop(self):
+        """D = 1/R, per-unit."""
+        return 1.0 / self.regulation
 
 
 @dataclass(frozen=True)
@@ -195,15 +192,16 @@ class LoadMap:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        b = np.asarray(self.b_nom, dtype=np.int64)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "b_nom", b)
+        b = np.asarray(self.b_nom)
         if m.ndim != 2 or m.shape[1] < 1:
             raise ValueError("load map matrix must be n x m with m >= 1")
         if np.any(m < 0):
             raise ValueError("load map entries must be >= 0")
         if b.shape != (m.shape[1],) or not np.all((b == 0) | (b == 1)):
             raise ValueError("b_nom must be m binary entries")
+        b = b.astype(np.int64)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "b_nom", b)
         dead = np.where(~m.any(axis=0))[0]
         if dead.size:
             raise ValueError(f"load map columns with all-zero entries: {dead.tolist()}")
@@ -258,7 +256,7 @@ class GridModel:
     residue thresholds.  The loop arrays are read-only and stacked along a
     leading generator axis, the layout kernels.step_loop steps."""
 
-    params: tuple                     # n AgcParams
+    droop: np.ndarray                 # n droops D = 1/R, per-unit
     a: np.ndarray                     # n x 4 x 4 discretized plant
     b: np.ndarray                     # n x 4 load input
     c: np.ndarray                     # n x 2 x 4 output map, zero feedthrough
@@ -274,14 +272,13 @@ class GridModel:
     noise_enabled: bool = True
 
     def __post_init__(self):
-        n = len(self.params)
+        n = len(self.droop)
         if n < 1:
             raise ValueError("grid needs at least one generator")
         if not self.ts > 0:
             raise ValueError("ts must be > 0")
-        object.__setattr__(self, "params", tuple(self.params))
-        shapes = {"a": (4, 4), "b": (4,), "c": (2, 4), "l": (4, 2), "k": (4,),
-                  "q_noise": (4, 4), "r_noise": (2, 2), "thresholds": ()}
+        shapes = {"droop": (), "a": (4, 4), "b": (4,), "c": (2, 4), "l": (4, 2),
+                  "k": (4,), "q_noise": (4, 4), "r_noise": (2, 2), "thresholds": ()}
         for name, shape in shapes.items():
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,) + shape:
@@ -300,19 +297,11 @@ class GridModel:
 
     @property
     def n_generators(self):
-        return len(self.params)
+        return len(self.droop)
 
     @property
     def n_breakers(self):
         return self.load_map.n_breakers
-
-    @property
-    def nominal_hz(self):
-        return np.array([p.nominal_frequency_hz for p in self.params])
-
-    @property
-    def droop(self):
-        return np.array([p.droop for p in self.params])
 
     def schedule(self, start, length):
         """Scheduled load of steps start..start + length - 1, n x length;
@@ -459,8 +448,8 @@ def noise_factors(q_noise, r_noise, path="$.generators"):
 
 
 def _load_generator(doc, path, ts):
-    """One generator's params and loop arrays, keyed by GridModel field, its
-    estimator gain l None when it is left to design_kalman_gain."""
+    """One generator's loop arrays, keyed by GridModel field, its estimator
+    gain l None when it is left to design_kalman_gain."""
     require_keys(doc, path, ["params"], ["gains", "noise"])
     params = config_object(AgcParams, doc["params"], f"{path}.params")
 
@@ -490,16 +479,17 @@ def _load_generator(doc, path, ts):
     l = None
     if "l" in gains:
         l = _matrix(gains["l"], f"{path}.gains.l", (N_STATES, N_OUTPUTS))
-    return params, dict(a=a, b=b[:, 0], c=C_OUT, l=l, k=k[0], q_noise=q_n, r_noise=r_n)
+    return dict(droop=params.droop, a=a, b=b[:, 0], c=C_OUT, l=l, k=k[0],
+                q_noise=q_n, r_noise=r_n)
 
 
 def _load_generators(gens_doc, ts):
-    """Every generator's params, and their loop arrays stacked by GridModel
-    field.  The estimator gains left out of the config are designed in one
-    stacked call, after every generator has been read; every gain must
-    leave its estimator loop contracting."""
+    """Every generator's loop arrays, stacked by GridModel field.  The
+    estimator gains left out of the config are designed in one stacked call,
+    after every generator has been read; every gain must leave its estimator
+    loop contracting."""
     paths = [f"$.generators[{i}]" for i in range(len(gens_doc))]
-    params, loops = zip(*(_load_generator(g, path, ts) for g, path in zip(gens_doc, paths)))
+    loops = [_load_generator(g, path, ts) for g, path in zip(gens_doc, paths)]
     design = [i for i, loop in enumerate(loops) if loop["l"] is None]
     if design:
         try:
@@ -515,7 +505,7 @@ def _load_generators(gens_doc, ts):
     for path, rho in zip(paths, rad):
         if not rho < 1.0:
             raise ConfigError(path, f"estimator loop unstable: rho(A - L C) = {rho}")
-    return params, arrays
+    return arrays
 
 
 def load_grid_config(document) -> GridModel:
@@ -536,13 +526,18 @@ def load_grid_config(document) -> GridModel:
     gens_doc = document["generators"]
     if not isinstance(gens_doc, list) or not gens_doc:
         raise ConfigError("$.generators", "must be a non-empty array")
-    params, loops = _load_generators(gens_doc, ts)
-    n = len(params)
+    loops = _load_generators(gens_doc, ts)
+    n = len(gens_doc)
 
     lm_doc = document["load_map"]
     require_keys(lm_doc, "$.load_map", ["matrix", "b_nom"])
     matrix = _matrix(lm_doc["matrix"], "$.load_map.matrix")
-    b_nom = np.asarray(lm_doc["b_nom"])
+    b_nom = lm_doc["b_nom"]
+    if not isinstance(b_nom, list):
+        raise ConfigError("$.load_map.b_nom", f"expected an array, got {b_nom!r}")
+    for i, state in enumerate(b_nom):
+        if config_value(state, int, f"$.load_map.b_nom[{i}]") not in (0, 1):
+            raise ConfigError(f"$.load_map.b_nom[{i}]", f"expected 0 or 1, got {state!r}")
     try:
         load_map = LoadMap(matrix=matrix, b_nom=b_nom)
     except ValueError as exc:
@@ -569,7 +564,7 @@ def load_grid_config(document) -> GridModel:
         thresholds = _matrix(document["thresholds"], "$.thresholds", (n,))
         if np.any(thresholds <= 0):
             raise ConfigError("$.thresholds", "must be positive")
-    grid = GridModel(params=params, **loops, ts=ts, load_map=load_map,
+    grid = GridModel(**loops, ts=ts, load_map=load_map,
                      envelope=envelope, thresholds=thresholds,
                      scheduled_load=sched, noise_enabled=noise_enabled)
     if calibrate:

@@ -168,8 +168,5 @@ class RngStream:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._gen.normal(loc, scale, size)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
     def choice(self, n, size, replace=False):
         return self._gen.choice(n, size=size, replace=replace)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import step_block, step_views
-from .model import GridModel
+from .model import NOMINAL_HZ, GridModel
 from .sim import TWO_PI, BreakerSchedule, residue_norm
 
 
@@ -280,7 +280,7 @@ class GridEnv:
         self.m = grid.n_breakers
         self.obs_dim = 3 * self.n + self.m
         self.act_dim = self.m
-        self._nominal, self._droop = grid.nominal_hz, grid.droop
+        self._droop = grid.droop
         # A step copies record 1 to record 0 and advances it through a
         # one-step block back into record 1.  _x, _xhat and _r view record 1,
         # which every step overwrites, so a caller copies what it keeps.
@@ -303,7 +303,7 @@ class GridEnv:
         th = grid.thresholds
         env = grid.envelope
         half_band = 0.5 * (env.f_hi - env.f_lo)
-        center = np.concatenate([self._nominal, np.zeros(self.n),
+        center = np.concatenate([np.full(self.n, NOMINAL_HZ), np.zeros(self.n),
                                  np.zeros(self.n), np.zeros(self.m)])
         scale = np.concatenate([np.full(self.n, half_band), th,
                                 np.full(self.n, max(abs(env.pe_lo), abs(env.pe_hi))),
@@ -324,7 +324,7 @@ class GridEnv:
         return self._observation()
 
     def _observation(self):
-        f = self._nominal + self._x[:, 0] / TWO_PI
+        f = NOMINAL_HZ + self._x[:, 0] / TWO_PI
         pe = self._offset + self._droop * self._x[:, 0]
         return np.concatenate([f, residue_norm(self._r), pe, self._prev_action])
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import buffers, step_loop, valid_counts
-from .model import GridModel, noise_factors
+from .model import NOMINAL_HZ, GridModel, noise_factors
 
 TWO_PI = 2.0 * math.pi
 SIGNAL_BASES = ("measured", "true")
@@ -105,10 +105,9 @@ class SimTrace:
     flagged rather than discarded.
     """
 
-    def __init__(self, ts, nominal_hz, droop, thresholds, x, xhat, y, y_meas,
+    def __init__(self, ts, droop, thresholds, x, xhat, y, y_meas,
                  residue, u_believed, u_actual, truncated):
         self.ts = float(ts)
-        self.nominal_hz = nominal_hz
         self.droop = droop
         self.thresholds = thresholds
         self.x = x
@@ -120,15 +119,15 @@ class SimTrace:
         self.u_actual = u_actual
         self.truncated = bool(truncated)
 
-        self.f_hz = nominal_hz[:, None] + x[:, :, 0] / TWO_PI
-        self.f_meas_hz = nominal_hz[:, None] + y_meas[:, :, 0] / TWO_PI
+        self.f_hz = NOMINAL_HZ + x[:, :, 0] / TWO_PI
+        self.f_meas_hz = NOMINAL_HZ + y_meas[:, :, 0] / TWO_PI
         self.p_e = u_actual + droop[:, None] * x[:, :, 0]
         self.r_inf = residue_norm(residue)
         self.stealthy = self.r_inf <= thresholds[:, None]
         for arr in (self.x, self.xhat, self.y, self.y_meas, self.residue,
                     self.u_believed, self.u_actual, self.f_hz, self.f_meas_hz,
-                    self.p_e, self.r_inf, self.stealthy, self.nominal_hz,
-                    self.droop, self.thresholds):
+                    self.p_e, self.r_inf, self.stealthy, self.droop,
+                    self.thresholds):
             arr.setflags(write=False)
 
     @property
@@ -163,8 +162,9 @@ class SuccessReport:
 
 
 def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
-             init=None, noise=False, rng=None) -> SimTrace:
-    """Run the closed loop for `horizon` steps (records 0..horizon).
+             noise=False, rng=None) -> SimTrace:
+    """Run the closed loop for `horizon` steps (records 0..horizon), from
+    the zero state.
 
     The plant and the estimator both consume the schedule (its last column
     held, see GridModel.schedule) plus K x_hat (the configured feedback gain,
@@ -173,10 +173,10 @@ def simulate(grid: GridModel, attack: Optional[AttackVector], horizon: int,
     breakers revert to nominal and false data drops to zero.
     """
     rngs = None if rng is None else [rng]
-    return simulate_many(grid, [attack], horizon, init, noise, rngs)[0]
+    return simulate_many(grid, [attack], horizon, noise, rngs)[0]
 
 
-def simulate_many(grid: GridModel, attacks, horizon: int, init=None, noise=False,
+def simulate_many(grid: GridModel, attacks, horizon: int, noise=False,
                   rngs=None) -> list:
     """simulate() of each attack (None: no attack), all in one step loop.
 
@@ -206,11 +206,7 @@ def simulate_many(grid: GridModel, attacks, horizon: int, init=None, noise=False
     use_k = bool(np.any(grid.k != 0.0))
     n_steps = horizon + 1
 
-    x0 = np.zeros((n, 4)) if init is None else np.array(init, dtype=float)
-    if x0.shape != (n, 4):
-        raise ValueError(f"init must be {n}x4")
-    x0 = np.concatenate([x0] * runs)
-
+    x0 = np.zeros((runs * n, 4))
     u_sched = np.concatenate([grid.schedule(0, n_steps)] * runs)
     u_laa = np.zeros((runs * n, n_steps))
     a_y, w, v, z, yr, ym, u = buffers(runs * n, n_steps)
@@ -233,12 +229,11 @@ def simulate_many(grid: GridModel, attacks, horizon: int, init=None, noise=False
     if valid < n_steps:
         counts = valid_counts(z, yr).reshape(runs, n).min(axis=1)
 
-    nominal_hz, droop = grid.nominal_hz, grid.droop
     traces = []
     for j, steps in enumerate(counts):
         rows, cut = slice(j * n, (j + 1) * n), slice(0, steps)
         traces.append(SimTrace(
-            ts=grid.ts, nominal_hz=nominal_hz, droop=droop,
+            ts=grid.ts, droop=grid.droop,
             thresholds=grid.thresholds.copy(),
             x=z[rows, cut, 0], xhat=z[rows, cut, 1], y=yr[rows, cut, 0],
             y_meas=ym[rows, cut], residue=yr[rows, cut, 1],

@@ -80,6 +80,20 @@ def test_simulate_missing_config(tmp_path):
     assert rc == 2
 
 
+# Options deleted from the train and falsify configs and from a grid
+# config's generator params, each with the value it defaulted to or that
+# the shipped configs gave it: a config that names one, with any value,
+# exits 2 at its section and names it.
+DELETED_OPTIONS = {"action_repeat": 1, "init": {"type": "zero"},
+                   "reward_variant": "paired", "stealth_mode": "until_unsafe",
+                   "droop": 0.05, "nominal_frequency_hz": 60.0, "rated_power_mw": 100.0}
+
+
+def assert_names_deleted_options(doc, err):
+    for key in DELETED_OPTIONS.keys() & doc:
+        assert f"unknown keys: [{key!r}]" in err
+
+
 @pytest.mark.parametrize("section, key, value, field", [
     ("generators", "inertia", "x", "$.generators[0].params.inertia"),
     ("generators", "governor_sign", 1.0, "$.generators[0].params.governor_sign"),
@@ -97,6 +111,18 @@ def test_simulate_missing_config(tmp_path):
     # its symmetric part is positive definite, its lower triangle's is not
     ("noise", "measurement", (1e-6 * np.array([[1, -3], [3, 1]])).tolist(),
      "$.generators[0].noise.measurement"),
+    ("generators", "droop", DELETED_OPTIONS["droop"], "$.generators[0].params"),
+    ("generators", "nominal_frequency_hz", DELETED_OPTIONS["nominal_frequency_hz"],
+     "$.generators[0].params"),
+    ("generators", "rated_power_mw", DELETED_OPTIONS["rated_power_mw"],
+     "$.generators[0].params"),
+    # each nominal breaker state is read as an integer, never truncated
+    ("load_map", "b_nom", [0.5, 1], "$.load_map.b_nom[0]"),
+    ("load_map", "b_nom", [1.9, 1], "$.load_map.b_nom[0]"),
+    ("load_map", "b_nom", [True, 1], "$.load_map.b_nom[0]"),
+    ("load_map", "b_nom", ["1", 1], "$.load_map.b_nom[0]"),
+    ("load_map", "b_nom", [1, 2], "$.load_map.b_nom[1]"),
+    ("load_map", "b_nom", 1, "$.load_map.b_nom"),
 ])
 def test_simulate_malformed_grid_config_exit_2(tmp_path, capsys, section, key, value,
                                                field):
@@ -108,7 +134,9 @@ def test_simulate_malformed_grid_config_exit_2(tmp_path, capsys, section, key, v
     out = tmp_path / "x"
     rc = main(["simulate", "--config", config, "--out", str(out)])
     assert rc == 2
-    assert f"config error: {config}: {field}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {config}: {field}: " in err
+    assert_names_deleted_options(target, err)
     assert not out.exists()
 
 
@@ -209,18 +237,6 @@ def test_train_laa_divergence_exit_4(tmp_path, capsys):
     assert rc == 4
     assert capsys.readouterr().err == ("gridstorm: internal invariant breach: "
                                        "actor gradients are non-finite\n")
-
-
-# Options deleted from the train and falsify configs, each with the value
-# it defaulted to: a config that names one, with any value, exits 2 at $
-# and names it.
-DELETED_OPTIONS = {"action_repeat": 1, "init": {"type": "zero"},
-                   "reward_variant": "paired", "stealth_mode": "until_unsafe"}
-
-
-def assert_names_deleted_options(doc, err):
-    for key in DELETED_OPTIONS.keys() & doc:
-        assert f"unknown keys: [{key!r}]" in err
 
 
 @pytest.mark.parametrize("doc, field", [

@@ -277,29 +277,32 @@ def test_box_without_zero_screens_its_clipped_candidate_first(monkeypatch):
     prob = with_config(make_problem(d=30, p=4, lo=0.01, hi=0.05), budget=5, restarts=3)
     res = falsify_sa(prob, RngStream(27, 0))
     assert not res.success and res.evaluations == 1 + 5
-    # the screen of the knots clipped to 0.01, then the 1 + 4 build runs and
+    # the 1 + 4 build runs, then the screen of the knots clipped to 0.01 and
     # the 3 restarts' bests
     assert [k.tolist() for k in screened] == [[[[0.01] * 4]]]
-    assert sizes == [1, 1 + 4, 3]
-    assert res.simulations == 1 + 5 + 3
+    assert sizes == [1 + 4, 1, 3]
+    assert res.simulations == 5 + 1 + 3
     assert res.history[0].best_rho == real_objective(prob, screened[0])
 
 
 def test_zero_screen_success_still_builds_the_model():
     """A zero screen that succeeds ends the search after one evaluation,
-    with the base run's rho; the build's runs are made all the same."""
+    with the screen's rho; the build's runs are made all the same, and a box
+    without 0 screens its clipped candidate in one more run."""
     grid, laa = validating_problem()
-    prob = FalsificationProblem(grid=grid, laa=laa, config=FalsifyConfig(
-        control_points=4, budget=200, restarts=2))
-    rho = objective(prob, zero_candidate(prob))
-    assert rho < 0.0
-    res = falsify_sa(prob, RngStream(12, 0))
-    assert res.success and res.evaluations == 1
-    assert np.float64(res.best_rho).tobytes() == np.float64(rho).tobytes()
-    assert res.best_knots.tobytes() == zero_candidate(prob).tobytes()
-    assert [h.restart for h in res.history] == [-1]
-    assert res.simulations == 1 + prob.n_attacked * prob.config.control_points
-    assert res.scores == res.rounds == 0
+    for box, screen_runs in (((-0.05, 0.05), 0), ((0.001, 0.05), 1)):
+        prob = FalsificationProblem(grid=grid, laa=laa, config=FalsifyConfig(
+            range=box, control_points=4, budget=200, restarts=2))
+        rho = objective(prob, zero_candidate(prob))
+        assert rho < 0.0
+        res = falsify_sa(prob, RngStream(12, 0))
+        assert res.success and res.evaluations == 1
+        assert np.float64(res.best_rho).tobytes() == np.float64(rho).tobytes()
+        assert res.best_knots.tobytes() == zero_candidate(prob).tobytes()
+        assert [h.restart for h in res.history] == [-1]
+        assert res.simulations == (1 + prob.n_attacked * prob.config.control_points
+                                   + screen_runs)
+        assert res.scores == res.rounds == 0
 
 
 def model_grid(test):
@@ -871,11 +874,10 @@ def simulate_after_search(monkeypatch, replacement, name="simulate"):
 
 
 def nudged(real_simulate):
-    """simulate() with every generator's initial d_omega raised by 1e-6 rad/s."""
-    def run(grid, attack, horizon, init=None, noise=False, rng=None):
-        x0 = np.zeros((grid.n_generators, 4)) if init is None else np.array(init)
-        x0[:, 0] += 1e-6
-        return real_simulate(grid, attack, horizon, init=x0, noise=noise, rng=rng)
+    """simulate() with every generator's scheduled load raised by 1e-8 p.u."""
+    def run(grid, *args, **kwargs):
+        grid = dataclasses.replace(grid, scheduled_load=grid.scheduled_load + 1e-8)
+        return real_simulate(grid, *args, **kwargs)
     return run
 
 

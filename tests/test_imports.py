@@ -1,10 +1,12 @@
 """Every name that a module of the package or of the test suite imports is
 used in that module, and every module-level name of the package, private or
 public, is read somewhere in the package; no linter is needed to catch a
-leftover import, a dead helper or a name only the tests use.  Every function
-and method that the benchmark's tracer patches exists."""
+leftover import, a dead helper or a name only the tests use.  Every field of
+a config section is read by the package.  Every function and method that the
+benchmark's tracer patches exists."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -90,6 +92,23 @@ def test_every_public_name_is_read(path):
     unread = {name for _, name in definitions(path.read_text(encoding="utf-8"))
               if not name.startswith("_") and name not in read}
     assert unread == set()
+
+
+# The dataclasses that model.config_object reads config sections into,
+# by module: each field is a key that the loader accepts.
+CONFIG_SECTIONS = {"model": ["AgcParams", "SafetyEnvelope", "Calibration"],
+                   "falsify": ["FalsifyConfig"],
+                   "rl": ["EpisodeConfig", "TrainConfig", "RewardWeights"]}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in CONFIG_SECTIONS.items()
+                                          for n in names],
+                         ids=lambda value: value)
+def test_every_config_field_is_read(module, name):
+    """A config key that no package code reads changes no output."""
+    cls = getattr(importlib.import_module(f"gridstorm.{module}"), name)
+    read = names_read(p.read_text(encoding="utf-8") for p in PACKAGE)
+    assert [f.name for f in dataclasses.fields(cls) if f.name not in read] == []
 
 
 def traced_names():

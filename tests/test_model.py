@@ -10,7 +10,7 @@ from conftest import load_config_doc, make_plain_grid
 
 
 def params(**overrides):
-    base = dict(inertia=5.0, droop=1.0, regulation=1.0, turbine_delay=0.5,
+    base = dict(inertia=5.0, regulation=1.0, turbine_delay=0.5,
                 governor_delay=0.2, integrator_gain=7.0)
     base.update(overrides)
     return AgcParams(**base)
@@ -32,6 +32,12 @@ def test_continuous_entries_match_closed_forms():
 def test_governor_sign_flag_selects_printed_variant():
     a_c, _ = build_continuous(params(governor_sign=1))
     assert a_c[2, 0] == +5.0
+
+
+def test_droop_is_derived_from_regulation(default_grid):
+    assert params(regulation=20.0).droop == 1.0 / 20.0
+    # bit for bit the 0.05 that the shipped configs' dropped droop key gave
+    assert default_grid.droop.tolist() == [0.05] * default_grid.n_generators
 
 
 def test_zero_integrator_gain_freezes_reference_row():
@@ -66,9 +72,6 @@ def test_continuous_eigenvalues_match_polynomial_root_oracle():
 
 
 def test_params_invariants():
-    with pytest.raises(ValueError, match="droop"):
-        AgcParams(inertia=5.0, droop=0.9, regulation=1.0, turbine_delay=0.5,
-                  governor_delay=0.2, integrator_gain=1.0)
     with pytest.raises(ValueError):
         params(inertia=0.0)
     with pytest.raises(ValueError):
@@ -295,14 +298,6 @@ def test_config_rejects_empty_generators():
     doc["generators"] = []
     with pytest.raises(ConfigError, match="generators"):
         load_grid_config(doc)
-
-
-def test_config_rejects_droop_regulation_mismatch():
-    doc = load_config_doc("toy_grid.json")
-    doc["generators"][0]["params"]["droop"] = 0.2
-    with pytest.raises(ConfigError) as err:
-        load_grid_config(doc)
-    assert "droop" in str(err.value) and "regulation" in str(err.value)
 
 
 def test_config_rejects_unknown_keys():

@@ -234,7 +234,8 @@ def test_rng_provides_all_draw_kinds():
     rng = RngStream(9, 0)
     u = rng.uniform(size=10)
     g = rng.normal(size=10)
-    z = rng.integers(0, 100, size=10)
-    assert u.shape == g.shape == z.shape == (10,)
+    c = rng.choice(100, size=10)
+    assert u.shape == g.shape == c.shape == (10,)
     assert np.all((u >= 0) & (u < 1))
-    assert z.dtype.kind == "i" and np.all((z >= 0) & (z < 100))
+    assert c.dtype.kind == "i" and np.all((c >= 0) & (c < 100))
+    assert np.unique(c).size == 10   # drawn without replacement

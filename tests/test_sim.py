@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gridstorm.model import LoadMap, design_lqr_gain, load_grid_config, spectral_radius
+from gridstorm.model import (NOMINAL_HZ, LoadMap, design_lqr_gain, load_grid_config,
+                             spectral_radius)
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (CSV_CHUNK_STEPS, CSV_COLUMNS, AttackVector,
                            BreakerSchedule, FalseDataSchedule, SimTrace,
@@ -71,7 +72,7 @@ def test_load_map_rejects_bad_state():
 # reference step loop: an independent transcription of the closed-loop update
 
 
-def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
+def reference_simulate(grid, attack, horizon, w=None, v=None):
     """Plain dict-of-lists reimplementation of the attacked recursion; w and
     v are optional process (n x horizon x 4) and measurement
     (n x horizon+1 x 2) noise.  Plant and estimator both apply the feedback
@@ -79,7 +80,7 @@ def reference_simulate(grid, attack, horizon, init=None, w=None, v=None):
     n = grid.n_generators
     lm = grid.load_map
     out = {"x": [], "xhat": [], "y": [], "ym": [], "r": []}
-    xs = [np.zeros(4) if init is None else np.array(init[i]) for i in range(n)]
+    xs = [np.zeros(4) for _ in range(n)]
     xhats = [x.copy() for x in xs]
     sched = grid.scheduled_load
 
@@ -331,8 +332,8 @@ def random_attack(grid, d, rng):
                         FalseDataSchedule(vals, np.array([0, 1])))
 
 
-@pytest.mark.parametrize("case", ["plain", "noisy", "feedback_gain", "lqr", "init",
-                                  "schedule"])
+@pytest.mark.parametrize("case", ["plain", "noisy", "feedback_gain", "lqr",
+                                  "governor_sign", "schedule"])
 def test_simulate_many_bitwise_equals_separate_runs(case):
     doc = load_config_doc("default_grid.json")
     if case == "schedule":   # five columns, the last one held
@@ -341,13 +342,13 @@ def test_simulate_many_bitwise_equals_separate_runs(case):
                                  [-0.015, 0.0, 0.005, 0.01, 0.02]]
     gains = {"feedback_gain": {"k": [[0.0, 0.0, 0.0, 0.1]]},
              "lqr": {"lqr": {"q": 1, "r": 1}}}.get(case)
-    if gains:
-        for gen in doc["generators"]:
+    for gen in doc["generators"]:
+        if gains:
             gen["gains"] = gains
+        if case == "governor_sign":   # the printed-matrix variant, unstable open loop
+            gen["params"]["governor_sign"] = 1
     grid = load_grid_config(doc)
-    init = None
-    if case == "init":
-        init = np.random.default_rng(2).uniform(-0.02, 0.02, size=(grid.n_generators, 4))
+    assert np.all(spectral_radius(grid.a) > 1.0) == (case == "governor_sign")
     rng = np.random.default_rng(7)
     attacks = [None] + [random_attack(grid, d, rng) for d in (40, 7, 25)]
     noise = case == "noisy"
@@ -355,12 +356,12 @@ def test_simulate_many_bitwise_equals_separate_runs(case):
     def rngs():   # a fresh split stream per run
         return [RngStream(31, 2).split(j) for j in range(len(attacks))] if noise else None
 
-    stacked = simulate_many(grid, attacks, horizon=60, init=init, noise=noise, rngs=rngs())
+    stacked = simulate_many(grid, attacks, horizon=60, noise=noise, rngs=rngs())
     assert len(stacked) == len(attacks)
     # the unattacked run has residue exactly 0 unless there is noise
     assert np.any(stacked[0].residue != 0.0) == noise
     for j, (attack, tr) in enumerate(zip(attacks, stacked)):
-        alone = simulate(grid, attack, horizon=60, init=init, noise=noise,
+        alone = simulate(grid, attack, horizon=60, noise=noise,
                          rng=rngs()[j] if noise else None)
         assert not tr.truncated and tr.n_steps == 61
         assert_same_records(tr, alone, j)
@@ -396,18 +397,18 @@ def test_simulate_many_truncates_only_the_blown_up_run():
 # detector and predicates on crafted traces
 
 
-def crafted_trace(r_inf_seq, f_seq, ts=0.01, nominal=60.0, th=1.0):
+def crafted_trace(r_inf_seq, f_seq, ts=0.01, th=1.0):
     """SimTrace with prescribed per-step residue inf-norms and frequencies."""
     r_inf_seq = np.asarray(r_inf_seq, dtype=float)
     f_seq = np.asarray(f_seq, dtype=float)
     steps = r_inf_seq.size
     x = np.zeros((1, steps, 4))
-    x[0, :, 0] = (f_seq - nominal) * TWO_PI
+    x[0, :, 0] = (f_seq - NOMINAL_HZ) * TWO_PI
     residue = np.zeros((1, steps, 2))
     residue[0, :, 0] = r_inf_seq
     y_meas = np.zeros((1, steps, 2))
     y_meas[0, :, 0] = x[0, :, 0]
-    return SimTrace(ts=ts, nominal_hz=np.array([nominal]), droop=np.array([1.0]),
+    return SimTrace(ts=ts, droop=np.array([1.0]),
                     thresholds=np.array([th]), x=x, xhat=np.zeros((1, steps, 4)),
                     y=np.zeros((1, steps, 2)), y_meas=y_meas, residue=residue,
                     u_believed=np.zeros((1, steps)), u_actual=np.zeros((1, steps)),
@@ -574,7 +575,7 @@ def test_signal_basis_selects_frequency_source():
     x = np.zeros((1, steps, 4))
     y_meas = np.zeros((1, steps, 2))
     y_meas[0, 5:, 0] = 0.7 * TWO_PI  # +0.7 Hz on the measured channel
-    tr = SimTrace(ts=0.01, nominal_hz=np.array([60.0]), droop=np.array([1.0]),
+    tr = SimTrace(ts=0.01, droop=np.array([1.0]),
                   thresholds=np.array([10.0]), x=x, xhat=np.zeros_like(x),
                   y=np.zeros((1, steps, 2)), y_meas=y_meas,
                   residue=np.zeros((1, steps, 2)),
@@ -714,8 +715,8 @@ def special_values_trace():
 
     n, steps = 2, 5
     with np.errstate(invalid="ignore", over="ignore"):
-        return SimTrace(ts=0.01, nominal_hz=np.array([60.0, 50.0]),
-                        droop=np.array([1.0, 20.0]), thresholds=np.array([0.1, 1e300]),
+        return SimTrace(ts=0.01, droop=np.array([1.0, 20.0]),
+                        thresholds=np.array([0.1, 1e300]),
                         x=draw(n, steps, 4), xhat=draw(n, steps, 4), y=draw(n, steps, 2),
                         y_meas=draw(n, steps, 2), residue=draw(n, steps, 2),
                         u_believed=draw(n, steps), u_actual=draw(n, steps),
