@@ -319,7 +319,7 @@ def _mode_attack(mode, attack, b_nom):
         return attack
     if mode == "laa-only":
         zero_fd = FalseDataSchedule(values=np.zeros_like(attack.false_data.values),
-                                    mask=attack.false_data.mask.copy())
+                                    mask=attack.false_data.mask)
         return AttackVector(breakers=attack.breakers, false_data=zero_fd)
     if mode == "fdia-only":
         nominal = BreakerSchedule(signals=np.tile(b_nom, (d, 1)))

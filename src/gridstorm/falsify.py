@@ -23,6 +23,7 @@ success predicate.
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, Optional
 
 import numpy as np
@@ -82,9 +83,11 @@ class FalsificationProblem:
     laa: BreakerSchedule
     config: FalsifyConfig
 
-    @property
+    @cached_property
     def mask(self):
-        return np.array(self.config.mask)
+        mask = np.array(self.config.mask)
+        mask.setflags(write=False)
+        return mask
 
     @property
     def d(self):
@@ -96,7 +99,7 @@ class FalsificationProblem:
 
 
 def knot_boundaries(d, p):
-    return [int(np.floor(j * d / p)) for j in range(p + 1)]
+    return [j * d // p for j in range(p + 1)]
 
 
 def decode_control_points(knots: np.ndarray, mask, d: int) -> FalseDataSchedule:

@@ -5,10 +5,14 @@ block z = [x; x_hat] of shape (2, n, 4), so a step costs the same few ufunc
 calls whatever the number of generators.  A z and C z are np.matvec calls,
 which give einsum's bits at half its call cost.  step_block() advances the
 block through a run of step-major records, walking views made once by
-step_views(), with no per-step indexing or Python call.  step_loop() runs
-it over a whole horizon a block of STOP_CHECK_STEPS steps at a time,
-writing straight into the trace records; the RL environment runs it over
-a one-step block per env step.  Within a step the
+step_views(), with no per-step indexing.  A step's Python work is the views
+it zips, each about a sixth of a ufunc call's cost, so it zips only the
+ones its block reads: the state it starts from is the record the step
+before wrote, u and the scratch b u come in only with a gain or a load,
+and y_meas only with a measurement input.  step_loop() runs it over a whole
+horizon a block of STOP_CHECK_STEPS steps at a time, writing straight into
+the trace records; the RL environment runs it over a one-step block per env
+step.  Within a step the
 [x; x_hat] (or [y; r]) stacking axis comes first, so each half is one
 contiguous (n, ...) array; the records are indexed [generator, step, ...].
 Rows never couple, so sim.simulate_many() stacks R runs of one grid as
@@ -31,6 +35,8 @@ load input u is all zero (a zero schedule with nominal breakers, as in every
 threshold calibration) skips b u as well: b is finite, so b u is +-0, and
 A z is never -0.
 """
+
+from itertools import repeat
 
 import numpy as np
 
@@ -59,33 +65,52 @@ def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
     each step's process noise w.  inputs flags whether the block's a_y, v,
     w and u may be nonzero; one flagged False must be all zero and is not
     added.  Without a gain (k None) b u is formed once for the block, else
-    per step after add_feedback has added K x_hat into u.
+    per step after add_feedback has added K x_hat into u; either way it is
+    added only when the load is flagged.
     """
+    add, multiply, subtract, matvec = np.add, np.multiply, np.subtract, np.matvec
+    z, r, u, z1s, yr1s, y1s, r1s, ym1s = steps[:8]
+    meas = [m for m, nonzero in zip(steps[8:], inputs) if nonzero]
+    unused = repeat(None)
+    # a slot the block does not use yields None, so every flag pattern runs
+    # the one loop below and a step makes only the views it reads
+    loads = bu if inputs[3] else unused
     if k is None and inputs[3]:
-        np.multiply(b, steps[2], out=bu)
-    # [w; L r] goes into z, or into x_hat alone without w; y_meas adds the
-    # flagged measurement inputs in order
-    zw, wlr_w = (steps[3], wlr) if inputs[2] else (steps[3][:, 1], wlr[:, 1])
-    meas = [x for x, nonzero in zip(steps[8:], inputs) if nonzero]
+        np.multiply(b, u, out=bu)
+    gains = unused if k is None else zip(z[:, 1], u[..., 0], u)
+    # [w; L r] goes into z, or into x_hat alone without w
+    noises, x_hats = (wlr, unused) if inputs[2] else (unused, z1s[:, 1])
+    # y_meas is y plus the flagged measurement inputs in order; without
+    # one, the residue is formed from y and y_meas copied after the block
+    ys, yms = (y1s, ym1s) if meas else (unused, y1s)
+    m0s, m1s = (meas + [unused, unused])[:2]
     lr0, lr1 = lr
-    for z0, r, u, z1, yr1, y1, r1, ym1, bu_t, zw_t, wlr_t, lr_t, *meas_t in zip(
-            *steps[:8], bu, zw, wlr_w, wlr[:, 1], *meas):
-        if k is not None:
-            add_feedback(k, z0[1], u[..., 0])
-            np.multiply(b, u, out=bu_t)
-        np.matvec(a, z0, out=z1)
-        if inputs[3]:
-            np.add(z1, bu_t, out=z1)
-        np.multiply(r, lt, out=lr)
-        np.add(lr0, lr1, out=lr_t)
-        np.add(zw_t, wlr_t, out=zw_t)
-        np.matvec(c, z1, out=yr1)
-        for m in meas_t:
-            np.add(y1, m, out=ym1)
-            y1 = ym1
-        np.subtract(y1, r1, out=r1)
+    z0 = z[0]
+    for r0, z1, yr1, y1, r1, ym1, lr_t, wlr_t, xh1, bu_t, m0, m1, gain in zip(
+            r, z1s, yr1s, ys, r1s, yms, wlr[:, 1], noises, x_hats, loads, m0s, m1s, gains):
+        if gain is not None:
+            xh0, u_t, u_col = gain
+            add_feedback(k, xh0, u_t)
+            if bu_t is not None:
+                multiply(b, u_col, bu_t)
+        matvec(a, z0, z1)
+        if bu_t is not None:
+            add(z1, bu_t, z1)
+        multiply(r0, lt, lr)
+        add(lr0, lr1, lr_t)
+        if xh1 is None:
+            add(z1, wlr_t, z1)
+        else:
+            add(xh1, lr_t, xh1)
+        matvec(c, z1, yr1)
+        if m0 is not None:
+            add(y1, m0, ym1)
+            if m1 is not None:
+                add(ym1, m1, ym1)
+        subtract(ym1, r1, r1)
+        z0 = z1
     if not meas:
-        np.copyto(steps[7], steps[5])
+        np.copyto(ym1s, y1s)
 
 
 def buffers(n, n_steps):
@@ -116,6 +141,13 @@ def valid_counts(z, yr):
     return np.where(ok.all(axis=1), ok.shape[1], ok.argmin(axis=1))
 
 
+def nonzero_blocks(arr, starts):
+    """Per block of arr's leading (step) axis, one starting at each of
+    starts and running to the next, whether it holds a nonzero value."""
+    hit = np.logical_or.reduceat(arr != 0.0, starts)
+    return hit.reshape(len(hit), -1).any(axis=1).tolist()
+
+
 # Steps in one step_block() call of step_loop, which checks between blocks
 # for a stack whose rows are all non-finite.
 STOP_CHECK_STEPS = 64
@@ -136,7 +168,8 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
     non-finite does not stop the others; its records past its valid count
     are meaningless.  After every block of STOP_CHECK_STEPS steps the loop
     stops if no row is finite any more, which leaves every valid count as
-    it was.
+    it was.  Which inputs each block flags nonzero is found for all blocks
+    at once, before the first.
     """
     rows, n_steps = z.shape[:2]
     zs, yrs, us = z.transpose(1, 2, 0, 3), yr.transpose(1, 2, 0, 3), u.transpose(1, 2, 0)
@@ -155,16 +188,19 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
         np.subtract(yms[0], yrs[0, 1], out=yrs[0, 1])
         np.add(u_sched, u_laa, out=u[:, :, 0])
         u[:, :, 1] = u_sched
-        for t0 in range(0, n_steps - 1, STOP_CHECK_STEPS):
+        starts = range(0, n_steps - 1, STOP_CHECK_STEPS)
+        flags = [nonzero_blocks(x, starts) for x in (ays[1:], vs[1:], ws)]
+        flags.append([True] * len(starts) if use_k else nonzero_blocks(us[:-1], starts))
+        for t0, *inputs in zip(starts, *flags):
             if t0 and not row_finite(zs[t0], yrs[t0, 1]).any():
                 break
             t1 = min(t0 + STOP_CHECK_STEPS, n_steps - 1)
-            inputs = (ays[t0 + 1:t1 + 1].any(), vs[t0 + 1:t1 + 1].any(), ws[t0:t1].any(),
-                      use_k or us[t0:t1].any())
             wlr[:t1 - t0, 0] = ws[t0:t1]
             step_block(a, b, c, lt, k if use_k else None, [s[t0:t1] for s in views],
                        bu[:t1 - t0], wlr[:t1 - t0], lr, inputs)
         else:
             if use_k:
                 add_feedback(k, zs[-1, 1], us[-1])
+    if np.isfinite(z).all() and np.isfinite(yr[:, :, 1]).all():
+        return n_steps   # valid_counts' answer when every record is finite, at a tenth of its cost
     return int(valid_counts(z, yr).min())

@@ -191,7 +191,7 @@ class LoadMap:
     b_nom: np.ndarray    # m nominal breaker states in {0, 1}
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)   # a copy: the caller's stays writable
         b = np.asarray(self.b_nom)
         if m.ndim != 2 or m.shape[1] < 1:
             raise ValueError("load map matrix must be n x m with m >= 1")
@@ -280,14 +280,14 @@ class GridModel:
         shapes = {"droop": (), "a": (4, 4), "b": (4,), "c": (2, 4), "l": (4, 2),
                   "k": (4,), "q_noise": (4, 4), "r_noise": (2, 2), "thresholds": ()}
         for name, shape in shapes.items():
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)   # frozen below, so a copy
             if arr.shape != (n,) + shape:
                 raise ValueError(f"{name} must have shape {(n,) + shape}, got {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.any(self.thresholds <= 0):
             raise ValueError("thresholds must be n positive values")
-        sched = np.asarray(self.scheduled_load, dtype=float)
+        sched = np.array(self.scheduled_load, dtype=float)
         object.__setattr__(self, "scheduled_load", sched)
         if sched.ndim != 2 or sched.shape[0] != n or sched.shape[1] < 1:
             raise ValueError("scheduled_load must be n x T with T >= 1")

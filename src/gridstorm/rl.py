@@ -7,6 +7,7 @@ false data held at zero; the agent's continuous actions are sign-thresholded
 into binary breaker commands.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -64,10 +65,12 @@ class MLP:
         return work
 
     def forward(self, x, with_cache=False):
-        """The output for a batch x, and with_cache what backward reads: views
-        of work arrays that the next forward of the same batch size
-        overwrites, so a caller copies what it keeps."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """The output for a float array x, a batch of rows or one row, and
+        with_cache what backward reads: views of work arrays that the next
+        forward of the same batch size overwrites, so a caller copies what
+        it keeps."""
+        if x.ndim == 1:
+            x = x[None]
         w1, b1, w2, b2, w3, b3 = self.params
         z1, h1, z2, h2, z3, out = self._arrays(len(x))[:6]
         np.add(np.matmul(x, w1, out=z1), b1, out=z1)
@@ -417,6 +420,8 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
     buffer = ReplayBuffer(min(cfg.buffer_capacity, env.cfg.episodes * env.cfg.steps_per_episode),
                           env.obs_dim, env.act_dim)
     za = np.empty((cfg.batch_size, env.obs_dim + env.act_dim))   # the critic's input
+    dq_pi = np.full((cfg.batch_size, 1), -1.0 / cfg.batch_size)   # d(-mean Q)/dQ
+    dq_pi.setflags(write=False)
 
     curve = np.zeros(env.cfg.episodes)
     best_reward = -np.inf
@@ -441,7 +446,7 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
 
             if len(buffer) >= cfg.batch_size:
                 _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c,
-                        buffer, za, cfg, rng)
+                        buffer, za, dq_pi, cfg, rng)
                 updates += 1
         curve[ep] = total
         if total > best_reward:
@@ -456,7 +461,8 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
                           ddpg_updates=updates)
 
 
-def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, za, cfg, rng):
+def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, za, dq_pi, cfg,
+            rng):
     z, act, rew, zn, done = buffer.sample(cfg.batch_size, rng)
     o = env.obs_dim
 
@@ -469,8 +475,8 @@ def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, za, cfg
     za[:, o:] = act
     q, cache_c = critic.forward(za, with_cache=True)
     err = q[:, 0] - target
-    loss = float(np.mean(err ** 2))
-    if not np.isfinite(loss):
+    loss = float(np.add.reduce(err * err) / len(err))   # np.mean's own arithmetic
+    if not math.isfinite(loss):
         raise TrainingDiverged("critic loss is non-finite")
     dq = (2.0 / cfg.batch_size) * err[:, None]
     critic.backward(cache_c, dq)
@@ -479,8 +485,8 @@ def _update(env, actor, critic, actor_t, critic_t, opt_a, opt_c, buffer, za, cfg
     # actor along the critic's action gradient (ascent on Q)
     a_pi, cache_a = actor.forward(z, with_cache=True)
     za[:, o:] = a_pi
-    q_pi, cache_q = critic.forward(za, with_cache=True)
-    dinput = critic.backward(cache_q, np.full_like(q_pi, -1.0 / cfg.batch_size), input_grad=True)
+    _, cache_q = critic.forward(za, with_cache=True)
+    dinput = critic.backward(cache_q, dq_pi, input_grad=True)
     actor.backward(cache_a, dinput[:, o:])
     if not np.isfinite(actor.grad).all():
         raise TrainingDiverged("actor gradients are non-finite")

@@ -11,6 +11,7 @@ quantitative semantics of the "unsafe before first detection" attack goal.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -55,7 +56,7 @@ class FalseDataSchedule:
     mask: np.ndarray     # q binary; 0 columns must be identically zero
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)   # frozen below, so a copy
         mask = np.asarray(self.mask)
         if vals.ndim != 3:
             raise ValueError("values must be n x d x q")
@@ -97,6 +98,11 @@ def residue_norm(residue):
     return np.maximum(np.abs(residue[..., 0]), np.abs(residue[..., 1]))
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 class SimTrace:
     """Immutable per-step record of a closed-loop run.
 
@@ -119,16 +125,31 @@ class SimTrace:
         self.u_actual = u_actual
         self.truncated = bool(truncated)
 
-        self.f_hz = NOMINAL_HZ + x[:, :, 0] / TWO_PI
-        self.f_meas_hz = NOMINAL_HZ + y_meas[:, :, 0] / TWO_PI
-        self.p_e = u_actual + droop[:, None] * x[:, :, 0]
-        self.r_inf = residue_norm(residue)
-        self.stealthy = self.r_inf <= thresholds[:, None]
         for arr in (self.x, self.xhat, self.y, self.y_meas, self.residue,
-                    self.u_believed, self.u_actual, self.f_hz, self.f_meas_hz,
-                    self.p_e, self.r_inf, self.stealthy, self.droop,
-                    self.thresholds):
+                    self.u_believed, self.u_actual, self.droop, self.thresholds):
             arr.setflags(write=False)
+
+    # the derived arrays are formed on first read, read-only like the records
+
+    @cached_property
+    def f_hz(self):
+        return _read_only(NOMINAL_HZ + self.x[:, :, 0] / TWO_PI)
+
+    @cached_property
+    def f_meas_hz(self):
+        return _read_only(NOMINAL_HZ + self.y_meas[:, :, 0] / TWO_PI)
+
+    @cached_property
+    def p_e(self):
+        return _read_only(self.u_actual + self.droop[:, None] * self.x[:, :, 0])
+
+    @cached_property
+    def r_inf(self):
+        return _read_only(residue_norm(self.residue))
+
+    @cached_property
+    def stealthy(self):
+        return _read_only(self.r_inf <= self.thresholds[:, None])
 
     @property
     def n_generators(self):
@@ -182,7 +203,8 @@ def simulate_many(grid: GridModel, attacks, horizon: int, noise=False,
 
     The R runs are stacked along the generator axis as R * n independent
     rows, so each trace is bitwise the one simulate() gives.  With noise,
-    run j draws its noise from rngs[j] in simulate()'s order.  A run that
+    run j draws from rngs[j] its process noise, generator by generator, then
+    its measurement noise, each in one call.  A run that
     goes non-finite truncates only its own trace.
     """
     if horizon < 1:
@@ -216,12 +238,10 @@ def simulate_many(grid: GridModel, attacks, horizon: int, noise=False,
             a_y[j * n:(j + 1) * n, :attack.d] = attack.false_data.values
 
     if noise:
-        chol_q, chol_r = noise_factors(grid.q_noise, grid.r_noise)
+        chol_q, chol_r = (f.swapaxes(-1, -2) for f in noise_factors(grid.q_noise, grid.r_noise))
         for j, rng in enumerate(rngs):
-            for i in range(n):
-                w[j * n + i] = rng.normal(size=(horizon, 4)) @ chol_q[i].T
-            for i in range(n):
-                v[j * n + i] = rng.normal(size=(n_steps, 2)) @ chol_r[i].T
+            w[j * n:(j + 1) * n] = rng.normal(size=(n, horizon, 4)) @ chol_q
+            v[j * n:(j + 1) * n] = rng.normal(size=(n, n_steps, 2)) @ chol_r
 
     valid = step_loop(None, a, b, c, l, k, use_k, x0, x0,
                       u_sched, u_laa, a_y, w, v, z, yr, ym, u)
@@ -233,8 +253,7 @@ def simulate_many(grid: GridModel, attacks, horizon: int, noise=False,
     for j, steps in enumerate(counts):
         rows, cut = slice(j * n, (j + 1) * n), slice(0, steps)
         traces.append(SimTrace(
-            ts=grid.ts, droop=grid.droop,
-            thresholds=grid.thresholds.copy(),
+            ts=grid.ts, droop=grid.droop, thresholds=grid.thresholds,
             x=z[rows, cut, 0], xhat=z[rows, cut, 1], y=yr[rows, cut, 0],
             y_meas=ym[rows, cut], residue=yr[rows, cut, 1],
             u_believed=u[rows, cut, 1], u_actual=u[rows, cut, 0],

@@ -139,6 +139,62 @@ def test_lr_contraction_matches_einsum_bits():
     assert np.all(skipped > 50)
 
 
+PATTERNS = [tuple(bool(bit) for bit in np.unravel_index(i, (2,) * 4)) for i in range(16)]
+
+
+def step_blocks(block, lengths, patterns, gain):
+    """Records stepped by `block` (step_block or einsum_step_block) through
+    consecutive blocks of the given lengths and inputs patterns, cut from
+    one set of step_views as step_loop cuts them, from a random record 0.
+    An input a pattern flags False is zero over its block; so is the load,
+    and with it the gain, since u carries K x_hat."""
+    rng = np.random.default_rng(31)
+    n, steps = 3, sum(lengths) + 1
+    a, c = 0.2 * rng.normal(size=(n, 4, 4)), rng.normal(size=(n, 2, 4))
+    b, lt = rng.normal(size=(n, 4)), 0.1 * rng.normal(size=(2, n, 4))
+    k = 0.1 * rng.normal(size=(n, 4)) if gain else None
+    z, yr, ym = np.zeros((steps, 2, n, 4)), np.zeros((steps, 2, n, 2)), np.zeros((steps, n, 2))
+    z[0], yr[0] = rng.normal(size=(2, n, 4)), rng.normal(size=(2, n, 2))
+    a_y, v, u = rng.normal(size=(steps, n, 2)), rng.normal(size=(steps, n, 2)), \
+        rng.normal(size=(steps, 2, n))
+    w = rng.normal(size=(steps - 1, n, 4))
+    views = kernels.step_views(z, yr, ym, u, a_y, v)
+    starts = np.cumsum([0] + lengths[:-1])
+    for t0, t1, inputs in zip(starts, starts + lengths, patterns):
+        for arr, lo, nonzero in ((a_y, t0 + 1, inputs[0]), (v, t0 + 1, inputs[1]),
+                                 (w, t0, inputs[2]), (u, t0, inputs[3])):
+            if not nonzero:
+                arr[lo:lo + t1 - t0] = 0.0
+        wlr = np.zeros((t1 - t0, 2, n, 4))
+        wlr[:, 0] = w[t0:t1]
+        block(a, b, c, lt, None if k is None else k * inputs[3],
+              [s[t0:t1] for s in views], np.empty_like(wlr), wlr, np.empty((2, n, 4)),
+              inputs)
+    assert np.isfinite(z).all() and np.isfinite(ym).all()
+    return z.tobytes(), yr.tobytes(), ym.tobytes(), u.tobytes()
+
+
+@pytest.mark.parametrize("gain", [False, True])
+@pytest.mark.parametrize("length", [1, 2, 64])
+def test_step_block_matches_einsum_bits_for_every_inputs_pattern(length, gain):
+    """One block per inputs pattern: every slot the loop leaves unzipped, and
+    the record it carries from one step into the next, give the einsum
+    step's bits."""
+    for inputs in PATTERNS:
+        want = step_blocks(einsum_step_block, [length], [inputs], gain)
+        assert step_blocks(kernels.step_block, [length], [inputs], gain) == want, inputs
+
+
+@pytest.mark.parametrize("gain", [False, True])
+def test_consecutive_blocks_with_changing_patterns_match_einsum_bits(gain):
+    """Blocks of lengths 1, 2 and 64 in turn, each with the next pattern, so
+    every block starts from a record that a block of another pattern wrote."""
+    lengths = [(1, 2, 64)[i % 3] for i in range(2 * len(PATTERNS))]
+    patterns = PATTERNS[::-1] + PATTERNS[1::2] + PATTERNS[::2]
+    assert step_blocks(kernels.step_block, lengths, patterns, gain) == \
+        step_blocks(einsum_step_block, lengths, patterns, gain)
+
+
 def recorded_flags(monkeypatch):
     """(k is None, inputs) of every step_block call, in order."""
     flags, block = [], kernels.step_block

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gridstorm.model import (C_OUT, AgcParams, Calibration, ConfigError,
+from gridstorm.model import (C_OUT, AgcParams, Calibration, ConfigError, LoadMap,
                              build_continuous, calibrate_threshold,
                              design_kalman_gain, design_lqr_gain, discretize_zoh,
                              load_grid_config, spectral_radius)
+from gridstorm.sim import FalseDataSchedule
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -291,6 +294,20 @@ def test_grid_loop_arrays_are_read_only(default_grid):
             getattr(default_grid, name)[0] += 1.0
     with pytest.raises(ValueError, match="read-only"):
         C_OUT[0, 0] = 2.0
+
+
+def test_constructors_freeze_a_copy_not_the_callers_array(default_grid):
+    """LoadMap, GridModel (dataclasses.replace too) and FalseDataSchedule
+    keep read-only copies; the float arrays they were given stay writable."""
+    m, th, values = np.ones((1, 2)), np.array([0.1, 0.2, 0.3]), np.zeros((3, 4, 2))
+    load_map = LoadMap(m, np.array([1, 1]))
+    grid = dataclasses.replace(default_grid, thresholds=th)
+    false_data = FalseDataSchedule(values, np.array([0, 1]))
+    for given, kept in ((m, load_map.matrix), (th, grid.thresholds),
+                        (values, false_data.values)):
+        assert given.flags.writeable and not kept.flags.writeable
+        given[...] = 7.0
+        assert not np.any(kept == 7.0)
 
 
 def test_config_rejects_empty_generators():

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gridstorm.sim as sim
 from gridstorm.model import (NOMINAL_HZ, LoadMap, design_lqr_gain, load_grid_config,
                              spectral_radius)
 from gridstorm.numerics import RngStream
@@ -185,7 +186,7 @@ def test_lqr_gain_reaches_the_plant():
     assert np.max(np.abs(tr.residue)) == 0.0
 
 
-def test_noisy_simulate_matches_reference_loop():
+def test_noisy_simulate_matches_reference_loop(monkeypatch):
     grid, attack, _ = reference_case()
     horizon, n = 60, grid.n_generators
     # simulate's draw order: every generator's process noise, then every
@@ -197,8 +198,16 @@ def test_noisy_simulate_matches_reference_loop():
                   @ np.linalg.cholesky(r).T for r in grid.r_noise])
     assert w.shape == (n, horizon, 4) and np.all(w != 0.0) and np.all(v != 0.0)
     ref = reference_simulate(grid, attack, horizon, w=w, v=v)
+    drawn, step_loop = [], sim.step_loop
+
+    def recording(*args):
+        drawn.append(args[12:14])   # the w and v simulate drew
+        return step_loop(*args)
+    monkeypatch.setattr(sim, "step_loop", recording)
     tr = simulate(grid, attack, horizon=horizon, noise=True, rng=RngStream(17, 1))
     assert_matches_reference(tr, ref)
+    # one draw per kind, scaled by a stacked matmul, gives the loop's bits
+    assert [arr.tobytes() for arr in drawn[0]] == [w.tobytes(), v.tobytes()]
 
 
 def test_equilibrium_stays_exactly_zero():
@@ -268,6 +277,12 @@ def test_trace_step_identities():
         assert np.allclose(tr.f_hz[:, k], 60.0 + tr.x[:, k, 0] / TWO_PI)
         assert np.array_equal(tr.stealthy[:, k],
                               np.max(np.abs(tr.residue[:, k]), axis=1) <= grid.thresholds)
+    # the records and the arrays derived from them on first read: read-only,
+    # and each formed once
+    for name in ("x", "xhat", "y", "y_meas", "residue", "u_believed", "u_actual",
+                 "f_hz", "f_meas_hz", "p_e", "r_inf", "stealthy"):
+        assert not getattr(tr, name).flags.writeable, name
+        assert getattr(tr, name) is getattr(tr, name), name
 
 
 def test_simulate_truncates_on_blowup():
