@@ -21,6 +21,7 @@ once more, and that one trace must give the same rho and satisfy the
 success predicate.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,8 +32,8 @@ import numpy as np
 from .model import N_OUTPUTS, GridModel, config_value, read_json_file, write_json
 from .numerics import RngStream
 from .sim import (SIGNAL_BASES, AttackVector, BreakerSchedule, FalseDataSchedule,
-                  SimTrace, SuccessReport, check_success, frequency_margin, residue_norm,
-                  residue_term, robustness, robustness_terms, simulate, simulate_many)
+                  SimTrace, SuccessReport, check_success, frequency_margin, robustness,
+                  robustness_terms, running_excess, simulate, simulate_many)
 
 SIGMA_INIT = 0.10          # proposal scale, fraction of box width
 SIGMA_FLOOR = 0.005
@@ -159,6 +160,7 @@ class AffineModel:
     # the residue channels, whose (base, responses) _scored holds
     fixed_margin: Optional[np.ndarray] = field(init=False, repr=False)
     _scored: tuple = field(init=False, repr=False)
+    _residue_th: tuple = field(init=False, repr=False)   # Th as a column, -min(Th)
 
     def __post_init__(self):
         for arr in (self.base, self.responses):
@@ -172,6 +174,8 @@ class AffineModel:
             f, self.problem.grid.envelope) if fixed else None)
         base, resp = (np.ascontiguousarray(arr[..., channels]) for arr in (self.base, by_channel))
         object.__setattr__(self, "_scored", (base, resp.reshape(n, k, -1)))
+        th = self.problem.grid.thresholds
+        object.__setattr__(self, "_residue_th", (th[:, None], -float(np.min(th))))
 
     def signals(self, knots: np.ndarray) -> np.ndarray:
         """_signals of each candidate in an R x n x q_att x P stack of knots,
@@ -183,22 +187,30 @@ class AffineModel:
         +inf where its signals are non-finite."""
         sig = _affine_signals(*self._scored, knots)
         finite = np.logical_and.reduce(np.isfinite(sig), axis=(1, 2, 3))
+        if finite.all():
+            return self._rho_many(sig)
         rho = np.full(len(sig), np.inf)
         if finite.any():
-            sig = sig if finite.all() else sig[finite]
-            p = self.problem
-            s = (frequency_margin(sig[..., 0], p.grid.envelope)
-                 if self.fixed_margin is None else self.fixed_margin)
-            g = residue_term(residue_norm(sig[..., -2:]), p.grid.thresholds)
-            rho[finite] = robustness_terms(s, g)
+            rho[finite] = self._rho_many(sig[finite])
         return rho
+
+    def _rho_many(self, sig):
+        """robustness_terms of each finite candidate in a stack of scored
+        signals, overwriting its residue channels with their magnitudes."""
+        s = (frequency_margin(sig[..., 0], self.problem.grid.envelope)
+             if self.fixed_margin is None else self.fixed_margin)
+        r = np.abs(sig[..., -2:], out=sig[..., -2:])
+        r_inf = np.maximum(r[..., 0], r[..., 1])      # residue_norm's bits
+        th, floor = self._residue_th
+        return robustness_terms(s, running_excess(np.subtract(r_inf, th, out=r_inf), floor))
 
 
 def _affine_signals(base, responses, knots):
     """base + each knot times its response row, per candidate: R x base.shape."""
     n, k, _ = responses.shape
     delta = np.einsum("rnk,nkm->rnm", knots.reshape(len(knots), n, k), responses)
-    return base + delta.reshape(len(knots), *base.shape)
+    delta = delta.reshape(len(knots), *base.shape)
+    return np.add(delta, base, out=delta)
 
 
 def affine_model(problem: FalsificationProblem) -> AffineModel:
@@ -304,7 +316,7 @@ class _Chain:
                 return
         delta = rho - self.rho_cur
         accept = delta <= 0.0
-        if not accept and np.isfinite(delta):
+        if not accept and math.isfinite(delta):
             accept = self.rng.uniform() < np.exp(-delta / self.temp)
         if accept:
             self.current, self.rho_cur = proposal, rho

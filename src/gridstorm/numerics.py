@@ -3,7 +3,9 @@
 Everything here is deliberately dependency-light: a scaling-and-squaring
 matrix exponential, a fixed-point discrete Riccati solver, and counter-based
 random streams (Philox) that can be split deterministically, one per
-search restart.
+search restart.  The Riccati solver maps a batch of CHECK_ITERATIONS
+iterates between stop tests and stores them, so one vectorized test picks
+the iterate a test after every map would stop at.
 """
 
 import math
@@ -12,6 +14,9 @@ import numpy as np
 
 # Factorials 1/k! for the degree-13 series core.
 _INV_FACT = np.array([1.0 / math.factorial(k) for k in range(14)])
+
+# Riccati maps between two stop tests of solve_dare.
+CHECK_ITERATIONS = 16
 
 
 class RiccatiDivergence(RuntimeError):
@@ -66,10 +71,10 @@ def dare_map(p, a, g, q, r):
     dual (filter) form used for steady-state Kalman covariances.  Stacks
     (k, ...) of problems are mapped one by one.
     """
-    at = np.swapaxes(a, -1, -2)
+    at = a.mT
     pg = p @ g
     apg = at @ pg
-    gain = np.linalg.solve(r + np.swapaxes(g, -1, -2) @ pg, np.swapaxes(apg, -1, -2))
+    gain = np.linalg.solve(r + g.mT @ pg, apg.mT)
     return at @ p @ a - apg @ gain + q
 
 
@@ -77,14 +82,21 @@ def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
     """Fixed-point solution of the discrete algebraic Riccati equation.
 
     Iterates the Riccati difference recursion P <- f(P) from P0 = Q and stops
-    when the fixed-point residual ||P - f(P)||_inf (largest entry magnitude)
-    is at most tol * max(1, ||P||_inf): relative once P outgrows 1, where the
-    float spacing of P alone can exceed tol.  The step size equals the
-    residual, so the stopping rule bounds the residual directly.
+    at the first iterate whose fixed-point residual ||P - f(P)||_inf (largest
+    entry magnitude) is at most tol * max(1, ||P||_inf): relative once P
+    outgrows 1, where the float spacing of P alone can exceed tol.  The step
+    size equals the residual, so the stopping rule bounds the residual
+    directly.
+
+    The map runs CHECK_ITERATIONS times between stop tests, and stores each
+    iterate; one vectorized test then measures every stored step against
+    the bound of its predecessor and returns the first iterate that passes,
+    the one a test after every map stops at.  The map never runs past
+    max_iter.
 
     a (n, n), g (n, m), q (n, n) and r (m, m) may also be stacks (k, ...) of
-    k problems, solved together: each problem stops at its own iteration and
-    drops out of the later ones, so each P is bitwise what a lone call
+    k problems, solved together: each problem stops at its own iterate and
+    drops out of the later batches, so each P is bitwise what a lone call
     returns.
 
     Raises RiccatiDivergence, naming the lowest-index failing problem, when
@@ -112,25 +124,40 @@ def solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
     todo = np.arange(k)
     blown = np.zeros(k, dtype=bool)
     p_todo, stack = p, (a, g, q, r)
-    bound = tol * np.maximum(1.0, np.abs(q).reshape(k, -1).max(axis=1))
+    mapped = 0
     # The finiteness test reports a blow-up, so its overflow warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            nxt = dare_map(p_todo, *stack)
-            nxt = 0.5 * (nxt + np.swapaxes(nxt, -1, -2))
-            rows = nxt.reshape(todo.size, -1)
-            size = np.abs(rows).max(axis=1)     # inf or NaN unless the row is finite
-            finite = np.isfinite(size)
-            going = finite & (np.abs(rows - p_todo.reshape(todo.size, -1)).max(axis=1) > bound)
-            bound = tol * np.maximum(1.0, size)
+        while todo.size and mapped < max_iter:
+            # its[j] is the batch's j-th iterate, its[0] the one it starts from
+            its = np.empty((CHECK_ITERATIONS + 1,) + p_todo.shape)
+            its[0] = p_todo
+            maps = min(CHECK_ITERATIONS, max_iter - mapped)
+            for j in range(1, maps + 1):
+                try:
+                    nxt = dare_map(its[j - 1], *stack)
+                except np.linalg.LinAlgError:
+                    if j == 1:
+                        raise
+                    maps = j - 1    # a blown iterate the test below reports
+                    break
+                np.add(nxt, nxt.mT, out=its[j])
+                its[j] *= 0.5
+            mapped += maps
+            rows = its[:maps + 1].reshape(maps + 1, todo.size, -1)
+            size = np.abs(rows).max(axis=2)     # inf or NaN unless the row is finite
+            finite = np.isfinite(size[1:])
+            step = np.abs(rows[1:] - rows[:-1]).max(axis=2)
+            ended = ~(finite & (step > tol * np.maximum(1.0, size[:-1])))
+            going = ~ended.any(axis=0)
             if going.all():
-                p_todo = nxt
+                p_todo = its[maps]
                 continue
-            p[todo[finite]] = nxt[finite]
-            blown[todo[~finite]] = True
-            todo, p_todo, bound = todo[going], nxt[going], bound[going]
-            if not todo.size:
-                break
+            out = np.flatnonzero(~going)
+            first = ended[:, out].argmax(axis=0)    # each ended problem's first ended map
+            ok = finite[first, out]
+            p[todo[out[ok]]] = its[first[ok] + 1, out[ok]]
+            blown[todo[out[~ok]]] = True
+            todo, p_todo = todo[going], its[maps, going]
             stack = tuple(arr[todo] for arr in (a, g, q, r))
     failed = np.flatnonzero(blown | np.isin(np.arange(k), todo))
     if failed.size:

@@ -318,9 +318,15 @@ def residue_term(r_inf, thresholds):
     """g(k'), from the residue inf-norm (..., generators, steps): the largest
     excess over threshold at any step before k', -min(Th) at k' = 0."""
     th = np.asarray(thresholds, dtype=float)
-    worst_excess = np.maximum.reduce(r_inf - th[:, None], axis=-2)
+    return running_excess(r_inf - th[:, None], -float(np.min(th)))
+
+
+def running_excess(excess, floor):
+    """residue_term from the excess r_inf - Th (..., generators, steps) and
+    floor = -min(Th), for callers that hold Th's column and floor."""
+    worst_excess = np.maximum.reduce(excess, axis=-2)
     g = np.empty_like(worst_excess)
-    g[..., 0] = -float(np.min(th))
+    g[..., 0] = floor
     np.maximum.accumulate(worst_excess[..., :-1], axis=-1, out=g[..., 1:])
     return g
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gridstorm.numerics
-from gridstorm.numerics import RiccatiDivergence, RngStream, dare_map, mat_exp, solve_dare
+from gridstorm.numerics import (CHECK_ITERATIONS, RiccatiDivergence, RngStream, dare_map,
+                                mat_exp, solve_dare)
 
 
 def taylor_exp(m, terms=50):
@@ -117,15 +118,16 @@ def lone_dare_map(p, a, g, q, r):
     return apa - (a.T @ pg) @ gain + q
 
 
-def lone_solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000):
-    """Bitwise oracle: the one-problem iteration that stacked solves replace."""
+def lone_solve_dare(a, g, q, r, tol=1e-10, max_iter=100_000, own_bound=False):
+    """Bitwise oracle: the one-problem iteration that stacked solves replace.
+    own_bound scales each step's bound by its own iterate, not the one before."""
     p = q.copy()
     for it in range(1, max_iter + 1):
         nxt = lone_dare_map(p, a, g, q, r)
         nxt = 0.5 * (nxt + nxt.T)
         assert np.all(np.isfinite(nxt))
         step = np.max(np.abs(nxt - p))
-        scale = max(1.0, np.max(np.abs(p)))
+        scale = max(1.0, np.max(np.abs(nxt if own_bound else p)))
         p = nxt
         if step <= tol * scale:
             return p, it
@@ -173,7 +175,10 @@ def test_dare_with_huge_noise_stops_on_relative_residual(default_grid, monkeypat
     p = solve_dare(*problem)
     want, iterations = lone_solve_dare(*problem)
     assert np.max(np.abs(p)) > 1e300 and p.tobytes() == want.tobytes()
-    assert len(calls) == iterations < 1000
+    # the map runs in batches of CHECK_ITERATIONS, and never past the batch
+    # that holds the stopping iterate
+    assert iterations <= len(calls) < iterations + CHECK_ITERATIONS
+    assert iterations < 1000
 
 
 def test_stacked_dare_names_the_failing_problem():
@@ -195,6 +200,102 @@ def test_stacked_dare_names_the_failing_problem():
     with pytest.raises(RiccatiDivergence, match="did not reach") as err:
         solve_dare(a, g, q_blown, r, max_iter=cap)
     assert err.value.problem == 2
+
+
+def counted_problem(iterations):
+    """A scalar problem whose lone solve stops after exactly `iterations` maps.
+
+    With G = 0 the map is P <- a^2 P + q.  P stays below 1, so the bound is
+    tol itself, and the step at map i is q a^(2i), which first drops to
+    tol = 1e-10 at i = iterations."""
+    a = 10.0 ** (-3.0 / (iterations - 0.5))
+    return np.array([[a]]), np.zeros((1, 1)), np.array([[1e-4]]), np.eye(1)
+
+
+def stack_problems(problems):
+    return tuple(np.stack(arrs) for arrs in zip(*problems))
+
+
+def recording_map(record, inner=dare_map):
+    """A dare_map that records, per call that returns, each problem's input P
+    keyed by its A."""
+    def mapped(p, a, *rest):
+        nxt = inner(p, a, *rest)
+        record.append({ai.tobytes(): pi.tobytes() for ai, pi in zip(a, p)})
+        return nxt
+    return mapped
+
+
+def test_stacked_dare_stops_at_the_batch_edges():
+    c = CHECK_ITERATIONS
+    counts = [c - 1, c, c + 1, 2 * c + 3]
+    problems = [counted_problem(i) for i in counts]
+    for problem, count in zip(problems, counts):
+        assert lone_solve_dare(*problem)[1] == count
+    # P >> 1 here, so its bound is relative, far above the others'
+    problems.append((np.array([[0.9]]), np.zeros((1, 1)), np.array([[1e6]]), np.eye(1)))
+    got = solve_dare(*stack_problems(problems))
+    for i, problem in enumerate(problems):
+        assert got[i].tobytes() == lone_solve_dare(*problem)[0].tobytes(), i
+
+
+def test_dare_bound_comes_from_the_previous_iterate():
+    # Two decoupled entries: P[0, 0] -> 1e100 sets the bound, and still grows
+    # at map 17 by less than it; P[1, 1] is far smaller, so its step is finely
+    # spaced, and q[1, 1] puts that step at map 17 above tol * |P16| but not
+    # above tol * |P17|.
+    problem = (np.diag([0.5, np.sqrt(0.7)]), np.zeros((2, 1)),
+               np.diag([0.75e100, 4.298662212553128e+92]), np.eye(1))
+    want, count = lone_solve_dare(*problem)
+    assert count == 18 and lone_solve_dare(*problem, own_bound=True)[1] == 17
+    assert solve_dare(*problem).tobytes() == want.tobytes()
+
+
+def test_stacked_dare_cap_inside_a_batch(monkeypatch):
+    c = CHECK_ITERATIONS
+    problems = [counted_problem(c - 1), counted_problem(c + 3)]
+    calls = []
+    monkeypatch.setattr(gridstorm.numerics, "dare_map", recording_map(calls))
+    with pytest.raises(RiccatiDivergence, match="did not reach") as err:
+        solve_dare(*stack_problems(problems), max_iter=c + 2)
+    assert err.value.problem == 1 and len(calls) == c + 2
+    calls.clear()
+    got = solve_dare(*stack_problems(problems), max_iter=c + 3)
+    assert len(calls) == c + 3
+    for i, problem in enumerate(problems):
+        assert got[i].tobytes() == lone_solve_dare(*problem)[0].tobytes(), i
+
+
+def picky_map(p, *stack):
+    """dare_map, but raising as np.linalg.solve may on a non-finite input."""
+    if not np.isfinite(p).all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return dare_map(p, *stack)
+
+
+@pytest.mark.parametrize("inner", [dare_map, picky_map])
+def test_stacked_dare_blow_up_mid_batch(monkeypatch, inner):
+    c = CHECK_ITERATIONS
+    # P <- 100 P + q overflows c // 2 + 1 maps in, inside the first batch
+    blown = np.array([[10.0]]), np.zeros((1, 1)), np.array([[10.0 ** (308 - c)]]), np.eye(1)
+    converging = [counted_problem(c + 1), counted_problem(2 * c + 3)]
+    record, alone = [], []
+    monkeypatch.setattr(gridstorm.numerics, "dare_map", recording_map(record, inner))
+    with pytest.raises(RiccatiDivergence, match="non-finite") as err:
+        solve_dare(*stack_problems([converging[0], blown, converging[1]]))
+    assert err.value.problem == 1
+    monkeypatch.setattr(gridstorm.numerics, "dare_map", recording_map(alone))
+    got = solve_dare(*stack_problems(converging))
+    # the blow-up changes no bit of the other problems' iterates
+    for i, problem in enumerate(converging):
+        key = problem[0].tobytes()
+        want, count = lone_solve_dare(*problem)
+        inputs = [m[key] for m in record if key in m][:count]
+        assert len(inputs) == count and inputs == [m[key] for m in alone if key in m][:count]
+        assert got[i].tobytes() == want.tobytes(), i
+    # a solve that raises on the first map of a batch raises as it did
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_dare(np.array([[0.5]]), np.zeros((1, 1)), np.eye(1), np.zeros((1, 1)))
 
 
 def test_rng_determinism_and_separation():
