@@ -8,8 +8,11 @@ manifest next to its outputs.  Exit codes: 0 success, 1 predicate false,
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import datetime
+import functools
+import glob
 import hashlib
 import json
 import os
@@ -39,6 +42,26 @@ EXIT_INPUT_ERROR = 2
 EXIT_NO_COUNTEREXAMPLE = 3
 EXIT_INTERNAL = 4
 
+# numpy's bundled OpenBLAS, as its Linux wheels ship it
+OPENBLAS_GLOB = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                             "libscipy_openblas*")
+
+
+@functools.cache
+def blas_core(pattern=OPENBLAS_GLOB):
+    """The name of the kernel that numpy's bundled OpenBLAS picked for this
+    process ("SkylakeX", "Haswell", ...; OPENBLAS_CORETYPE sets it), or None
+    without the library or its scipy_openblas_get_corename64_ symbol.  The
+    training weights hold their bytes only per kernel."""
+    for path in sorted(glob.glob(pattern)):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
 
 class _Manifest:
     def __init__(self, out_dir, args, load_grid_s):
@@ -46,6 +69,7 @@ class _Manifest:
         self.data = {
             "version": __version__,
             "command_line": args.command_line,
+            "blas_core": blas_core(),
             "config_sha256": _sha256_file(args.config),
             "seeds": {"master": args.seed},
             "started": _utc_now(),

@@ -229,25 +229,27 @@ class RewardWeights:
 
 
 def reward(f_hz, r_inf, p_e, weights, envelope, thresholds):
-    """Stealth-and-damage reward for one step.
+    """Stealth-and-damage reward for one step, from n values per argument
+    (lists or arrays): w1 n_pe n_stealth + w2 n_f + w3 n_stealth.
 
-    p_e is the electrical-power deviation relative to schedule; each term is
-    gated by the per-generator stealth indicator, so a detected agent earns
-    nothing.
+    p_e is the electrical-power deviation relative to schedule.  n_stealth
+    counts the generators whose residue is within threshold, n_pe those
+    whose p_e leaves the envelope, and n_f the stealthy ones whose frequency
+    leaves it, so a detected agent earns nothing.  A NaN value is never
+    stealthy and never outside the envelope.
     """
-    f = np.asarray(f_hz, dtype=float)
-    r = np.asarray(r_inf, dtype=float)
-    pe = np.asarray(p_e, dtype=float)
-    th = np.asarray(thresholds, dtype=float)
-    if not (f.shape == r.shape == pe.shape == th.shape):
+    if not len(f_hz) == len(r_inf) == len(p_e) == len(thresholds):
         raise ValueError("f, r_inf, p_e, thresholds must share length n")
-    stealth = (r <= th).astype(float)
-    unsafe_pe = ((pe < envelope.pe_lo) | (pe > envelope.pe_hi)).astype(float)
-    unsafe_f = ((f < envelope.f_lo) | (f > envelope.f_hi)).astype(float)
-    term1 = weights.w1 * unsafe_pe.sum() * stealth.sum()
-    term2 = weights.w2 * float((unsafe_f * stealth).sum())
-    term3 = weights.w3 * stealth.sum()
-    return float(term1 + term2 + term3)
+    f_lo, f_hi, pe_lo, pe_hi = envelope.f_lo, envelope.f_hi, envelope.pe_lo, envelope.pe_hi
+    n_stealth = n_pe = n_f = 0.0
+    for f, r, pe, th in zip(f_hz, r_inf, p_e, thresholds):
+        if pe < pe_lo or pe > pe_hi:
+            n_pe += 1.0
+        if r <= th:
+            n_stealth += 1.0
+            if f < f_lo or f > f_hi:
+                n_f += 1.0
+    return float(weights.w1 * n_pe * n_stealth + weights.w2 * n_f + weights.w3 * n_stealth)
 
 
 @dataclass(frozen=True)
@@ -272,6 +274,10 @@ class GridEnv:
     schedule and leaves out K x_hat: the load offset of the last breaker
     command plus droop times d_omega.  SimTrace.p_e is absolute (schedule,
     offset and K x_hat included), so the two differ when either is non-zero.
+
+    A step forms the observation and the reward on Python floats, which
+    round each operation as numpy's ufuncs do, and looks up the load
+    offsets of a breaker pattern it has met before.
     """
 
     def __init__(self, grid: GridModel, episode_config: EpisodeConfig,
@@ -283,7 +289,11 @@ class GridEnv:
         self.m = grid.n_breakers
         self.obs_dim = 3 * self.n + self.m
         self.act_dim = self.m
-        self._droop = grid.droop
+        self._droop = grid.droop.tolist()
+        self._thresholds = grid.thresholds.tolist()
+        # load offsets by breaker pattern, (action > 0).tobytes(): the array
+        # the plant input adds and its floats for pe
+        self._offsets = {}
         # A step copies record 1 to record 0 and advances it through a
         # one-step block back into record 1.  _x, _xhat and _r view record 1,
         # which every step overwrites, so a caller copies what it keeps.
@@ -320,45 +330,52 @@ class GridEnv:
         self._z1[...] = 0.0
         self._yr1[...] = 0.0
         self._step = 0
-        self._prev_action = np.zeros(self.m)
-        self._offset = np.zeros(self.n)   # load offset of the last breaker command
+        self._prev_action = [0.0] * self.m
+        self._offset = [0.0] * self.n   # load offset of the last breaker command
         self._done = False
         self._executed = []
-        return self._observation()
+        f, r, pe = self._observation(self._x[:, 0].tolist())
+        return np.array(f + r + pe + self._prev_action)
 
-    def _observation(self):
-        f = NOMINAL_HZ + self._x[:, 0] / TWO_PI
-        pe = self._offset + self._droop * self._x[:, 0]
-        return np.concatenate([f, residue_norm(self._r), pe, self._prev_action])
+    def _observation(self, d_omega):
+        """f, r_inf and pe as lists of floats, from d_omega's."""
+        f = [NOMINAL_HZ + w / TWO_PI for w in d_omega]
+        pe = [off + droop * w for off, droop, w in zip(self._offset, self._droop, d_omega)]
+        return f, residue_norm(self._r).tolist(), pe
 
     def step(self, action):
         """Threshold the action into breaker commands, advance, reward."""
         if self._done:
             raise RuntimeError("step() called on a finished episode; reset() first")
-        action = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
+        action = np.asarray(action, dtype=float).clip(-1.0, 1.0)
         if action.shape != (self.m,):
             raise ValueError(f"action must have length {self.m}")
-        breakers = (action > 0.0).astype(float)
-        self._offset = self.grid.load_map.offsets(breakers)
+        closed = action > 0.0
+        key = closed.tobytes()
+        offsets = self._offsets.get(key)
+        if offsets is None:
+            offsets = self.grid.load_map.offsets(closed.astype(float))
+            offsets = self._offsets[key] = (offsets, offsets.tolist())
+        u_offset, self._offset = offsets
 
         sched = self._sched[self._step]
-        np.add(sched, self._offset, out=self._u_act)
+        np.add(sched, u_offset, out=self._u_act)
         self._u_bel[...] = sched
         self._z0[...] = self._z1
         self._yr0[...] = self._yr1
         step_block(*self._block)
-        self._executed.append(breakers)
+        self._executed.append(closed)
 
-        self._prev_action = action
+        self._prev_action = action.tolist()
         self._step += 1
-        blown = not np.all(np.isfinite(self._x))
+        x = self._x.ravel().tolist()   # 4 states a generator, d_omega first
+        blown = not all(map(math.isfinite, x))
         self._done = blown or self._step >= self.cfg.steps_per_episode
 
-        obs = self._observation()
-        n = self.n
-        rew = 0.0 if blown else reward(obs[:n], obs[n:2 * n], obs[2 * n:3 * n],
-                                       self.weights, self.grid.envelope,
-                                       self.grid.thresholds)
+        f, r, pe = self._observation(x[::4])
+        obs = np.array(f + r + pe + self._prev_action)
+        rew = 0.0 if blown else reward(f, r, pe, self.weights, self.grid.envelope,
+                                       self._thresholds)
         return obs, rew, self._done
 
     def executed_schedule(self):
@@ -436,7 +453,7 @@ def ddpg_train(env: GridEnv, cfg: TrainConfig, rng) -> TrainArtifacts:
         done = False
         while not done:
             act = actor.forward(z)[0] + rng.normal(scale=sigma, size=env.act_dim)
-            act = np.clip(act, -1.0, 1.0)
+            act = act.clip(-1.0, 1.0)
             nxt, rew, done = env.step(act)
             env_steps += 1
             zn = env.normalize(nxt)

@@ -2,15 +2,22 @@
 used in that module, and every module-level name of the package, private or
 public, is read somewhere in the package; no linter is needed to catch a
 leftover import, a dead helper or a name only the tests use.  Every field of
-a config section is read by the package.  Every function and method that the
-benchmark's tracer patches exists."""
+a config section is read by the package, through an object of its own class,
+in a run of the commands.  Every function and method that the benchmark's
+tracer patches exists."""
 
 import ast
 import dataclasses
 import importlib
+import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import config_path, load_config_doc, make_plain_grid
+from gridstorm.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "gridstorm").glob("*.py"))
@@ -99,16 +106,100 @@ def test_every_public_name_is_read(path):
 CONFIG_SECTIONS = {"model": ["AgcParams", "SafetyEnvelope", "Calibration"],
                    "falsify": ["FalsifyConfig"],
                    "rl": ["EpisodeConfig", "TrainConfig", "RewardWeights"]}
+PACKAGE_DIR = str(ROOT / "src" / "gridstorm") + os.sep
+
+
+def own_code(cls):
+    """The code objects of the methods, properties and cached properties
+    that cls itself defines."""
+    codes = set()
+    for value in vars(cls).values():
+        for attr in ("fget", "func", "__func__"):
+            value = getattr(value, attr, value)
+        if hasattr(value, "__code__"):
+            codes.add(value.__code__)
+    return codes
+
+
+def record_field_reads(monkeypatch, classes):
+    """A set that collects (class name, field) for every field read through
+    an object of one of classes by package code outside the class's own
+    methods; dataclasses' own reads, as by asdict, are not package code."""
+    reads = set()
+    for cls in classes:
+        fields, own = {f.name for f in dataclasses.fields(cls)}, own_code(cls)
+
+        def getattribute(obj, name, cls=cls, fields=fields, own=own):
+            if name in fields:
+                code = sys._getframe(1).f_code
+                if code.co_filename.startswith(PACKAGE_DIR) and code not in own:
+                    reads.add((cls.__name__, name))
+            return object.__getattribute__(obj, name)
+        monkeypatch.setattr(cls, "__getattribute__", getattribute, raising=False)
+    return reads
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def config_field_reads(tmp_path_factory):
+    """The config fields that toy runs of every command read: simulate,
+    train-laa, validate and compare on the calibrated toy grid, and a
+    falsify that succeeds, so that its noise check runs."""
+    classes = [getattr(importlib.import_module(f"gridstorm.{module}"), name)
+               for module, names in CONFIG_SECTIONS.items() for name in names]
+    tmp = tmp_path_factory.mktemp("config_reads")
+    grid = config_path("toy_grid.json")
+    attack = str(ROOT / "perfbench" / "inputs" / "toy_attack_seed3.json")
+    train = load_config_doc("train_toy.json")
+    train.update(episodes=2, steps_per_episode=20, batch_size=8)
+    falsify_grid = load_config_doc("toy_grid.json")
+    falsify_grid["thresholds"] = [1.25]
+    runs = [
+        ["simulate", "--config", grid, "--attack", attack, "--horizon", "200"],
+        ["train-laa", "--config", grid, "--train-config", write_json(tmp / "t.json", train)],
+        ["validate", "--config", grid, "--attack", attack, "--horizon", "200"],
+        ["compare", "--config", grid, "--attack", attack, "--laa-only", "--fdia-only",
+         "--combined", "--horizon", "200"],
+        ["falsify", "--config", write_json(tmp / "g.json", falsify_grid),
+         "--laa", write_json(tmp / "laa.json", {"d": 100, "m": 2, "signals": [[0, 0]] * 100}),
+         "--falsify-config", write_json(tmp / "f.json", {"signal_basis": "true", "budget": 300,
+                                                         "restarts": 2, "noise_check_seeds": 2}),
+         "--seed", "1"],
+    ]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        reads = record_field_reads(monkeypatch, classes)
+        codes = [main(argv + (["--out", str(tmp / argv[0])] if argv[0] != "validate" else []))
+                 for argv in runs]
+    assert codes == [0, 0, 1, 0, 0]   # the toy attack carries no false data
+    return reads
+
+
+def test_field_reads_are_recorded_per_owner(monkeypatch):
+    from gridstorm.falsify import FalsifyConfig
+    from gridstorm.model import Calibration, calibrate_threshold
+
+    reads = record_field_reads(monkeypatch, [Calibration, FalsifyConfig])
+    assert Calibration().horizon == 1000   # a test file is not package code
+    assert dataclasses.asdict(Calibration()) and reads == set()
+    FalsifyConfig(budget=3)                # __post_init__ is FalsifyConfig's own
+    assert reads == set()
+    calibrate_threshold(make_plain_grid(), Calibration(horizon=5))
+    assert reads == {("Calibration", "horizon"), ("Calibration", "margin"),
+                     ("Calibration", "seed")}
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in CONFIG_SECTIONS.items()
                                           for n in names],
                          ids=lambda value: value)
-def test_every_config_field_is_read(module, name):
+def test_every_config_field_is_read(config_field_reads, module, name):
     """A config key that no package code reads changes no output."""
     cls = getattr(importlib.import_module(f"gridstorm.{module}"), name)
-    read = names_read(p.read_text(encoding="utf-8") for p in PACKAGE)
-    assert [f.name for f in dataclasses.fields(cls) if f.name not in read] == []
+    assert [f.name for f in dataclasses.fields(cls)
+            if (name, f.name) not in config_field_reads] == []
 
 
 def traced_names():

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 
 import gridstorm.rl
-from gridstorm.model import SafetyEnvelope, load_grid_config
+from gridstorm.kernels import step_block
+from gridstorm.model import NOMINAL_HZ, SafetyEnvelope, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.rl import (MLP, Adam, EpisodeConfig, GridEnv, ReplayBuffer,
                           RewardWeights, TrainConfig, ddpg_train, reward, save_weights,
                           soft_update)
-from gridstorm.sim import AttackVector, BreakerSchedule, FalseDataSchedule, simulate
+from gridstorm.sim import (TWO_PI, AttackVector, BreakerSchedule, FalseDataSchedule,
+                           residue_norm, simulate)
 
 from conftest import load_config_doc, make_plain_grid
 
@@ -62,6 +65,62 @@ def test_reward_bounds_property():
 def test_reward_length_mismatch():
     with pytest.raises(ValueError):
         reward([60.0], [0.0, 0.0], [0.0], RewardWeights(), ENV_BOUNDS, [0.1])
+
+
+def reference_reward(f_hz, r_inf, p_e, weights, envelope, thresholds):
+    """reward in its numpy formulation, on arrays."""
+    f, r, pe = (np.asarray(v, dtype=float) for v in (f_hz, r_inf, p_e))
+    stealth = (r <= np.asarray(thresholds, dtype=float)).astype(float)
+    unsafe_pe = ((pe < envelope.pe_lo) | (pe > envelope.pe_hi)).astype(float)
+    unsafe_f = ((f < envelope.f_lo) | (f > envelope.f_hi)).astype(float)
+    term1 = weights.w1 * unsafe_pe.sum() * stealth.sum()
+    term2 = weights.w2 * float((unsafe_f * stealth).sum())
+    term3 = weights.w3 * stealth.sum()
+    return float(term1 + term2 + term3)
+
+
+# w1 * n_pe * n_stealth takes other bits in another product order: at
+# counts (3, 3) for (w1 n_pe) n_stealth against w1 (n_pe n_stealth), and at
+# (3, 5) for (w1 n_pe) n_stealth against (w1 n_stealth) n_pe
+ODD_WEIGHTS = RewardWeights(w1=0.1, w2=0.7, w3=0.3)
+
+
+def test_reward_matches_its_numpy_formulation_on_lists_and_arrays():
+    rng = np.random.default_rng(12)
+    th = np.array([0.1, 0.2, 0.05, 0.1, 0.15, 0.1])
+    n = len(th)
+    for _ in range(400):
+        f = rng.uniform(59.0, 61.0, n)
+        r = rng.uniform(0.0, 0.3, n)
+        pe = rng.uniform(-0.3, 0.3, n)
+        r[rng.random(n) < 0.2] = th[0]          # r == Th is stealthy
+        f[rng.random(n) < 0.1] = np.nan
+        r[rng.random(n) < 0.1] = np.nan         # never stealthy
+        pe[rng.random(n) < 0.1] = np.nan        # never outside the envelope
+        want = reference_reward(f, r, pe, ODD_WEIGHTS, ENV_BOUNDS, th)
+        for args in ((f, r, pe, th), [v.tolist() for v in (f, r, pe, th)]):
+            got = reward(*args[:3], ODD_WEIGHTS, ENV_BOUNDS, args[3])
+            assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("n_pe, n_stealth", [(3, 3), (3, 5), (5, 3), (2, 6)])
+def test_reward_keeps_the_product_order(n_pe, n_stealth):
+    w = RewardWeights(w1=ODD_WEIGHTS.w1, w2=0.0, w3=0.0)   # no sum to round a bit away
+    n = 6
+    r = [0.0] * n_stealth + [1.0] * (n - n_stealth)
+    pe = [0.2] * n_pe + [0.0] * (n - n_pe)
+    got = reward([60.0] * n, r, pe, w, ENV_BOUNDS, [0.1] * n)
+    want = reference_reward([60.0] * n, r, pe, w, ENV_BOUNDS, [0.1] * n)
+    assert got == want == w.w1 * n_pe * n_stealth
+
+
+def test_reward_edges():
+    w = RewardWeights(w1=1.0, w2=1.0, w3=0.25)
+    # r == Th counts as stealthy; an unsafe NaN frequency does not count
+    assert reward([60.0], [0.1], [0.0], w, ENV_BOUNDS, [0.1]) == 0.25
+    assert reward([np.nan], [0.0], [0.0], w, ENV_BOUNDS, [0.1]) == 0.25
+    assert reward([61.0], [np.nan], [0.2], w, ENV_BOUNDS, [0.1]) == 0.0
+    assert reward([61.0], [np.inf], [0.2], w, ENV_BOUNDS, [0.1]) == 0.0
 
 
 def test_weights_invariants():
@@ -403,6 +462,91 @@ def test_env_aggressive_action_loses_stealth():
     # stealth term eventually dies once the residue crosses the threshold
     assert rewards[-1] == 0.0
     assert rewards[0] > 0.0
+
+
+class ReferenceEnv(GridEnv):
+    """GridEnv with step in its numpy formulation: np.clip, the load map's
+    offsets on every step, np.concatenate and the array reward."""
+
+    def reset(self):
+        super().reset()
+        self.ref_offset, self.ref_action = np.zeros(self.n), np.zeros(self.m)
+        return self.ref_observation()
+
+    def ref_observation(self):
+        f = NOMINAL_HZ + self._x[:, 0] / TWO_PI
+        pe = self.ref_offset + self.grid.droop * self._x[:, 0]
+        return np.concatenate([f, residue_norm(self._r), pe, self.ref_action])
+
+    def step(self, action):
+        action = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
+        self.ref_offset = self.grid.load_map.offsets((action > 0.0).astype(float))
+        sched = self._sched[self._step]
+        np.add(sched, self.ref_offset, out=self._u_act)
+        self._u_bel[...] = sched
+        self._z0[...] = self._z1
+        self._yr0[...] = self._yr1
+        step_block(*self._block)
+        self.ref_action = action
+        self._step += 1
+        blown = not np.all(np.isfinite(self._x))
+        obs = self.ref_observation()
+        n = self.n
+        rew = 0.0 if blown else reference_reward(obs[:n], obs[n:2 * n], obs[2 * n:3 * n],
+                                                 self.weights, self.grid.envelope,
+                                                 self.grid.thresholds)
+        return obs, rew, blown or self._step >= self.cfg.steps_per_episode
+
+
+def env_case_grid(case, default_grid):
+    if case == "default":
+        return default_grid
+    if case == "lqr":
+        doc = load_config_doc("default_grid.json")
+        for gen in doc["generators"]:
+            gen["gains"] = {"lqr": {"q": 1, "r": 1}}
+        return load_grid_config(doc)
+    # A - L C expands, so the estimate and r_inf grow until they are NaN
+    # while the plant stays finite and no step is blown
+    grid = make_plain_grid(n=5, m=3, mcol=0.3)
+    return dataclasses.replace(grid, l=300.0 * grid.l)
+
+
+@pytest.mark.parametrize("case", ["default", "lqr", "expanding_estimator"])
+def test_env_step_keeps_the_bits_of_its_numpy_formulation(default_grid, case):
+    grid = env_case_grid(case, default_grid)
+    steps, episodes = 160, 2
+    rng = np.random.default_rng(4)
+    actions = rng.normal(scale=1.5, size=(episodes * steps, grid.n_breakers))
+    actions[rng.random(actions.shape) < 0.1] = 0.0
+    actions[rng.random(actions.shape) < 0.05] = -0.0
+    actions[rng.random(actions.shape) < 0.05] = np.nan
+    assert np.any(np.abs(actions) > 1.0)
+    envs = [cls(grid, EpisodeConfig(steps_per_episode=steps, episodes=episodes), ODD_WEIGHTS)
+            for cls in (GridEnv, ReferenceEnv)]
+    r_finite = set()
+    with np.errstate(all="ignore"):
+        for episode in np.split(actions, episodes):
+            got, want = (env.reset() for env in envs)
+            assert got.tobytes() == want.tobytes()
+            for action in episode:
+                got, want = (env.step(action.copy()) for env in envs)
+                assert got[0].dtype == want[0].dtype
+                assert got[0].tobytes() == want[0].tobytes()
+                assert type(got[1]) is float and got[1] == want[1]
+                assert got[2] == want[2]
+                r_finite.update(np.isfinite(got[0][grid.n_generators:2 * grid.n_generators]))
+    assert r_finite == ({True, False} if case == "expanding_estimator" else {True})
+
+
+def test_env_observation_reads_the_detector_statistic():
+    """r_inf is residue_norm of the residue record, so a NaN in either
+    output makes it NaN; the dynamics alone make both NaN at once."""
+    env = GridEnv(make_plain_grid(n=4), EpisodeConfig())
+    env.reset()
+    env._r[...] = [[1.0, np.nan], [np.nan, 1.0], [np.inf, np.nan], [-2.0, -0.0]]
+    _, r_inf, _ = env._observation([0.0] * 4)
+    assert np.array(r_inf).tobytes() == residue_norm(env._r).tobytes()
 
 
 @pytest.mark.parametrize("case", ["zero_init", "feedback_gain", "lqr", "schedule"])
