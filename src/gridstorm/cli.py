@@ -70,6 +70,8 @@ class _Manifest:
             "version": __version__,
             "command_line": args.command_line,
             "blas_core": blas_core(),
+            # numpy's SIMD targets past its baseline: np.tanh and np.exp take other bits
+            "simd_found": np.show_config(mode="dicts")["SIMD Extensions"].get("found", []),
             "config_sha256": _sha256_file(args.config),
             "seeds": {"master": args.seed},
             "started": _utc_now(),
@@ -423,8 +425,8 @@ def build_parser():
 
     def common(p, out_default):
         p.add_argument("--config", required=True, help="grid config JSON")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
         if out_default is not None:
+            p.add_argument("--seed", type=int, default=0, help="master seed")
             p.add_argument("--out", default=out_default, help="output directory")
 
     p = sub.add_parser("simulate", help="run the closed loop and export trace/plots")

@@ -177,11 +177,6 @@ class AffineModel:
         th = self.problem.grid.thresholds
         object.__setattr__(self, "_residue_th", (th[:, None], -float(np.min(th))))
 
-    def signals(self, knots: np.ndarray) -> np.ndarray:
-        """_signals of each candidate in an R x n x q_att x P stack of knots,
-        from the model: R x n x steps x 3."""
-        return _affine_signals(self.base, self.responses, knots)
-
     def score_many(self, knots: np.ndarray) -> np.ndarray:
         """objective() of each candidate in a stack of knots, from the model;
         +inf where its signals are non-finite."""
@@ -258,7 +253,10 @@ class RestartHistory:
     restart: int
     evaluations: int
     best_rho: float
-    success: bool
+
+    @property
+    def success(self):
+        return self.best_rho < 0.0
 
 
 @dataclass
@@ -267,14 +265,14 @@ class FalsifyResult:
     best_schedule: FalseDataSchedule
     best_rho: float
     evaluations: int
-    success: bool
     history: list = field(default_factory=list)
     simulations: int = 0     # every closed-loop run of the search, stacked or not
     scores: int = 0          # annealing candidates scored, speculative ones included
     rounds: int = 0          # stacked scoring rounds of the lockstep restarts
 
-    def __post_init__(self):
-        assert self.success == (self.best_rho < 0.0)
+    @property
+    def success(self):
+        return self.best_rho < 0.0
 
 
 def _simulated_rhos(problem: FalsificationProblem, knots) -> np.ndarray:
@@ -409,8 +407,7 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
     evaluations, simulations = 1, 1 + model.responses.shape[1] + (not zero_in_box)
     scores = rounds = 0
     best_rho, best_knots = rho_zero, z
-    history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
-                              success=rho_zero < 0.0)]
+    history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero)]
 
     if rho_zero >= 0.0:
         budget = problem.config.budget
@@ -423,8 +420,7 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
 
         for i, (chain, rho_i) in enumerate(ran):
             evaluations += chain.evals
-            history.append(RestartHistory(restart=i, evaluations=chain.evals,
-                                          best_rho=rho_i, success=rho_i < 0.0))
+            history.append(RestartHistory(restart=i, evaluations=chain.evals, best_rho=rho_i))
             if rho_i < best_rho:   # ties keep the earliest restart
                 best_rho, best_knots = rho_i, chain.best.copy()
 
@@ -433,7 +429,6 @@ def falsify_sa(problem: FalsificationProblem, rng: RngStream) -> FalsifyResult:
         best_schedule=decode_control_points(best_knots, problem.mask, problem.d),
         best_rho=float(best_rho),
         evaluations=evaluations,
-        success=best_rho < 0.0,
         history=history,
         simulations=simulations,
         scores=scores,

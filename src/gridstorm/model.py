@@ -254,12 +254,12 @@ class Calibration:
 class GridModel:
     """n generator loops with their load topology, safety envelope and
     residue thresholds.  The loop arrays are read-only and stacked along a
-    leading generator axis, the layout kernels.step_loop steps."""
+    leading generator axis, the layout kernels.step_loop steps; every loop
+    reads its outputs through C_OUT."""
 
     droop: np.ndarray                 # n droops D = 1/R, per-unit
     a: np.ndarray                     # n x 4 x 4 discretized plant
     b: np.ndarray                     # n x 4 load input
-    c: np.ndarray                     # n x 2 x 4 output map, zero feedthrough
     l: np.ndarray                     # n x 4 x 2 estimator gains
     k: np.ndarray                     # n x 4 state-feedback gains (0 by default)
     q_noise: np.ndarray               # n x 4 x 4 process covariances
@@ -277,7 +277,7 @@ class GridModel:
             raise ValueError("grid needs at least one generator")
         if not self.ts > 0:
             raise ValueError("ts must be > 0")
-        shapes = {"droop": (), "a": (4, 4), "b": (4,), "c": (2, 4), "l": (4, 2),
+        shapes = {"droop": (), "a": (4, 4), "b": (4,), "l": (4, 2),
                   "k": (4,), "q_noise": (4, 4), "r_noise": (2, 2), "thresholds": ()}
         for name, shape in shapes.items():
             arr = np.array(getattr(self, name), dtype=float)   # frozen below, so a copy
@@ -477,35 +477,33 @@ def _load_generator(doc, path, ts):
         k = _matrix(gains.get("k", np.zeros((1, N_STATES))),
                     f"{path}.gains.k", (1, N_STATES))
     l = None
-    if "l" in gains:
+    if "l" in gains:   # design_kalman_gain checks the gains it designs
         l = _matrix(gains["l"], f"{path}.gains.l", (N_STATES, N_OUTPUTS))
-    return dict(droop=params.droop, a=a, b=b[:, 0], c=C_OUT, l=l, k=k[0],
+        rho = spectral_radius(a - l @ C_OUT)
+        if not rho < 1.0:
+            raise ConfigError(path, f"estimator loop unstable: rho(A - L C) = {rho}")
+    return dict(droop=params.droop, a=a, b=b[:, 0], l=l, k=k[0],
                 q_noise=q_n, r_noise=r_n)
 
 
 def _load_generators(gens_doc, ts):
     """Every generator's loop arrays, stacked by GridModel field.  The
     estimator gains left out of the config are designed in one stacked call,
-    after every generator has been read; every gain must leave its estimator
-    loop contracting."""
+    after every generator has been read."""
     paths = [f"$.generators[{i}]" for i in range(len(gens_doc))]
     loops = [_load_generator(g, path, ts) for g, path in zip(gens_doc, paths)]
     design = [i for i, loop in enumerate(loops) if loop["l"] is None]
     if design:
+        a, q_n, r_n = (np.stack([loops[i][key] for i in design])
+                       for key in ("a", "q_noise", "r_noise"))
         try:
-            gains = design_kalman_gain(*(np.stack([loops[i][key] for i in design])
-                                         for key in ("a", "c", "q_noise", "r_noise")))
+            gains = design_kalman_gain(a, np.broadcast_to(C_OUT, (len(design), 2, 4)), q_n, r_n)
         except DesignFailure as exc:
             raise ConfigError(f"{paths[design[exc.problem]]}.gains.l",
                               f"estimator design failed: {exc}") from None
         for i, l in zip(design, gains):
             loops[i]["l"] = l
-    arrays = {key: np.stack([loop[key] for loop in loops]) for key in loops[0]}
-    rad = spectral_radius(arrays["a"] - arrays["l"] @ arrays["c"])
-    for path, rho in zip(paths, rad):
-        if not rho < 1.0:
-            raise ConfigError(path, f"estimator loop unstable: rho(A - L C) = {rho}")
-    return arrays
+    return {key: np.stack([loop[key] for loop in loops]) for key in loops[0]}
 
 
 def load_grid_config(document) -> GridModel:

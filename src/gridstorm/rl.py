@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import step_block, step_views
-from .model import NOMINAL_HZ, GridModel
+from .kernels import row_finite, step_block, step_views
+from .model import C_OUT, NOMINAL_HZ, GridModel
 from .sim import TWO_PI, BreakerSchedule, residue_norm
 
 
@@ -275,6 +275,9 @@ class GridEnv:
     command plus droop times d_omega.  SimTrace.p_e is absolute (schedule,
     offset and K x_hat included), so the two differ when either is non-zero.
 
+    An episode ends after steps_per_episode steps or where simulate()
+    truncates: at the first non-finite x, x_hat or r, a step that earns 0.
+
     A step forms the observation and the reward on Python floats, which
     round each operation as numpy's ufuncs do, and looks up the load
     offsets of a breaker pattern it has met before.
@@ -301,7 +304,8 @@ class GridEnv:
         z, yr = np.zeros((2, 2, n, 4)), np.zeros((2, 2, n, 2))
         u, zeros = np.zeros((2, 2, n)), np.zeros((2, n, 2))
         steps = step_views(z, yr, np.empty((2, n, 2)), u, zeros, zeros)
-        self._block = (grid.a, grid.b, grid.c, np.ascontiguousarray(np.moveaxis(grid.l, -1, 0)),
+        self._block = (grid.a, grid.b, np.broadcast_to(C_OUT, (n,) + C_OUT.shape),
+                       np.ascontiguousarray(np.moveaxis(grid.l, -1, 0)),
                        grid.k if np.any(grid.k) else None, steps, np.empty((1, 2, n, 4)),
                        np.zeros((1, 2, n, 4)), np.empty((2, n, 4)),
                        (False, False, False, True))   # no false data, no noise, a load
@@ -368,11 +372,10 @@ class GridEnv:
 
         self._prev_action = action.tolist()
         self._step += 1
-        x = self._x.ravel().tolist()   # 4 states a generator, d_omega first
-        blown = not all(map(math.isfinite, x))
+        blown = not row_finite(self._z1, self._r).all()
         self._done = blown or self._step >= self.cfg.steps_per_episode
 
-        f, r, pe = self._observation(x[::4])
+        f, r, pe = self._observation(self._x[:, 0].tolist())
         obs = np.array(f + r + pe + self._prev_action)
         rew = 0.0 if blown else reward(f, r, pe, self.weights, self.grid.envelope,
                                        self._thresholds)

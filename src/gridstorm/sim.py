@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import buffers, step_loop, valid_counts
-from .model import NOMINAL_HZ, GridModel, noise_factors
+from .model import C_OUT, NOMINAL_HZ, GridModel, noise_factors
 
 TWO_PI = 2.0 * math.pi
 SIGNAL_BASES = ("measured", "true")
@@ -223,8 +223,8 @@ def simulate_many(grid: GridModel, attacks, horizon: int, noise=False,
         raise ValueError("noise=True requires an rng per run")
 
     n, runs = grid.n_generators, len(attacks)
-    a, b, c, l, k = (np.concatenate([m] * runs)
-                     for m in (grid.a, grid.b, grid.c, grid.l, grid.k))
+    a, b, l, k = (np.concatenate([m] * runs) for m in (grid.a, grid.b, grid.l, grid.k))
+    c = np.broadcast_to(C_OUT, (runs * n,) + C_OUT.shape)
     use_k = bool(np.any(grid.k != 0.0))
     n_steps = horizon + 1
 

@@ -60,7 +60,7 @@ def make_plain_grid(n=1, thresholds=None, m=None, mcol=0.25, sched=None,
     envelope = SafetyEnvelope(f_lo=59.5, f_hi=60.5, pe_lo=-0.1, pe_hi=0.1)
     th = np.asarray(thresholds if thresholds is not None else [0.01] * n, dtype=float)
     sched = np.zeros((n, 1)) if sched is None else np.asarray(sched, dtype=float)
-    return GridModel(droop=[params.droop] * n, a=[a] * n, b=[b[:, 0]] * n, c=[C_OUT] * n,
-                     l=[l] * n, k=np.zeros((n, 4)), q_noise=[q] * n, r_noise=[r] * n,
+    return GridModel(droop=[params.droop] * n, a=[a] * n, b=[b[:, 0]] * n, l=[l] * n,
+                     k=np.zeros((n, 4)), q_noise=[q] * n, r_noise=[r] * n,
                      ts=0.01, load_map=load_map, envelope=envelope, thresholds=th,
                      scheduled_load=sched, noise_enabled=noise_enabled)

@@ -16,7 +16,7 @@ from scipy import stats
 from gridstorm.cli import main
 from gridstorm.falsify import (FalsificationProblem, FalsifyConfig, falsify_sa, objective,
                                zero_candidate)
-from gridstorm.model import (build_continuous, discretize_zoh, load_grid_config,
+from gridstorm.model import (C_OUT, build_continuous, discretize_zoh, load_grid_config,
                              spectral_radius)
 from gridstorm.numerics import RngStream, dare_map, mat_exp, solve_dare
 from gridstorm.rl import MLP, EpisodeConfig, GridEnv, TrainConfig, ddpg_train
@@ -79,7 +79,7 @@ def test_criterion_2_model():
     radii = []
     for name in ("default_grid.json", "toy_grid.json"):
         grid = load_grid_config(load_config_doc(name))
-        radii.extend(spectral_radius(grid.a - grid.l @ grid.c))
+        radii.extend(spectral_radius(grid.a - grid.l @ C_OUT))
 
     doc = load_config_doc("default_grid.json")
     doc["noise_enabled"] = False

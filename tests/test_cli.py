@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gridstorm.cli import main
+from gridstorm.cli import build_parser, main
 from gridstorm.falsify import load_attack_file
 from gridstorm.model import load_grid_config
 from gridstorm.sim import check_success, robustness, simulate
@@ -535,3 +535,21 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["simulate"])  # missing --config
     assert err.value.code == 2
+
+
+def test_seed_comes_with_a_manifest(capsys):
+    """--seed is recorded in the manifest, so only the commands that write
+    one take it; validate writes none."""
+    parser = build_parser()
+    required = {"simulate": [], "train-laa": ["--train-config", "t.json"],
+                "falsify": ["--laa", "l.json"], "compare": ["--attack", "a.json"],
+                "validate": ["--attack", "a.json"]}
+    for command, argv in required.items():
+        argv = [command, "--config", "g.json", *argv, "--seed", "5"]
+        if command == "validate":
+            with pytest.raises(SystemExit) as err:
+                parser.parse_args(argv)
+            assert err.value.code == 2 and "--seed" in capsys.readouterr().err
+        else:
+            args = parser.parse_args(argv)
+            assert args.seed == 5 and args.out == f"out/{command.removesuffix('-laa')}"

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 import gridstorm.falsify
 from gridstorm.cli import main
 from gridstorm.falsify import (COOLING_FACTOR, COOLING_WINDOW, REJECTION_WINDOW,
-                               SIGMA_FLOOR, SIGMA_INIT, AffineModel,
+                               SIGMA_FLOOR, SIGMA_INIT, AffineModel, _affine_signals,
                                FalsificationProblem, FalsifyConfig, FalsifyResult,
                                RestartHistory, ValidationMismatch, affine_model,
                                decode_control_points, falsify_sa, knot_boundaries,
@@ -343,7 +343,7 @@ def test_affine_model_agrees_with_objective(mask, basis, gain):
         assert moved == (gain == "lqr")
     rng = RngStream(23, 0)
     knots = np.stack([sample_candidate(prob, rng) for _ in range(50)])
-    scores, signals = model.score_many(knots), model.signals(knots)
+    scores, signals = model.score_many(knots), model_signals(model, knots)
     rhos = []
     for cand, score, sig in zip(knots, scores, signals):
         rho = objective(prob, cand)
@@ -355,6 +355,12 @@ def test_affine_model_agrees_with_objective(mask, basis, gain):
         assert np.max(np.abs(sig[:, :, 0] - trace.frequency(basis))) <= 1e-12
         assert np.max(np.abs(sig[:, :, 1:] - trace.residue)) <= 1e-12
     assert len(set(rhos)) > 1     # the candidates move rho
+
+
+def model_signals(model, knots):
+    """The frequency and both residues (R x n x steps x 3) of each
+    candidate in a stack of knots, from the model."""
+    return _affine_signals(model.base, model.responses, knots)
 
 
 def signals_rho(problem, sig):
@@ -375,7 +381,8 @@ def test_fixed_frequency_score_is_the_full_composition(mask, basis, gain):
                                                                    mask[0] == 0))
     rng = RngStream(24, 0)
     knots = np.stack([sample_candidate(prob, rng) for _ in range(50)])
-    assert model.score_many(knots).tobytes() == signals_rho(prob, model.signals(knots)).tobytes()
+    want = signals_rho(prob, model_signals(model, knots))
+    assert model.score_many(knots).tobytes() == want.tobytes()
 
 
 @functools.cache
@@ -500,12 +507,6 @@ def test_history_covers_restarts():
     assert sum(h.evaluations for h in res.history) == res.evaluations
 
 
-def test_result_invariant_success_iff_negative():
-    with pytest.raises(AssertionError):
-        FalsifyResult(best_knots=None, best_schedule=None, best_rho=0.5,
-                      evaluations=1, success=True)
-
-
 # ---------------------------------------------------------------------------
 # lockstep restarts against the sequential search
 
@@ -573,8 +574,7 @@ def sequential_falsify(problem, rng, negative=frozenset()):
     rho_zero = objective(problem, z)
     evaluations = 1
     best_rho, best_knots = rho_zero, z
-    history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero,
-                              success=rho_zero < 0.0)]
+    history = [RestartHistory(restart=-1, evaluations=1, best_rho=rho_zero)]
     if rho_zero >= 0.0:
         budget = problem.config.budget
         restarts = min(problem.config.restarts, budget)
@@ -592,8 +592,7 @@ def sequential_falsify(problem, rng, negative=frozenset()):
                                                       score)
             rho_i = objective(problem, knots_i)
             evaluations += evals_i
-            history.append(RestartHistory(restart=i, evaluations=evals_i,
-                                          best_rho=rho_i, success=rho_i < 0.0))
+            history.append(RestartHistory(restart=i, evaluations=evals_i, best_rho=rho_i))
             if rho_i < best_rho:
                 best_rho, best_knots = rho_i, knots_i
             if rho_i < 0.0:
@@ -602,7 +601,7 @@ def sequential_falsify(problem, rng, negative=frozenset()):
                          best_schedule=decode_control_points(best_knots, problem.mask,
                                                              problem.d),
                          best_rho=float(best_rho), evaluations=evaluations,
-                         success=best_rho < 0.0, history=history)
+                         history=history)
 
 
 def assert_same_search(got, want):
@@ -722,7 +721,7 @@ def test_fixed_path_score_is_inf_where_residues_overflow():
                       np.array([[[0.0, 0.0, 0.0, 0.5]]])])   # 4e308, 0, 4e299, 5e307
     rhos = huge.score_many(knots)
     assert rhos[0] == np.inf
-    want = signals_rho(prob, huge.signals(knots[1:]))
+    want = signals_rho(prob, model_signals(huge, knots[1:]))
     assert np.all(np.isfinite(want))
     assert rhos[1:].tobytes() == want.tobytes()
     assert rhos[1:2].tobytes() == model.score_many(knots[1:2]).tobytes()

@@ -4,9 +4,10 @@ Each command runs in-process, on the frozen inputs in perfbench/inputs/
 (read only) or on the benchmark's 15-episode cut of train_short.json, and
 every file it writes, apart from its manifest, must keep the sha256 below.
 These hold under the SkylakeX, Haswell, Sandybridge and Prescott kernels of
-numpy's OpenBLAS, bar the trained weights, which are pinned per kernel and
-not checked under any other.  A change that moves one of these bytes on
-purpose updates the table and says so.
+numpy's OpenBLAS and with numpy's SIMD dispatch cut to its baseline
+(NPY_DISABLE_CPU_FEATURES), bar the trained weights, which are pinned per
+kernel and SIMD level and not checked under any other.  A change that moves
+one of these bytes on purpose updates the table and says so.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, config_path, load_config_doc
@@ -47,13 +49,16 @@ TRAIN_SHA256 = {
     "reward_curve.csv": "42cf98afa5c2ec22437f6023fa9bb8174c961d38bf91ff7aefb4899058f4160a",
     "reward_curve.svg": "cbe6c6847b077e9d49f57fb5b3dbac402c93ae08bf9c6fc4a73865b0f42ea898",
 }
-# DDPG's matmuls give the weights other bits under each kernel, keyed by the
-# name the library reports: OPENBLAS_CORETYPE=Prescott reports "Katmai"
+# The weights take other bits under each OpenBLAS kernel, from DDPG's
+# matmuls, and without numpy's X86_V3 SIMD loops, from np.tanh and np.exp.
+# Keyed by the kernel name the library reports (OPENBLAS_CORETYPE=Prescott
+# reports "Katmai") and by whether numpy dispatches to X86_V3
 ACTOR_SHA256 = {
-    "SkylakeX": "1f21b11a5b7cbe352337193d11c7e15bc87726a70a9d3004e499e7a8824e9dbf",
-    "Haswell": "eed851c3e5c42487bb38921a68ff33d64ae94da2b18f2bead22d3bb924e255a6",
-    "Sandybridge": "c1f7f55121e5ad8338f1f44b8cc01b8d4fc6dc424e00ff8663c19c7c9e80f4a9",
-    "Katmai": "431b504f574968bcb515247197d2cf9a4918d4a6d70475465b4028582d49bdab",
+    ("SkylakeX", True): "1f21b11a5b7cbe352337193d11c7e15bc87726a70a9d3004e499e7a8824e9dbf",
+    ("Haswell", True): "eed851c3e5c42487bb38921a68ff33d64ae94da2b18f2bead22d3bb924e255a6",
+    ("Sandybridge", True): "c1f7f55121e5ad8338f1f44b8cc01b8d4fc6dc424e00ff8663c19c7c9e80f4a9",
+    ("Katmai", True): "431b504f574968bcb515247197d2cf9a4918d4a6d70475465b4028582d49bdab",
+    ("SkylakeX", False): "7660f39661ca1e23d595b744a1239933f20d5d7146dd64526214de5aa3dd281d",
 }
 
 
@@ -98,19 +103,21 @@ def test_training_artifacts_keep_their_bytes(tmp_path, capsys):
     assert main(["train-laa", "--config", GRID, "--train-config", str(train_config),
                  "--seed", "3", "--out", str(out)]) == 0
     capsys.readouterr()
-    core = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["blas_core"]
-    assert core == blas_core()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    simd = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    assert manifest["blas_core"] == blas_core() and manifest["simd_found"] == simd
+    key = (manifest["blas_core"], "X86_V3" in manifest["simd_found"])
     got = tree_sha256(out)
     want = dict(TRAIN_SHA256)
-    if core in ACTOR_SHA256:
-        want["actor.gsrl"] = ACTOR_SHA256[core]
+    if key in ACTOR_SHA256:
+        want["actor.gsrl"] = ACTOR_SHA256[key]
     else:
         del got["actor.gsrl"]
     assert got == want
 
 
 def test_blas_core_reads_the_kernel_a_process_picked():
-    if blas_core() not in ACTOR_SHA256:
+    if blas_core() not in {core for core, _ in ACTOR_SHA256}:
         pytest.skip(f"OpenBLAS kernel {blas_core()!r} is not one of the pinned x86 kernels")
     env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
            "PYTHONPATH": os.path.join(REPO_ROOT, "src")}

@@ -11,7 +11,7 @@ import pytest
 
 import gridstorm.kernels as kernels
 import gridstorm.rl as rl
-from gridstorm.model import load_grid_config
+from gridstorm.model import C_OUT, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.rl import EpisodeConfig, GridEnv
 from gridstorm.sim import AttackVector, FalseDataSchedule, simulate_many
@@ -222,8 +222,8 @@ def test_blocks_with_and_without_inputs_match_einsum_kernels(use_k, einsum_kerne
         grid = grid_case(case)
         rng = np.random.default_rng(8)
         rows = runs * grid.n_generators
-        a, b, c, l, k = (np.concatenate([m] * runs)
-                         for m in (grid.a, grid.b, grid.c, grid.l, grid.k))
+        a, b, l, k = (np.concatenate([m] * runs) for m in (grid.a, grid.b, grid.l, grid.k))
+        c = np.broadcast_to(C_OUT, (rows, 2, 4))
         x0 = rng.normal(scale=1e-3, size=(rows, 4))
         u_sched, u_laa = rng.normal(scale=0.01, size=(2, rows, horizon + 1))
         for load in (u_sched, u_laa):

@@ -216,8 +216,8 @@ def test_config_reads_every_generator_before_designing_estimators():
 
 
 def test_designed_estimators_are_contracting(default_grid):
-    for a, l, c in zip(default_grid.a, default_grid.l, default_grid.c):
-        assert spectral_radius(a - l @ c) < 1.0
+    for a, l in zip(default_grid.a, default_grid.l):
+        assert spectral_radius(a - l @ C_OUT) < 1.0
 
 
 def test_lqr_zero_state_cost_gives_zero_gain():
@@ -289,7 +289,7 @@ def test_default_config_loads_three_generators(default_grid):
 
 def test_grid_loop_arrays_are_read_only(default_grid):
     assert default_grid.a.shape == (3, 4, 4) and default_grid.l.shape == (3, 4, 2)
-    for name in ("a", "b", "c", "l", "k", "q_noise", "r_noise", "thresholds"):
+    for name in ("a", "b", "l", "k", "q_noise", "r_noise", "thresholds"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(default_grid, name)[0] += 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -360,7 +360,7 @@ def test_config_supplied_gain_is_used():
 
 def test_estimator_error_decays_geometrically():
     grid = make_plain_grid(n=1, thresholds=[1.0])
-    m = grid.a[0] - grid.l[0] @ grid.c[0]
+    m = grid.a[0] - grid.l[0] @ C_OUT
     e = np.array([1.0, 0.5, -0.5, 0.25])
     norms = []
     for _ in range(1000):

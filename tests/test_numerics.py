@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gridstorm.numerics
+from gridstorm.model import C_OUT
 from gridstorm.numerics import (CHECK_ITERATIONS, RiccatiDivergence, RngStream, dare_map,
                                 mat_exp, solve_dare)
 
@@ -169,7 +170,7 @@ def test_dare_with_huge_noise_stops_on_relative_residual(default_grid, monkeypat
         calls.append(1)
         return dare_map(*args)
 
-    a, c, r = default_grid.a[1], default_grid.c[1], default_grid.r_noise[1]
+    a, c, r = default_grid.a[1], C_OUT, default_grid.r_noise[1]
     problem = (a.T, c.T, 1e300 * np.eye(4), r)
     monkeypatch.setattr(gridstorm.numerics, "dare_map", counting_map)
     p = solve_dare(*problem)

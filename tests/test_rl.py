@@ -466,7 +466,8 @@ def test_env_aggressive_action_loses_stealth():
 
 class ReferenceEnv(GridEnv):
     """GridEnv with step in its numpy formulation: np.clip, the load map's
-    offsets on every step, np.concatenate and the array reward."""
+    offsets on every step, np.concatenate and the array reward.  A step
+    whose x, x_hat or r is non-finite ends the episode and earns 0."""
 
     def reset(self):
         super().reset()
@@ -489,7 +490,7 @@ class ReferenceEnv(GridEnv):
         step_block(*self._block)
         self.ref_action = action
         self._step += 1
-        blown = not np.all(np.isfinite(self._x))
+        blown = not all(np.all(np.isfinite(arr)) for arr in (self._x, self._xhat, self._r))
         obs = self.ref_observation()
         n = self.n
         rew = 0.0 if blown else reference_reward(obs[:n], obs[n:2 * n], obs[2 * n:3 * n],
@@ -506,8 +507,8 @@ def env_case_grid(case, default_grid):
         for gen in doc["generators"]:
             gen["gains"] = {"lqr": {"q": 1, "r": 1}}
         return load_grid_config(doc)
-    # A - L C expands, so the estimate and r_inf grow until they are NaN
-    # while the plant stays finite and no step is blown
+    # A - L C expands, so the estimate and r_inf grow until they are
+    # non-finite while the plant stays finite
     grid = make_plain_grid(n=5, m=3, mcol=0.3)
     return dataclasses.replace(grid, l=300.0 * grid.l)
 
@@ -524,19 +525,25 @@ def test_env_step_keeps_the_bits_of_its_numpy_formulation(default_grid, case):
     assert np.any(np.abs(actions) > 1.0)
     envs = [cls(grid, EpisodeConfig(steps_per_episode=steps, episodes=episodes), ODD_WEIGHTS)
             for cls in (GridEnv, ReferenceEnv)]
-    r_finite = set()
+    r_finite, lengths = set(), []
     with np.errstate(all="ignore"):
         for episode in np.split(actions, episodes):
             got, want = (env.reset() for env in envs)
             assert got.tobytes() == want.tobytes()
-            for action in episode:
+            for t, action in enumerate(episode, 1):
                 got, want = (env.step(action.copy()) for env in envs)
                 assert got[0].dtype == want[0].dtype
                 assert got[0].tobytes() == want[0].tobytes()
                 assert type(got[1]) is float and got[1] == want[1]
                 assert got[2] == want[2]
                 r_finite.update(np.isfinite(got[0][grid.n_generators:2 * grid.n_generators]))
-    assert r_finite == ({True, False} if case == "expanding_estimator" else {True})
+                if got[2]:
+                    break
+            lengths.append(t)
+    if case == "expanding_estimator":   # each episode ends where r_inf first goes non-finite
+        assert r_finite == {True, False} and max(lengths) < steps
+    else:
+        assert r_finite == {True} and lengths == [steps] * episodes
 
 
 def test_env_observation_reads_the_detector_statistic():
@@ -549,8 +556,12 @@ def test_env_observation_reads_the_detector_statistic():
     assert np.array(r_inf).tobytes() == residue_norm(env._r).tobytes()
 
 
-@pytest.mark.parametrize("case", ["zero_init", "feedback_gain", "lqr", "schedule"])
+@pytest.mark.parametrize("case", ["zero_init", "feedback_gain", "lqr", "schedule",
+                                  "expanding_estimator"])
 def test_env_matches_simulate_over_executed_schedule(case):
+    """The env steps simulate's records.  Where a record goes non-finite,
+    the env ends its episode at the step whose record simulate's trace
+    of the executed schedule is truncated before."""
     doc = load_config_doc("default_grid.json")
     # five columns, shorter than the 36-step episode: both hold the last one
     sched = np.array([[0.01, -0.02, 0.015, 0.005, -0.01],
@@ -563,23 +574,31 @@ def test_env_matches_simulate_over_executed_schedule(case):
     if gains:
         for gen in doc["generators"]:
             gen["gains"] = gains
-    grid = load_grid_config(doc)
-    steps = 36
+    grid, steps = load_grid_config(doc), 36
+    if case == "expanding_estimator":
+        grid, steps = env_case_grid(case, None), 400
     env = GridEnv(grid, EpisodeConfig(steps_per_episode=steps, episodes=1))
     env.reset()
     states = [(env._x.copy(), env._xhat.copy(), env._r.copy())]
     observations = []
     actions = RngStream(5, 0).uniform(-1.0, 1.0, size=(steps, grid.n_breakers))
-    for act in actions:
-        observations.append(env.step(act)[0])
-        states.append((env._x.copy(), env._xhat.copy(), env._r.copy()))
+    with np.errstate(all="ignore"):
+        for act in actions:
+            obs, _, done = env.step(act)
+            observations.append(obs)
+            states.append((env._x.copy(), env._xhat.copy(), env._r.copy()))
+            if done:
+                break
 
     schedule = env.executed_schedule()
     attack = AttackVector(schedule, FalseDataSchedule(
         np.zeros((grid.n_generators, schedule.d, 2)), np.array([0, 1])))
     tr = simulate(grid, attack, horizon=schedule.d)
-    assert not tr.truncated
-    for j, (x, xhat, r) in enumerate(states):
+    if case == "expanding_estimator":
+        assert tr.truncated and tr.n_steps == len(observations) < steps
+    else:
+        assert not tr.truncated and len(observations) == steps
+    for j, (x, xhat, r) in enumerate(states[:tr.n_steps]):
         assert np.array_equal(x, tr.x[:, j]), j
         assert np.array_equal(xhat, tr.xhat[:, j]), j
         assert np.array_equal(r, tr.residue[:, j]), j
@@ -587,7 +606,7 @@ def test_env_matches_simulate_over_executed_schedule(case):
     n = grid.n_generators
     droop = grid.droop
     offsets = grid.load_map.matrix @ (schedule.signals - grid.load_map.b_nom).T
-    for j, obs in enumerate(observations, 1):
+    for j, obs in enumerate(observations[:tr.n_steps - 1], 1):
         want = offsets[:, j - 1] + droop * tr.x[:, j, 0]
         assert np.array_equal(obs[2 * n:3 * n], want), j
     # K x_hat reaches plant and estimator alike: their inputs differ by the offset

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gridstorm.sim as sim
-from gridstorm.model import (NOMINAL_HZ, LoadMap, design_lqr_gain, load_grid_config,
+from gridstorm.model import (C_OUT, NOMINAL_HZ, LoadMap, design_lqr_gain, load_grid_config,
                              spectral_radius)
 from gridstorm.numerics import RngStream
 from gridstorm.sim import (CSV_CHUNK_STEPS, CSV_COLUMNS, AttackVector,
@@ -101,9 +101,9 @@ def reference_simulate(grid, attack, horizon, w=None, v=None):
 
     rs = []
     for i in range(n):
-        y = grid.c[i] @ xs[i]
+        y = C_OUT @ xs[i]
         ym = y + ay_at(i, 0) + (0.0 if v is None else v[i, 0])
-        rs.append(ym - grid.c[i] @ xhats[i])
+        rs.append(ym - C_OUT @ xhats[i])
         out["x"].append([xs[i].copy()])
         out["xhat"].append([xhats[i].copy()])
         out["y"].append([y])
@@ -113,7 +113,7 @@ def reference_simulate(grid, attack, horizon, w=None, v=None):
     for k in range(1, horizon + 1):
         offs = laa_at(k - 1)
         for i in range(n):
-            a, b, c, l = grid.a[i], grid.b[i], grid.c[i], grid.l[i]
+            a, b, c, l = grid.a[i], grid.b[i], C_OUT, grid.l[i]
             fb = grid.k[i] @ xhats[i]
             u_act = sched_at(i, k - 1) + offs[i] + fb
             u_bel = sched_at(i, k - 1) + fb
@@ -210,6 +210,35 @@ def test_noisy_simulate_matches_reference_loop(monkeypatch):
     assert [arr.tobytes() for arr in drawn[0]] == [w.tobytes(), v.tobytes()]
 
 
+def test_noise_draw_scales_by_the_lower_cholesky_factors(monkeypatch):
+    """With a non-diagonal Q and R, w and v are the normals times the
+    transposed lower Cholesky factors, which the reference forms itself; a
+    transposed factor draws other noise."""
+    q = 1e-6 * (np.eye(4) + 0.5 * np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0],
+                                            [0, 0, 0, 0]]))
+    r = 1e-6 * np.array([[1.0, 0.4], [0.4, 1.0]])
+    grid = dataclasses.replace(make_plain_grid(n=2, thresholds=[0.5, 0.5], mcol=0.3),
+                               q_noise=[q, 2.0 * q], r_noise=[r, 3.0 * r])
+    horizon, seeds = 25, (31, 32)
+    drawn, step_loop = [], sim.step_loop
+
+    def recording(*args):
+        drawn.append(args[12:14])   # the w and v simulate_many drew
+        return step_loop(*args)
+    monkeypatch.setattr(sim, "step_loop", recording)
+    simulate_many(grid, [None, None], horizon, noise=True,
+                  rngs=[RngStream(seed, 1) for seed in seeds])
+    chol_q = [np.linalg.cholesky(cov + 1e-300 * np.eye(4)) for cov in grid.q_noise]
+    chol_r = [np.linalg.cholesky(cov) for cov in grid.r_noise]
+    w, v = [], []
+    for seed in seeds:
+        rng = RngStream(seed, 1)
+        w += [rng.normal(size=(horizon, 4)) @ f.T for f in chol_q]
+        v += [rng.normal(size=(horizon + 1, 2)) @ f.T for f in chol_r]
+    assert [arr.tobytes() for arr in drawn[0]] == [np.array(w).tobytes(),
+                                                   np.array(v).tobytes()]
+
+
 def test_equilibrium_stays_exactly_zero():
     grid = make_plain_grid(n=2, thresholds=[0.1, 0.1])
     tr = simulate(grid, None, horizon=50)
@@ -270,7 +299,7 @@ def test_trace_step_identities():
     attack = AttackVector(BreakerSchedule(sig),
                           FalseDataSchedule(np.zeros((2, 20, 2)), np.array([0, 1])))
     tr = simulate(grid, attack, horizon=40)
-    c = grid.c[0]
+    c = C_OUT
     for k in (0, 1, 17, 40):
         want = tr.y_meas[:, k] - np.einsum("os,ns->no", c, tr.xhat[:, k])
         assert np.allclose(tr.residue[:, k], want, atol=1e-15)
@@ -618,7 +647,7 @@ def test_fdia_only_detected_earlier_than_paired_combination(default_grid):
     candidates = np.linspace(-0.05, 0.05, 41)
     vals = np.zeros((3, d, 2))
     for i in range(3):
-        a, b, c, l = grid.a[i], grid.b[i], grid.c[i], grid.l[i]
+        a, b, c, l = grid.a[i], grid.b[i], C_OUT, grid.l[i]
         row = grid.load_map.matrix[i]
         x = np.zeros(4)
         xhat = np.zeros(4)
