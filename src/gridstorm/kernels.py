@@ -2,8 +2,11 @@
 
 Every generator's plant state x and estimate x_hat advance together as one
 block z = [x; x_hat] of shape (2, n, 4), so a step costs the same few ufunc
-calls whatever the number of generators.  A z and C z are np.matvec calls,
-which give einsum's bits at half its call cost.  step_block() advances the
+calls whatever the number of generators.  A z is an np.matvec call, which
+gives einsum's bits at half its call cost.  The outputs [y; C x_hat] are
+one copy of z's MEASURED components (model.py), not a product by C_OUT: a
+copy into the contiguous yr keeps every later op on numpy's contiguous fast
+path, where a strided view of z would not.  step_block() advances the
 block through a run of step-major records, walking views made once by
 step_views(), with no per-step indexing.  A step's Python work is the views
 it zips, each about a sixth of a ufunc call's cost, so it zips only the
@@ -26,19 +29,24 @@ u_bel = u_sched + K x_hat, (A z + b u) + [w; L r], L r = r_0 l_0 + r_1 l_1
 that both terms are contiguous), (y + a_y) + v and y_meas - C x_hat.
 Without a gain (K = 0) the K x_hat terms are skipped.  L r can be a zero
 of the other sign than einsum's, but A z + b u is never -0 (np.matvec sums
-from +0), so the sum is einsum's bits all the same.  So too an input that
-is all zero over a block (a_y outside the attack, v and w without noise)
-is skipped: x + 0 is x for every x but -0, and none of A z + b u, y = C z
-and y + a_y is ever -0.  With a_y and v both skipped, r = y - C x_hat and
-y_meas is copied from y after the block.  Without a gain, a block whose
-load input u is all zero (a zero schedule with nominal breakers, as in every
-threshold calibration) skips b u as well: b is finite, so b u is +-0, and
-A z is never -0.
+from +0), so the sum is einsum's bits all the same.  Hence no component of
+a stepped record is ever -0, and the copied outputs are C_OUT z's bits in
+any summation order wherever the components C_OUT drops are finite (0 * inf
+is NaN); a record with a non-finite component is past its row's valid count
+anyway.  An input that is all zero over a block (a_y outside the attack, v
+and w without noise) is skipped too: x + 0 is x for every x but -0, and
+none of A z + b u, y and y + a_y is ever -0.  With a_y and v both skipped,
+r = y - C x_hat and y_meas is copied from y after the block.  Without a
+gain, a block whose load input u is all zero (a zero schedule with nominal
+breakers, as in every threshold calibration) skips b u as well: b is
+finite, so b u is +-0, and A z is never -0.
 """
 
 from itertools import repeat
 
 import numpy as np
+
+from .model import MEASURED
 
 
 def add_feedback(k, xhat, u):
@@ -52,14 +60,16 @@ def step_views(z, yr, ym, u, a_y, v):
     yr (steps, 2, n, 2), u = [u_act; u_bel] (steps, 2, n) and ym, a_y, v
     (steps, n, 2).  Slicing each view by steps gives a block's views."""
     return (z[:-1], yr[:-1, 1].swapaxes(-1, -2)[..., None], u[:-1, :, :, None],
-            z[1:], yr[1:], yr[1:, 0], yr[1:, 1], ym[1:], a_y[1:], v[1:])
+            z[1:], z[1:, ..., MEASURED], yr[1:], yr[1:, 0], yr[1:, 1], ym[1:],
+            a_y[1:], v[1:])
 
 
-def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
+def step_block(a, b, lt, k, steps, bu, wlr, lr, inputs):
     """Advance every loop through one block of steps, in place.
 
     Step t writes record t + 1: z = (A z + b u) + [w; L r] from record t,
-    then [y; r] and y_meas from C z, a_y and v.  lt is L as (2, n, 4), with
+    then [y; C x_hat], copied from z's MEASURED components, and from them
+    y_meas and r with a_y and v.  lt is L as (2, n, 4), with
     lt[o] = L[..., o]; steps are step_views() cut to the block; bu and wlr
     (steps, 2, n, 4) and lr (2, n, 4) are scratch, and wlr[:, 0] must hold
     each step's process noise w.  inputs flags whether the block's a_y, v,
@@ -69,8 +79,8 @@ def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
     added only when the load is flagged.
     """
     add, multiply, subtract, matvec = np.add, np.multiply, np.subtract, np.matvec
-    z, r, u, z1s, yr1s, y1s, r1s, ym1s = steps[:8]
-    meas = [m for m, nonzero in zip(steps[8:], inputs) if nonzero]
+    z, r, u, z1s, zm1s, yr1s, y1s, r1s, ym1s = steps[:9]
+    meas = [m for m, nonzero in zip(steps[9:], inputs) if nonzero]
     unused = repeat(None)
     # a slot the block does not use yields None, so every flag pattern runs
     # the one loop below and a step makes only the views it reads
@@ -86,8 +96,9 @@ def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
     m0s, m1s = (meas + [unused, unused])[:2]
     lr0, lr1 = lr
     z0 = z[0]
-    for r0, z1, yr1, y1, r1, ym1, lr_t, wlr_t, xh1, bu_t, m0, m1, gain in zip(
-            r, z1s, yr1s, ys, r1s, yms, wlr[:, 1], noises, x_hats, loads, m0s, m1s, gains):
+    for r0, z1, zm1, yr1, y1, r1, ym1, lr_t, wlr_t, xh1, bu_t, m0, m1, gain in zip(
+            r, z1s, zm1s, yr1s, ys, r1s, yms, wlr[:, 1], noises, x_hats, loads, m0s, m1s,
+            gains):
         if gain is not None:
             xh0, u_t, u_col = gain
             add_feedback(k, xh0, u_t)
@@ -102,7 +113,7 @@ def step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
             add(z1, wlr_t, z1)
         else:
             add(xh1, lr_t, xh1)
-        matvec(c, z1, yr1)
+        yr1[...] = zm1
         if m0 is not None:
             add(y1, m0, ym1)
             if m1 is not None:
@@ -125,6 +136,12 @@ def buffers(n, n_steps):
     return (alloc(n_steps, n, 2), alloc(n_steps - 1, n, 4), alloc(n_steps, n, 2),
             alloc(n_steps, 2, n, 4, gen_axis=1), alloc(n_steps, 2, n, 2, gen_axis=1),
             alloc(n_steps, n, 2), alloc(n_steps, 2, n, gen_axis=1))
+
+
+def all_finite(z, r):
+    """Whether every row's state z and residue r are all finite: the
+    verdict of row_finite(z, r).all(), at about two thirds of its cost."""
+    return np.isfinite(z).all() and np.isfinite(r).all()
 
 
 def row_finite(z, r):
@@ -153,8 +170,9 @@ def nonzero_blocks(arr, starts):
 STOP_CHECK_STEPS = 64
 
 
-# The unused leading slot stays because perfbench/tracer.py reads this
-# function's arguments by position (args[1], args[3], args[6], args[14]).
+# The unused leading slot and c, the (rows, 2, 4) output map that no op reads
+# any more, stay because perfbench/tracer.py reads this function's arguments
+# by position (args[1], args[3], args[6], args[14]).
 def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, v,
               z, yr, ym, u):
     """Fill the records 0..horizon of every row; return the number of
@@ -182,7 +200,7 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
     zs[0, 0] = x0
     zs[0, 1] = xhat0
     with np.errstate(all="ignore"):
-        np.matvec(c, zs[0], out=yrs[0])   # record 0's [y; r] and y_meas, as in step_block
+        yrs[0] = zs[0, ..., MEASURED]   # record 0's [y; r] and y_meas, as in step_block
         np.add(yrs[0, 0], ays[0], out=yms[0])
         np.add(yms[0], vs[0], out=yms[0])
         np.subtract(yms[0], yrs[0, 1], out=yrs[0, 1])
@@ -192,15 +210,16 @@ def step_loop(_unused, a, b, c, l, k, use_k, x0, xhat0, u_sched, u_laa, a_y, w, 
         flags = [nonzero_blocks(x, starts) for x in (ays[1:], vs[1:], ws)]
         flags.append([True] * len(starts) if use_k else nonzero_blocks(us[:-1], starts))
         for t0, *inputs in zip(starts, *flags):
-            if t0 and not row_finite(zs[t0], yrs[t0, 1]).any():
+            if t0 and not (all_finite(zs[t0], yrs[t0, 1])
+                           or row_finite(zs[t0], yrs[t0, 1]).any()):
                 break
             t1 = min(t0 + STOP_CHECK_STEPS, n_steps - 1)
             wlr[:t1 - t0, 0] = ws[t0:t1]
-            step_block(a, b, c, lt, k if use_k else None, [s[t0:t1] for s in views],
+            step_block(a, b, lt, k if use_k else None, [s[t0:t1] for s in views],
                        bu[:t1 - t0], wlr[:t1 - t0], lr, inputs)
         else:
             if use_k:
                 add_feedback(k, zs[-1, 1], us[-1])
-    if np.isfinite(z).all() and np.isfinite(yr[:, :, 1]).all():
+    if all_finite(z, yr[:, :, 1]):
         return n_steps   # valid_counts' answer when every record is finite, at a tenth of its cost
     return int(valid_counts(z, yr).min())

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import row_finite, step_block, step_views
-from .model import C_OUT, NOMINAL_HZ, GridModel
+from .kernels import all_finite, step_block, step_views
+from .model import NOMINAL_HZ, GridModel
 from .sim import TWO_PI, BreakerSchedule, residue_norm
 
 
@@ -304,8 +304,7 @@ class GridEnv:
         z, yr = np.zeros((2, 2, n, 4)), np.zeros((2, 2, n, 2))
         u, zeros = np.zeros((2, 2, n)), np.zeros((2, n, 2))
         steps = step_views(z, yr, np.empty((2, n, 2)), u, zeros, zeros)
-        self._block = (grid.a, grid.b, np.broadcast_to(C_OUT, (n,) + C_OUT.shape),
-                       np.ascontiguousarray(np.moveaxis(grid.l, -1, 0)),
+        self._block = (grid.a, grid.b, np.ascontiguousarray(np.moveaxis(grid.l, -1, 0)),
                        grid.k if np.any(grid.k) else None, steps, np.empty((1, 2, n, 4)),
                        np.zeros((1, 2, n, 4)), np.empty((2, n, 4)),
                        (False, False, False, True))   # no false data, no noise, a load
@@ -372,7 +371,7 @@ class GridEnv:
 
         self._prev_action = action.tolist()
         self._step += 1
-        blown = not row_finite(self._z1, self._r).all()
+        blown = not all_finite(self._z1, self._r)
         self._done = blown or self._step >= self.cfg.steps_per_episode
 
         f, r, pe = self._observation(self._x[:, 0].tolist())

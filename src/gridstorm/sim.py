@@ -224,7 +224,7 @@ def simulate_many(grid: GridModel, attacks, horizon: int, noise=False,
 
     n, runs = grid.n_generators, len(attacks)
     a, b, l, k = (np.concatenate([m] * runs) for m in (grid.a, grid.b, grid.l, grid.k))
-    c = np.broadcast_to(C_OUT, (runs * n,) + C_OUT.shape)
+    c = np.broadcast_to(C_OUT, (runs * n,) + C_OUT.shape)   # no op reads it; see step_loop
     use_k = bool(np.any(grid.k != 0.0))
     n_steps = horizon + 1
 

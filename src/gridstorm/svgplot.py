@@ -5,31 +5,24 @@ fixed float formatting, no timestamps or library version strings.
 """
 
 import math
+from itertools import compress
 
 import numpy as np
 
 PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02")
 
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 16, 34, 44
-CHUNK_POINTS = 1024   # polyline points formatted per template
 
 
 def _f(x):
     return format(float(x), ".6g")
 
 
-def _points(px, py):
-    """Polyline points "x,y x,y ..." with 6 significant digits.
-
-    numpy lays out the coordinates and one template formats CHUNK_POINTS
-    points at a time; '%.6g' % v gives the same text as _f(v).
-    """
-    xy = np.stack([px, py], axis=1)
-    chunks = []
-    for i in range(0, len(xy), CHUNK_POINTS):
-        part = xy[i:i + CHUNK_POINTS]
-        chunks.append(" ".join(["%.6g,%.6g"] * len(part)) % tuple(part.ravel().tolist()))
-    return " ".join(chunks)
+def _x_slots(px):
+    """Each polyline point's text "x,%.6g": its x with 6 significant digits
+    and a slot for its y.  One template formats them all; '%.6g' % v gives
+    the same text as _f(v), and none holds a space."""
+    return (" ".join(["%.6g,%%.6g"] * len(px)) % tuple(px.tolist())).split(" ")
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -149,9 +142,16 @@ class LinePlot:
             out.append(f'<text x="{MARGIN_L + pw - 4}" y="{_f(py - 4)}" text-anchor="end" '
                        f'font-family="sans-serif" font-size="10" fill="#d62728">{label}</text>')
 
+        # series that share an x vector (every time axis of a trace plot)
+        # share its formatted points, and each fills in its finite y values
+        x_slots = {}
         for label, xs, ys, color in self.series:
+            key = xs.tobytes()
+            if key not in x_slots:
+                x_slots[key] = _x_slots(sx(xs))
             finite = np.isfinite(ys)
-            pts = _points(sx(xs[finite]), sy(ys[finite]))
+            pts = " ".join(compress(x_slots[key], finite.tolist())) % tuple(
+                sy(ys[finite]).tolist())
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                        f'stroke-width="1.5"/>')
 

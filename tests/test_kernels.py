@@ -11,7 +11,7 @@ import pytest
 
 import gridstorm.kernels as kernels
 import gridstorm.rl as rl
-from gridstorm.model import C_OUT, load_grid_config
+from gridstorm.model import C_OUT, MEASURED, load_grid_config
 from gridstorm.numerics import RngStream
 from gridstorm.rl import EpisodeConfig, GridEnv
 from gridstorm.sim import AttackVector, FalseDataSchedule, simulate_many
@@ -21,41 +21,41 @@ from test_sim import assert_same_records, random_attack
 
 
 # ---------------------------------------------------------------------------
-# bitwise oracle: one einsum step per call, A z, C z and L r as einsums
+# bitwise oracle: one einsum step per call, A z and L r as einsums, and the
+# outputs the state components the model measures
 
 
-def einsum_outputs(c, z, a_y, v, yr, ym):
-    np.einsum("nos,kns->kno", c, z, out=yr)
+def einsum_outputs(z, a_y, v, yr, ym):
+    yr[...] = z[..., MEASURED]
     np.add(yr[0], a_y, out=ym)
     np.add(ym, v, out=ym)
     np.subtract(ym, yr[1], out=yr[1])
 
 
-def einsum_closed_loop_step(a, c, l, z, r, bu, w, a_y, v, z1, yr1, ym1):
+def einsum_closed_loop_step(a, l, z, r, bu, w, a_y, v, z1, yr1, ym1):
     np.einsum("nsj,knj->kns", a, z, out=z1)
     np.add(z1, bu, out=z1)
     np.add(z1[0], w, out=z1[0])
     np.add(z1[1], np.einsum("nso,no->ns", l, r), out=z1[1])
-    einsum_outputs(c, z1, a_y, v, yr1, ym1)
+    einsum_outputs(z1, a_y, v, yr1, ym1)
 
 
-def einsum_step_block(a, b, c, lt, k, steps, bu, wlr, lr, inputs):
+def einsum_step_block(a, b, lt, k, steps, bu, wlr, lr, inputs):
     """step_block() as one einsum_closed_loop_step per step, which adds
     every input, the load b u too, whatever the four inputs flags say."""
     l = np.moveaxis(lt, 0, -1)
-    for z0, r, u, z1, yr1, _, _, ym1, a_y, v, w in zip(*steps, wlr[:, 0]):
+    for z0, r, u, z1, _, yr1, _, _, ym1, a_y, v, w in zip(*steps, wlr[:, 0]):
         u = u[..., 0]
         if k is not None:
             np.add(u, np.einsum("ns,ns->n", k, z0[1]), out=u)
-        einsum_closed_loop_step(a, c, l, z0, r[..., 0].T, b * u[..., None], w, a_y, v,
+        einsum_closed_loop_step(a, l, z0, r[..., 0].T, b * u[..., None], w, a_y, v,
                                 z1, yr1, ym1)
 
 
 @pytest.fixture()
 def einsum_kernels(monkeypatch):
     """Swap the einsum steps into kernels and rl while the fixture is used.
-    step_loop measures record 0 with np.matvec still, which has einsum's
-    bits (test_matvec_contractions_match_einsum_bits)."""
+    step_loop copies record 0's outputs as the oracle does."""
     def install():
         monkeypatch.setattr(kernels, "step_block", einsum_step_block)
         monkeypatch.setattr(rl, "step_block", einsum_step_block)
@@ -66,13 +66,50 @@ def test_matvec_contractions_match_einsum_bits():
     rng = np.random.default_rng(12)
     for _ in range(300):
         n = int(rng.integers(1, 8))
-        a, c = rng.normal(size=(n, 4, 4)), rng.normal(size=(n, 2, 4))
+        a = rng.normal(size=(n, 4, 4))
         z = rng.normal(size=(2, n, 4)) * 10.0 ** rng.uniform(-3, 3, size=(2, n, 1))
-        for m, width in ((a, 4), (c, 2)):
-            got, want = np.empty((2, n, width)), np.empty((2, n, width))
-            np.matvec(m, z, out=got)
-            np.einsum("nsj,knj->kns", m, z, out=want)
-            assert got.tobytes() == want.tobytes()
+        got, want = np.empty((2, n, 4)), np.empty((2, n, 4))
+        np.matvec(a, z, out=got)
+        np.einsum("nsj,knj->kns", a, z, out=want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_measured_copy_matches_c_out_einsum_bits():
+    """The kernels copy the outputs z[..., MEASURED]; that is einsum(C_OUT, z)'s
+    bits on every finite z whose measured components are not -0, with +-0,
+    subnormals and +-1e308 among them, in whatever order einsum sums.  No
+    record simulate writes holds a -0.  An inf among the components C_OUT
+    drops makes einsum's outputs NaN (0 * inf) and leaves the copy finite."""
+    rng = np.random.default_rng(23)
+    finite = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e308, -1e308])
+    for _ in range(300):
+        n = int(rng.integers(1, 25))
+        z = rng.normal(size=(2, n, 4)) * 10.0 ** rng.uniform(-300, 300, size=(2, n, 4))
+        hit = rng.random(z.shape) < 0.4
+        z[hit] = rng.choice(finite, size=hit.sum())
+        z[..., MEASURED] += 0.0   # -0 + 0 is +0
+        got = np.empty((2, n, 2))
+        got[...] = z[..., MEASURED]
+        assert got.tobytes() == np.einsum("os,kns->kno", C_OUT, z).tobytes()
+        assert got.tobytes() == np.matvec(C_OUT, z).tobytes()
+
+        dropped = np.ones(4, dtype=bool)
+        dropped[MEASURED] = False
+        gen = int(rng.integers(n))
+        z[1, gen, rng.choice(np.flatnonzero(dropped))] = rng.choice([np.inf, -np.inf])
+        got[...] = z[..., MEASURED]
+        with np.errstate(invalid="ignore"):
+            want = np.einsum("os,kns->kno", C_OUT, z)
+        assert np.isnan(want[1, gen]).all() and np.isfinite(got).all()
+        want[1, gen] = got[1, gen]
+        assert got.tobytes() == want.tobytes()
+
+    grid = grid_case("noisy")
+    attacks = [None] + [random_attack(grid, 40, rng) for _ in range(3)]
+    rngs = [RngStream(9, 1).split(j) for j in range(len(attacks))]
+    for tr in simulate_many(grid, attacks, horizon=130, noise=True, rngs=rngs):
+        for arr in (tr.x, tr.xhat, tr.y, tr.y_meas, tr.residue):
+            assert not np.any((arr == 0.0) & np.signbit(arr))
 
 
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
@@ -106,7 +143,9 @@ def test_lr_contraction_matches_einsum_bits():
     zeros_differ, skipped = 0, np.zeros(4, dtype=int)
     for _ in range(500):
         n = int(rng.integers(1, 25))
-        a, b, c = rng.normal(size=(n, 4, 4)), rng.normal(size=(n, 4)), rng.normal(size=(n, 2, 4))
+        # the (n, 2, 4) draw feeds nothing; it keeps the stacks whose NaN
+        # bits this test checks (ROADMAP item 14: most other stacks differ there)
+        a, b, _ = rng.normal(size=(n, 4, 4)), rng.normal(size=(n, 4)), rng.normal(size=(n, 2, 4))
         l = sprinkle(rng.normal(size=(n, 4, 2)) * 10.0 ** rng.uniform(-3, 3, size=(n, 4, 2)))
         z, yr, ym = np.zeros((2, 2, n, 4)), np.zeros((2, 2, n, 2)), np.zeros((2, n, 2))
         u, a_y, v = rng.normal(size=(2, 2, n)), *rng.normal(size=(2, 2, n, 2))
@@ -124,11 +163,11 @@ def test_lr_contraction_matches_einsum_bits():
             products = r0[:, None, :] * l
             got = products[..., 0] + products[..., 1]
             want = np.einsum("nso,no->ns", l, r0)
-            kernels.step_block(a, b, c, by_output(l), None,
+            kernels.step_block(a, b, by_output(l), None,
                                kernels.step_views(z, yr, ym, u, a_y, v),
                                np.empty((1, 2, n, 4)), wlr, np.empty((2, n, 4)), inputs)
             z1, yr1, ym1 = np.empty((2, n, 4)), np.empty((2, n, 2)), np.empty((n, 2))
-            einsum_closed_loop_step(a, c, l, z0, r0, b * u[0][..., None], wlr[0, 0],
+            einsum_closed_loop_step(a, l, z0, r0, b * u[0][..., None], wlr[0, 0],
                                     a_y[1], v[1], z1, yr1, ym1)
         differ = got.view(np.uint64) != want.view(np.uint64)
         assert np.all((got[differ] == 0.0) & (want[differ] == 0.0))
@@ -150,7 +189,7 @@ def step_blocks(block, lengths, patterns, gain):
     and with it the gain, since u carries K x_hat."""
     rng = np.random.default_rng(31)
     n, steps = 3, sum(lengths) + 1
-    a, c = 0.2 * rng.normal(size=(n, 4, 4)), rng.normal(size=(n, 2, 4))
+    a = 0.2 * rng.normal(size=(n, 4, 4))
     b, lt = rng.normal(size=(n, 4)), 0.1 * rng.normal(size=(2, n, 4))
     k = 0.1 * rng.normal(size=(n, 4)) if gain else None
     z, yr, ym = np.zeros((steps, 2, n, 4)), np.zeros((steps, 2, n, 2)), np.zeros((steps, n, 2))
@@ -167,7 +206,7 @@ def step_blocks(block, lengths, patterns, gain):
                 arr[lo:lo + t1 - t0] = 0.0
         wlr = np.zeros((t1 - t0, 2, n, 4))
         wlr[:, 0] = w[t0:t1]
-        block(a, b, c, lt, None if k is None else k * inputs[3],
+        block(a, b, lt, None if k is None else k * inputs[3],
               [s[t0:t1] for s in views], np.empty_like(wlr), wlr, np.empty((2, n, 4)),
               inputs)
     assert np.isfinite(z).all() and np.isfinite(ym).all()
@@ -199,9 +238,9 @@ def recorded_flags(monkeypatch):
     """(k is None, inputs) of every step_block call, in order."""
     flags, block = [], kernels.step_block
 
-    def recording(a, b, c, lt, k, *rest):
+    def recording(a, b, lt, k, *rest):
         flags.append((k is None, tuple(map(bool, rest[-1]))))
-        block(a, b, c, lt, k, *rest)
+        block(a, b, lt, k, *rest)
     monkeypatch.setattr(kernels, "step_block", recording)
     return flags
 
@@ -325,9 +364,9 @@ def counted_steps(monkeypatch):
     calls = []
     block = kernels.step_block
 
-    def counting(a, b, c, l, k, steps, *scratch):
+    def counting(a, b, l, k, steps, *scratch):
         calls.extend([1] * len(steps[0]))
-        block(a, b, c, l, k, steps, *scratch)
+        block(a, b, l, k, steps, *scratch)
     monkeypatch.setattr(kernels, "step_block", counting)
     return calls
 

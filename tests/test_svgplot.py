@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gridstorm.svgplot import (CHUNK_POINTS, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, LinePlot,
-                               _nice_ticks)
+from gridstorm.svgplot import MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, LinePlot, _nice_ticks
 
 # ---------------------------------------------------------------------------
 # reference renderer: the per-point writer, kept as the byte-equality oracle
@@ -159,6 +158,32 @@ def long_plot(n_points):
     return plot
 
 
+def shared_x_plot():
+    """Series on one x vector, one of them with nan and +-inf y values, and
+    one on an x vector of equal values given as another array."""
+    plot = LinePlot("shared", "t", "y")
+    t = np.arange(40) * 0.25
+    ys = np.sin(t)
+    ys[[0, 3, 4, 17, 39]] = [np.nan, np.inf, -np.inf, np.nan, np.inf]
+    plot.add_series("finite", t, np.cos(t))
+    plot.add_series("holes", t, ys)
+    plot.add_series("copy", t.copy(), -np.cos(t))
+    plot.add_series("own x", t[::2], t[::2] ** 0.5)
+    return plot
+
+
+def same_t_plots():
+    """Two plots of one time axis, as a trace's frequency and residue plots;
+    a series on a longer axis moves the second plot's x pixels."""
+    t = np.arange(3001) * 0.01
+    first, second = long_plot(3001), LinePlot("residue", "time [s]", "r")
+    for i in range(2):
+        second.add_series(f"gen {i + 1}", t, np.abs(np.sin(t * (i + 1))))
+    second.add_series("longer", np.arange(3501) * 0.01, np.full(3501, 0.5))
+    second.add_hline(0.9, "threshold")
+    return first, second
+
+
 def empty_plot():
     plot = LinePlot("empty", "t", "y")
     plot.add_series("none", [], [])
@@ -166,14 +191,14 @@ def empty_plot():
     return plot
 
 
-@pytest.mark.parametrize("make_plot", [
-    specials_plot, zeros_plot, one_point_plot, empty_plot,
-    lambda: long_plot(3001), lambda: long_plot(CHUNK_POINTS), lambda: long_plot(CHUNK_POINTS + 1),
-], ids=["specials", "zeros", "one_point", "empty", "3001_points", "one_chunk",
-        "chunk_plus_one"])
-def test_render_matches_per_point_oracle(make_plot):
-    plot = make_plot()
-    assert plot.render() == reference_render(plot)
+@pytest.mark.parametrize("make_plots", [
+    specials_plot, zeros_plot, one_point_plot, empty_plot, lambda: long_plot(3001),
+    shared_x_plot, same_t_plots,
+], ids=["specials", "zeros", "one_point", "empty", "3001_points", "shared_x", "same_t"])
+def test_render_matches_per_point_oracle(make_plots):
+    plots = make_plots()
+    for plot in plots if isinstance(plots, tuple) else [plots]:
+        assert plot.render() == reference_render(plot)
 
 
 def test_save_writes_render(tmp_path):
