@@ -2,8 +2,10 @@
 
 Every generator's plant state x and estimate x_hat advance together as one
 block z = [x; x_hat] of shape (2, n, 4), so a step costs the same few ufunc
-calls whatever the number of generators.  A z is an np.matvec call, which
-gives einsum's bits at half its call cost.  The outputs [y; C x_hat] are
+calls whatever the number of generators.  A z is an np.matvec call: half
+einsum's call cost, and einsum's bits only under OpenBLAS kernels that
+sum a row in two lanes, as SkylakeX and Haswell do; Sandybridge and
+Prescott sum left to right.  The outputs [y; C x_hat] are
 one copy of z's MEASURED components (model.py), not a product by C_OUT: a
 copy into the contiguous yr keeps every later op on numpy's contiguous fast
 path, where a strided view of z would not.  step_block() advances the

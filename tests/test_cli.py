@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -5,12 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+import gridstorm.cli as cli
 from gridstorm.cli import build_parser, main
 from gridstorm.falsify import load_attack_file
-from gridstorm.model import load_grid_config
-from gridstorm.sim import check_success, robustness, simulate
+from gridstorm.model import load_grid_config, load_grid_config_file
+from gridstorm.sim import SIGNAL_BASES, check_success, robustness, simulate
 
-from conftest import config_path, load_config_doc
+from conftest import REPO_ROOT, config_path, load_config_doc
 
 
 def write_json(path, doc):
@@ -485,6 +487,72 @@ def test_validate_zero_attack_not_successful(fast_toy_config, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reports"]["measured"]["success"] is False
     assert payload["reports"]["true"]["success"] is False
+
+
+def late_alarm_attack(tmp_path):
+    """A 5-step toy-grid attack whose residue peaks at step 7, after its own
+    steps, and a config whose threshold sits just below that peak."""
+    doc = load_config_doc("toy_grid.json")
+    doc["thresholds"] = [0.9]
+    attack = write_json(tmp_path / "late.json", {
+        "d": 5, "breaker_schedule": [[1, 1], [0, 1], [0, 1], [0, 0], [0, 0]],
+        "false_data": [[[0.0, v] for v in (-0.002, 0.001, 0.0025, -0.005, -0.002)]],
+        "mask": [0, 1], "range": [-0.05, 0.05]})
+    r_inf = simulate(load_grid_config(doc), load_attack_file(attack), 300).r_inf[0]
+    assert r_inf.argmax() == 7 and r_inf[:6].max() < 0.9 * r_inf.max()
+    doc["thresholds"] = [float(np.nextafter(r_inf.max(), 0.0))]
+    return write_json(tmp_path / "late_grid.json", doc), attack
+
+
+@pytest.mark.parametrize("case, horizon, first_alarm, runs", [
+    ("seed3", 3000, 41, "d"),         # an alarm inside the attack's 100 steps
+    ("late_alarm", 300, 7, "d, H"),   # one after the attack's 5 steps only
+    ("quiet", 300, None, "d, H"),
+    ("late_alarm", 5, None, "d"),     # --horizon equal to d
+    ("late_alarm", None, None, "d"),  # the default horizon, d
+])
+def test_validate_reports_the_full_horizon_run(fast_toy_config, tmp_path, capsys,
+                                               monkeypatch, case, horizon, first_alarm,
+                                               runs):
+    """validate simulates the attack's d steps, and the horizon H past them
+    only when they raise no alarm; its stdout is the report of one
+    horizon-H run all the same."""
+    if case == "seed3":
+        config = config_path("default_grid.json")
+        attack = os.path.join(REPO_ROOT, "perfbench", "inputs", "attack_seed3.json")
+    else:
+        config, attack = late_alarm_attack(tmp_path)
+        if case == "quiet":
+            config = fast_toy_config
+    grid, vector = load_grid_config_file(config), load_attack_file(attack)
+    d, full = vector.d, horizon or vector.d
+    trace = simulate(grid, vector, full)
+    reports = {basis: dataclasses.asdict(check_success(trace, grid.envelope,
+                                                       grid.thresholds, basis))
+               for basis in SIGNAL_BASES}
+    assert reports["measured"]["first_detection"] == first_alarm
+    want = json.dumps({"reports": reports, "basis": "measured", "horizon": full},
+                      indent=1, sort_keys=True) + "\n"
+
+    horizons, real = [], cli.simulate
+
+    def spy(grid, attack, horizon, **kwargs):
+        horizons.append(horizon)
+        return real(grid, attack, horizon, **kwargs)
+    monkeypatch.setattr(cli, "simulate", spy)
+    argv = ["validate", "--config", config, "--attack", attack]
+    rc = main(argv + (["--horizon", str(horizon)] if horizon else []))
+    assert capsys.readouterr().out == want
+    assert rc == (0 if reports["measured"]["success"] else 1)
+    assert horizons == {"d": [d], "d, H": [d, full]}[runs]
+
+
+def test_validate_horizon_below_attack_length_exit_2(tmp_path, capsys):
+    config, attack = late_alarm_attack(tmp_path)
+    rc = main(["validate", "--config", config, "--attack", attack, "--horizon", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "gridstorm: invalid input: attack length d must be <= horizon\n"
 
 
 def test_compare_requires_mode_flag(fast_toy_config, tmp_path):

@@ -451,9 +451,7 @@ def lp_optimum(problem):
         resp.append(trace.residue - base.residue)
     resp = np.stack(resp, axis=-1)                   # n x steps x 2 x (n * p)
 
-    env = problem.grid.envelope
-    f = base.frequency(problem.config.signal_basis)
-    s = np.min(np.minimum(env.f_hi - f, f - env.f_lo), axis=0)
+    s = frequency_margin(base.frequency(problem.config.signal_basis), problem.grid.envelope)
     rho_star, z_star = max(s[0], -np.min(th)), np.zeros(n * p)   # k' = 0
     for kp in range(1, problem.d + 1):
         if s[kp] >= rho_star:

@@ -438,6 +438,53 @@ def test_simulate_many_truncates_only_the_blown_up_run():
 
 
 # ---------------------------------------------------------------------------
+# a noise-free run is the prefix of any longer run
+
+
+def prefix_case_grid(case, default_grid):
+    if case == "default":
+        return default_grid
+    if case == "expanding_estimator":   # A - L C expands: r_inf goes non-finite at record 137
+        grid = make_plain_grid(n=5, m=3, mcol=0.3)
+        return dataclasses.replace(grid, l=300.0 * grid.l)
+    doc = load_config_doc("default_grid.json")
+    for gen in doc["generators"]:
+        gen["gains"] = {"lqr": {"lqr": {"q": 1, "r": 1}},
+                        "feedback_gain": {"k": [[0.0, 0.0, 0.0, 0.1]]}}[case]
+    return load_grid_config(doc)
+
+
+@pytest.mark.parametrize("case", ["default", "lqr", "feedback_gain", "expanding_estimator"])
+def test_noise_free_run_is_the_prefix_of_a_longer_run(case, default_grid):
+    """The records of simulate(grid, attack, d) are the first d + 1 records
+    of the horizon-3000 run, bit for bit, truncated or not: both runs read
+    the same inputs up to step d, and the longer run's blocks, cut
+    otherwise past it, move no bit, since skipping a zero input moves none
+    (kernels.py).  validate rests on this to stop at the attack's own steps
+    when they raise an alarm.  Noisy runs lack it, since each generator's noise is
+    drawn (horizon, ...) at a time from one stream, so that the draws a step
+    gets depend on the horizon; validate is always noise-free."""
+    grid = prefix_case_grid(case, default_grid)
+    rng = np.random.default_rng(11)
+    for d in (200, 100) if case == "expanding_estimator" else (1, 64, 100):
+        combined = random_attack(grid, d, rng)
+        no_data = FalseDataSchedule(np.zeros_like(combined.false_data.values),
+                                    combined.false_data.mask)
+        attacks = {"breakers": AttackVector(combined.breakers, no_data),
+                   "false_data": AttackVector(
+                       BreakerSchedule(np.tile(grid.load_map.b_nom, (d, 1))), combined.false_data),
+                   "combined": combined}
+        for kind, attack in attacks.items():
+            short, long = simulate(grid, attack, d), simulate(grid, attack, 3000)
+            assert short.n_steps == min(d + 1, long.n_steps), (d, kind)
+            assert short.truncated == (long.n_steps < d + 1), (d, kind)
+            assert long.truncated == (case == "expanding_estimator"), (d, kind)
+            for name in RECORDS:
+                assert getattr(short, name).tobytes() == \
+                    getattr(long, name)[:, :short.n_steps].tobytes(), (d, kind, name)
+
+
+# ---------------------------------------------------------------------------
 # detector and predicates on crafted traces
 
 
